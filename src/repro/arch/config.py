@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.util.validate import check_positive, check_power_of_two
+from repro.util.validate import check_integral, check_positive, check_power_of_two
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class CacheConfig:
         check_power_of_two("cache line_bytes", self.line_bytes)
         check_positive("cache size_bytes", self.size_bytes)
         check_positive("cache associativity", self.associativity)
+        check_integral("cache hit_latency", self.hit_latency)
         if self.size_bytes % (self.line_bytes * self.associativity):
             from repro.util.errors import ConfigError
 
@@ -61,6 +62,8 @@ class NocConfig:
 
     def __post_init__(self) -> None:
         check_positive("noc flit_bits", self.flit_bits)
+        check_integral("noc router_latency", self.router_latency)
+        check_integral("noc link_latency", self.link_latency)
         check_positive("noc router_latency", self.router_latency)
         check_positive("noc link_latency", self.link_latency)
         check_positive("noc num_virtual_channels", self.num_virtual_channels)
@@ -128,6 +131,14 @@ class CostConfig:
     eviction_fixed: int = 6
 
     def __post_init__(self) -> None:
+        for name in (
+            "migration_fixed",
+            "remote_access_fixed",
+            "cache_access",
+            "dram_latency",
+            "eviction_fixed",
+        ):
+            check_integral(f"cost {name}", getattr(self, name))
         check_positive("cost migration_fixed", self.migration_fixed)
         check_positive("cost remote_access_fixed", self.remote_access_fixed)
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.costs import CostModel
-from repro.core.decision.base import Decision, DecisionScheme
-from repro.core.decision.history import PerHomePredictor
+from repro.core.decision.base import Decision
+from repro.core.decision.history import RunLengthScheme
 from repro.registry import SCHEMES
 
 
-class CostAwareHistory(DecisionScheme):
+class CostAwareHistory(RunLengthScheme):
     """Last-run-length prediction + per-pair break-even decision."""
 
     name = "costaware-history"
@@ -41,39 +41,21 @@ class CostAwareHistory(DecisionScheme):
         initial_prediction: float = 1.0,
         write_fraction_hint: float = 0.2,
     ) -> None:
+        super().__init__(table_size, initial_prediction)
         self.cost_model = cost_model
-        self.table_size = table_size
-        self.initial_prediction = initial_prediction
         self.write_fraction_hint = write_fraction_hint
-        self.predictor = PerHomePredictor(table_size, initial_prediction)
         mig = np.asarray(cost_model.migration)
         ra_r = np.asarray(cost_model.remote_read)
         ra_w = np.asarray(cost_model.remote_write)
         # expected per-access RA cost blends reads/writes by the hint
         self._ra = (1 - write_fraction_hint) * ra_r + write_fraction_hint * ra_w
         self._round_trip = mig + mig.T
-        self._run_home: int | None = None
-        self._run_len = 0
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         L = self.predictor.predict(home)
         if L * self._ra[current, home] > self._round_trip[current, home]:
             return Decision.MIGRATE
         return Decision.REMOTE
-
-    def observe(self, current: int, home: int, addr: int, write: bool, decision: Decision) -> None:
-        if home == self._run_home:
-            self._run_len += 1
-            return
-        if self._run_home is not None:
-            self.predictor.update(self._run_home, self._run_len)
-        self._run_home = home
-        self._run_len = 1
-
-    def reset(self) -> None:
-        self.predictor.reset()
-        self._run_home = None
-        self._run_len = 0
 
     def clone(self) -> "CostAwareHistory":
         return CostAwareHistory(

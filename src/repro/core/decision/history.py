@@ -46,17 +46,55 @@ class PerHomePredictor:
         self._table = [self.initial] * self.table_size
 
 
-class HistoryRunLength(DecisionScheme):
+class RunLengthScheme(DecisionScheme):
+    """A per-home last-run-length predictor that learns at run boundaries.
+
+    The scheme watches the stream of homes via :meth:`observe`. A run at
+    home h starts when the thread begins accessing home h and ends at
+    the first access homed elsewhere, where its length updates the
+    predictor. The update lands *after* the ``decide`` of that next
+    run's first access, because ``observe`` follows ``decide``. Between
+    boundaries the predictor is fixed, so the per-access ``observe``
+    calls of a run amount to one :meth:`observe_run`, which the
+    evaluator's segment kernel calls instead. Subclasses supply
+    ``decide`` from :attr:`predictor`.
+    """
+
+    learns_per_run = True
+
+    def __init__(self, table_size: int, initial_prediction: float) -> None:
+        self.table_size = table_size
+        self.initial_prediction = initial_prediction
+        self.predictor = PerHomePredictor(table_size, initial_prediction)
+        self._run_home: int | None = None
+        self._run_len = 0
+
+    def observe(self, current: int, home: int, addr: int, write: bool, decision: Decision) -> None:
+        if home == self._run_home:
+            self._run_len += 1
+        else:
+            self.observe_run(home, 1)
+
+    def observe_run(self, home: int, length: int) -> None:
+        """A run of ``length`` accesses at ``home`` begins: the previous
+        run's length updates the predictor."""
+        if self._run_home is not None:
+            self.predictor.update(self._run_home, self._run_len)
+        self._run_home = home
+        self._run_len = length
+
+    def reset(self) -> None:
+        self.predictor.reset()
+        self._run_home = None
+        self._run_len = 0
+
+
+class HistoryRunLength(RunLengthScheme):
     """Migrate when the predicted run length >= ``threshold``.
 
     ``threshold`` should be the migration/RA break-even run length
     (:meth:`repro.core.costs.CostModel.break_even_run_length`); a
     scalar threshold keeps the hardware a single comparator.
-
-    Run-length tracking: the scheme watches the stream of (current,
-    home) pairs via :meth:`observe`. A run at core h starts when the
-    thread begins accessing home h and ends at the first access homed
-    elsewhere; its length updates the predictor.
     """
 
     name = "history-runlength"
@@ -69,31 +107,13 @@ class HistoryRunLength(DecisionScheme):
     ) -> None:
         if threshold < 0:
             raise ConfigError("threshold must be >= 0")
+        super().__init__(table_size, initial_prediction)
         self.threshold = threshold
-        self.table_size = table_size
-        self.initial_prediction = initial_prediction
-        self.predictor = PerHomePredictor(table_size, initial_prediction)
-        self._run_home: int | None = None
-        self._run_len = 0
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         if self.predictor.predict(home) >= self.threshold:
             return Decision.MIGRATE
         return Decision.REMOTE
-
-    def observe(self, current: int, home: int, addr: int, write: bool, decision: Decision) -> None:
-        if home == self._run_home:
-            self._run_len += 1
-            return
-        if self._run_home is not None:
-            self.predictor.update(self._run_home, self._run_len)
-        self._run_home = home
-        self._run_len = 1
-
-    def reset(self) -> None:
-        self.predictor.reset()
-        self._run_home = None
-        self._run_len = 0
 
     def clone(self) -> "HistoryRunLength":
         return HistoryRunLength(self.threshold, self.table_size, self.initial_prediction)

@@ -11,14 +11,27 @@ of serving accesses m_1..m_k with the thread ending at core c):
 
 The paper states O(N * P^2) time. Because each access has a *single*
 home core, only one entry per step takes the inner min — every other
-entry is a vector add — so the implementation below runs in **O(N * P)**
-with two vectorized operations per access. (The P^2 bound is the worst
-case for a cost structure where every end core needs the inner min;
-see DESIGN.md §2.)
+entry is a vector add — so a step costs O(P). The implementation below
+goes further and steps once per **home run** (a maximal stretch of
+accesses with the same home), for **O(R * P)** time with R <= N runs:
 
-Path reconstruction stores one predecessor per access: for end cores
+* the run's first access takes the full step above;
+* every later access of the run keeps the home entry where it is.
+  Since the first access, every other entry i has only added RA costs
+  (>= 0), so its arrival ``OPT(k, i) + cost_mig(i, h)`` is at least the
+  ``OPT(s, i) + cost_mig(i, h)`` the home entry already beat at the
+  run's first access s. Staying dominates (ties keep ``stay``, as the
+  per-access step does), and every other entry just adds its RA cost:
+  the run's tail is one summed RA row,
+  ``n_r * ra_r[:, h] + n_w * ra_w[:, h]``.
+
+The regrouped sums equal the per-access ones bit for bit because every
+cost is a whole number (the configs reject non-integral latencies) and
+the totals stay far below 2**53, so no addition rounds.
+
+Path reconstruction stores one predecessor per run: for end cores
 c != home the predecessor is trivially c itself (the thread stayed and
-did an RA), so only the home entry's argmin needs recording — O(N)
+did an RA), so only the home entry's argmin needs recording — O(R)
 memory instead of O(N * P).
 
 Semantics notes, matching the paper's model:
@@ -38,6 +51,7 @@ import numpy as np
 
 from repro.core.costs import CostModel
 from repro.core.decision.base import Decision
+from repro.trace.runlength import home_runs
 from repro.util.errors import ConfigError
 
 _INF = np.inf
@@ -98,6 +112,11 @@ def optimal_decisions(
     )
 
 
+#: Per-run RA rows are built this many (run, core) cells at a time, so
+#: the DP's scratch memory stays bounded however many runs a thread has.
+_BLOCK_CELLS = 1 << 16
+
+
 def _run_dp(
     homes: np.ndarray,
     writes: np.ndarray,
@@ -115,33 +134,42 @@ def _run_dp(
         raise ConfigError(f"home core out of range [0, {P})")
     if not (0 <= start_core < P):
         raise ConfigError(f"start_core {start_core} out of range [0, {P})")
-    N = homes.size
+
+    run_homes, lengths, n_w = home_runs(homes, writes)
+    n_r = lengths - n_w
+    R = run_homes.size
 
     cost = np.full(P, _INF)
     cost[start_core] = 0.0
-    # pred[k]: predecessor core of the *home* entry at step k
-    pred = np.empty(N, dtype=np.int32) if reconstruct else None
+    # pred[r]: predecessor core of the *home* entry at run r's first access
+    pred = [0] * R if reconstruct else None
 
-    mig_T = mig.T.copy()  # mig_T[h] = migration cost INTO core h from each source
-    for k in range(N):
-        h = homes[k]
-        ra = ra_w if writes[k] else ra_r
-        stay_home = cost[h]
-        # candidate: arrive at h by migration from any other core
-        arrive = cost + mig_T[h]
-        arrive[h] = _INF  # staying is the stay_home term, not a self-migration
-        best_src = int(np.argmin(arrive))
-        best_arrive = arrive[best_src]
-        # all non-home cores stay put and pay an RA to h
-        cost += ra[:, h]
-        if stay_home <= best_arrive:
-            cost[h] = stay_home
+    # mig_in[h] = migration cost INTO core h from each source; the inf
+    # diagonal keeps staying (the stay term) apart from a self-migration
+    mig_in = mig.T.copy()
+    np.fill_diagonal(mig_in, _INF)
+    ra_r_in, ra_w_in = ra_r.T, ra_w.T  # ra_*_in[h] = RA cost to h from each core
+    block = max(1, _BLOCK_CELLS // P)
+    for b in range(0, R, block):
+        hs = run_homes[b : b + block]
+        # every core but the home pays the whole run by RA
+        rows = (
+            n_r[b : b + block, None] * ra_r_in[hs]
+            + n_w[b : b + block, None] * ra_w_in[hs]
+        )
+        for j, h in enumerate(hs.tolist()):
+            arrive = cost + mig_in[h]
+            best_src = int(arrive.argmin())
+            best_arrive = arrive[best_src]
+            stay_home = cost[h]
+            cost += rows[j]
+            if stay_home <= best_arrive:
+                cost[h] = stay_home
+                best_src = h
+            else:
+                cost[h] = best_arrive
             if reconstruct:
-                pred[k] = h
-        else:
-            cost[h] = best_arrive
-            if reconstruct:
-                pred[k] = best_src
+                pred[b + j] = best_src
 
     end_core = int(np.argmin(cost))
     total = float(cost[end_core])
@@ -149,29 +177,22 @@ def _run_dp(
     if not reconstruct:
         return total, None, None, end_core
 
-    decisions = np.empty(N, dtype=np.int8)
-    cores = np.empty(N, dtype=np.int64)
+    # walk the runs backward: a run homed where the thread sits after it
+    # was served at home (its first access migrated in unless the thread
+    # was already there); any other run was served by RA from that core
+    run_core = [0] * R
+    moved_in = [False] * R
     cur = end_core
-    for k in range(N - 1, -1, -1):
-        h = homes[k]
-        if cur != h:
-            # this access was served by RA from `cur`
-            decisions[k] = Decision.REMOTE
-            cores[k] = cur
-        else:
-            p = int(pred[k])
-            cores[k] = h
-            if p == h:
-                # thread was already at h; LOCAL unless this is where a
-                # previous migration landed — distinguish below
-                decisions[k] = Decision.LOCAL
-            else:
-                decisions[k] = Decision.MIGRATE
-            cur = p
-    # Note: a LOCAL mark means the thread sat at the home before this
-    # access (free local cache access); MIGRATE means it moved here for
-    # this access.
-    return total, decisions, cores, end_core
+    for r, h in zip(range(R - 1, -1, -1), reversed(run_homes.tolist())):
+        run_core[r] = cur
+        if h == cur:
+            cur = pred[r]
+            moved_in[r] = cur != h
+    cores = np.repeat(np.array(run_core, dtype=np.int64), lengths)
+    decisions = np.where(cores == homes, Decision.LOCAL, Decision.REMOTE)
+    starts = np.cumsum(lengths) - lengths
+    decisions[starts[np.array(moved_in, dtype=bool)]] = Decision.MIGRATE
+    return total, decisions.astype(np.int8), cores, end_core
 
 
 def decision_cost(

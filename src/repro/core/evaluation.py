@@ -1,23 +1,28 @@
 """Apply a decision scheme to whole application traces.
 
 This is the O(N) "computing the equivalent cost of a specific
-decision" procedure of §3, wrapped for multi-threaded traces:
-for each thread it walks the access stream, consults the scheme on
-every non-local access, moves the thread on MIGRATE, charges the cost
-model, and gathers the statistics every bench in this repo reports
-(cost, migration/RA counts, network traffic in bits, run lengths).
+decision" procedure of §3, wrapped for multi-threaded traces. For each
+thread it finds the core each access executes at (the home for
+MIGRATE/LOCAL, the thread's position for REMOTE); :func:`_score` then
+charges the cost model and gathers the statistics every bench in this
+repo reports (cost, migration/RA counts, network traffic in bits) from
+that core sequence with a few vectorized gathers. Every cost is a whole
+number (the configs reject non-integral latencies), so these sums equal
+the access-by-access ones exactly, whatever the order of addition.
 
-``AlwaysMigrate`` and ``NeverMigrate`` take vectorized fast paths
-(identical semantics, no per-access Python loop) so the Figure 2-scale
-workloads evaluate in milliseconds. Any other *stateless* scheme
-(``DecisionScheme.stateless``: decide depends only on (current, home,
-write), observe is a no-op) takes the segment-batched kernel
-:func:`evaluate_thread_batched`, which consults the scheme once per
-home-run instead of once per access — between position changes the
-(current, home, write) triple, and hence the decision, cannot change.
-Stateful schemes (history, random) keep the sequential walk, which is
-itself unboxed: the hot loop runs on plain Python lists and floats,
-not per-access numpy scalar extraction.
+The cores come from one of three routes:
+
+* ``AlwaysMigrate`` and ``NeverMigrate`` need no walk: the cores are
+  the homes, or the start core throughout.
+* Stateless schemes (``DecisionScheme.stateless``: decide depends only
+  on (current, home, write), observe is a no-op) and run-learned ones
+  (``DecisionScheme.learns_per_run``: the history schemes, whose
+  predictor learns only where a home run begins) take the segment
+  kernel :func:`evaluate_thread_batched`. It consults the scheme a few
+  times per *home run* instead of once per access, so its Python work
+  is O(R) for R runs, not O(N).
+* Any other scheme (random, address-indexed history) takes the
+  sequential walk, one decide/observe per access on plain Python lists.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.placement.base import Placement
 from repro.registry import MACHINES
 from repro.sim.stats import Histogram
 from repro.trace.events import MultiTrace
-from repro.trace.runlength import run_length_histogram, merge_histograms
+from repro.trace.runlength import home_runs, merge_histograms, run_length_histogram
 
 
 @dataclass
@@ -75,6 +80,42 @@ class EvalResult:
         }
 
 
+def _score(
+    homes: np.ndarray,
+    writes: np.ndarray,
+    start_core: int,
+    exec_cores: np.ndarray,
+    cost_model: CostModel,
+) -> tuple[float, int, int, int, int, np.ndarray]:
+    """One thread's statistics from the core each access executed at.
+
+    The thread sits at ``exec_cores[k]`` after access k, so access k
+    migrated exactly when that differs from where the thread sat before
+    it, and went remote exactly when ``exec_cores[k]`` is not its home.
+    Returns (cost, migrations, remote, local, traffic_bits, exec_cores).
+    """
+    n = homes.size
+    if n == 0:
+        return 0.0, 0, 0, 0, 0, exec_cores
+    prev = np.concatenate(([start_core], exec_cores[:-1]))
+    moved = np.flatnonzero(prev != exec_cores)
+    remote = np.flatnonzero(exec_cores != homes)
+    w = writes[remote]
+    src, dst = exec_cores[remote], homes[remote]
+    cost = (
+        cost_model.migration[prev[moved], exec_cores[moved]].sum()
+        + cost_model.remote_read[src[~w], dst[~w]].sum()
+        + cost_model.remote_write[src[w], dst[w]].sum()
+    )
+    n_mig, n_ra, n_w = moved.size, remote.size, int(w.sum())
+    bits = (
+        n_mig * cost_model.migration_bits()
+        + (n_ra - n_w) * cost_model.remote_access_bits(write=False)
+        + n_w * cost_model.remote_access_bits(write=True)
+    )
+    return float(cost), n_mig, n_ra, n - n_mig - n_ra, bits, exec_cores
+
+
 def evaluate_thread(
     homes: np.ndarray,
     writes: np.ndarray,
@@ -93,85 +134,56 @@ def evaluate_thread(
     homes = np.asarray(homes, dtype=np.int64)
     writes = np.asarray(writes).astype(bool)
     if addrs is None:
-        addrs = np.zeros(homes.size, dtype=np.int64)
+        addrs_l = [0] * homes.size
     else:
-        addrs = np.asarray(addrs, dtype=np.int64)
-    mig = cost_model.migration
-    ra_r = cost_model.remote_read
-    ra_w = cost_model.remote_write
-    mig_bits = cost_model.migration_bits()
-    ra_bits_r = cost_model.remote_access_bits(write=False)
-    ra_bits_w = cost_model.remote_access_bits(write=True)
-
-    # hot loop: plain lists and nested-list cost tables keep every
-    # per-access operation in native Python objects (no numpy scalar
-    # boxing/unboxing per access)
-    homes_l = homes.tolist()
-    writes_l = writes.tolist()
-    addrs_l = addrs.tolist()
-    mig_t = mig.tolist()
-    ra_r_t = ra_r.tolist()
-    ra_w_t = ra_w.tolist()
+        addrs_l = np.asarray(addrs, dtype=np.int64).tolist()
     MIGRATE, LOCAL = Decision.MIGRATE, Decision.LOCAL
     decide, observe = scheme.decide, scheme.observe
 
+    # hot loop: plain lists keep every per-access operation in native
+    # Python objects; costs are charged afterwards by _score
     cur = int(start_core)
-    cost = 0.0
-    n_mig = n_ra = n_loc = 0
-    bits = 0
     exec_list: list[int] = []
     append = exec_list.append
-    for h, w, a in zip(homes_l, writes_l, addrs_l):
+    for h, w, a in zip(homes.tolist(), writes.tolist(), addrs_l):
         if h == cur:
-            n_loc += 1
-            append(cur)
-            observe(cur, h, a, w, LOCAL)
-            continue
-        d = decide(cur, h, a, w)
-        if d == MIGRATE:
-            cost += mig_t[cur][h]
-            bits += mig_bits
-            cur = h
-            n_mig += 1
-            append(h)
+            d = LOCAL
         else:
-            cost += (ra_w_t if w else ra_r_t)[cur][h]
-            bits += ra_bits_w if w else ra_bits_r
-            n_ra += 1
-            append(cur)
+            d = decide(cur, h, a, w)
+            if d == MIGRATE:
+                cur = h
+        append(cur)
         observe(cur, h, a, w, d)
-    return cost, n_mig, n_ra, n_loc, bits, np.array(exec_list, dtype=np.int64)
+    exec_cores = np.array(exec_list, dtype=np.int64)
+    return _score(homes, writes, start_core, exec_cores, cost_model)
 
 
 def _fast_always_migrate(homes, writes, start_core, cost_model):
     homes = np.asarray(homes, dtype=np.int64)
-    prev = np.concatenate(([start_core], homes[:-1])) if homes.size else homes
-    mig = cost_model.migration
-    costs = mig[prev, homes]
-    moved = prev != homes
-    cost = float(costs.sum())
-    n_mig = int(moved.sum())
-    n_loc = homes.size - n_mig
-    bits = n_mig * cost_model.migration_bits()
-    return cost, n_mig, 0, n_loc, bits, homes.copy()
+    writes = np.asarray(writes).astype(bool)
+    return _score(homes, writes, start_core, homes.copy(), cost_model)
 
 
 def _fast_never_migrate(homes, writes, start_core, cost_model):
     homes = np.asarray(homes, dtype=np.int64)
     writes = np.asarray(writes).astype(bool)
-    ra_r = cost_model.remote_read[start_core]
-    ra_w = cost_model.remote_write[start_core]
-    per = np.where(writes, ra_w[homes], ra_r[homes])
-    remote = homes != start_core
-    cost = float(per[remote].sum())
-    n_ra = int(remote.sum())
-    n_loc = homes.size - n_ra
-    bits = int(
-        (remote & writes).sum() * cost_model.remote_access_bits(True)
-        + (remote & ~writes).sum() * cost_model.remote_access_bits(False)
-    )
     exec_cores = np.full(homes.size, start_core, dtype=np.int64)
-    return cost, 0, n_ra, n_loc, bits, exec_cores
+    return _score(homes, writes, start_core, exec_cores, cost_model)
+
+
+def _first_migrating(decide, cur, h, writes, lo, e, n_w):
+    """First access in ``[lo, e)`` (all homed at ``h``, the thread at
+    ``cur``, ``n_w`` of them writes) the scheme migrates on; ``e`` if
+    none. Only the read and write flavours of the decision can differ."""
+    has_r, has_w = n_w < e - lo, n_w > 0
+    mig_r = has_r and decide(cur, h, 0, False) == Decision.MIGRATE
+    mig_w = has_w and decide(cur, h, 0, True) == Decision.MIGRATE
+    if not (mig_r or mig_w):
+        return e
+    if mig_r == mig_w or not (has_r and has_w):
+        return lo
+    # one flavour migrates, the other goes remote until it comes up
+    return lo + int(np.argmax(writes[lo:e] if mig_w else ~writes[lo:e]))
 
 
 def evaluate_thread_batched(
@@ -181,84 +193,61 @@ def evaluate_thread_batched(
     scheme: DecisionScheme,
     cost_model: CostModel,
 ) -> tuple[float, int, int, int, int, np.ndarray]:
-    """Segment-batched evaluation for stateless schemes.
+    """Segment-batched evaluation for stateless and run-learned schemes.
 
-    For a scheme whose decision is a pure function of (current, home,
-    write), the decision cannot change while the thread stays put and
-    the home stays put — so the trace is processed one *home run* at a
-    time. Per run the scheme is consulted at most twice (read and
-    write flavour), and the run's cost is charged with vectorized
-    counts. Python work is O(runs), not O(accesses); exact parity with
+    While the thread and the home stay put, a stateless scheme's
+    decision can change only with the write flag. A run-learned scheme
+    decides a run's first access before it learns the run before
+    (``observe`` follows ``decide``) and every later access after, so
+    its decision can change once more, after the first access. The
+    trace is therefore processed one *home run* at a time: each run
+    splits into an RA part and a part executed at the home, found with
+    at most three consultations, and a run-learned scheme observes the
+    run once (:meth:`~repro.core.decision.history.RunLengthScheme.observe_run`).
+    Python work is O(runs), not O(accesses); exact parity with
     :func:`evaluate_thread` is enforced by the unit tests.
     """
-    if not scheme.stateless:
-        raise ValueError(f"scheme {scheme.name!r} is not stateless")
+    learns = scheme.learns_per_run
+    if not (scheme.stateless or learns):
+        raise ValueError(
+            f"scheme {scheme.name!r} is not stateless and does not learn per run"
+        )
     homes = np.asarray(homes, dtype=np.int64)
     writes = np.asarray(writes).astype(bool)
-    n = homes.size
-    if n == 0:
-        return 0.0, 0, 0, 0, 0, np.empty(0, dtype=np.int64)
-    mig = cost_model.migration
-    ra_r = cost_model.remote_read
-    ra_w = cost_model.remote_write
-    mig_bits = cost_model.migration_bits()
-    ra_bits_r = cost_model.remote_access_bits(write=False)
-    ra_bits_w = cost_model.remote_access_bits(write=True)
+    run_homes, lengths, n_w = home_runs(homes, writes)
 
-    # run boundaries: maximal segments of constant home
-    change = np.flatnonzero(homes[1:] != homes[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [n]))
-    # prefix sums make per-segment write counts O(1)
-    wsum = np.concatenate(([0], np.cumsum(writes)))
-
+    decide = scheme.decide
     MIGRATE = Decision.MIGRATE
     cur = int(start_core)
-    cost = 0.0
-    n_mig = n_ra = n_loc = 0
-    bits = 0
-    exec_cores = np.empty(n, dtype=np.int64)
-
-    def charge_remote(s: int, e: int, h: int) -> None:
-        nonlocal cost, bits, n_ra
-        n_w = int(wsum[e] - wsum[s])
-        n_r = (e - s) - n_w
-        cost += n_r * ra_r[cur, h] + n_w * ra_w[cur, h]
-        bits += n_r * ra_bits_r + n_w * ra_bits_w
-        n_ra += e - s
-        exec_cores[s:e] = cur
-
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        h = int(homes[s])
+    seg_core: list[int] = []  # the exec cores, as (core, length) segments
+    seg_len: list[int] = []
+    e = 0
+    for h, length, nw in zip(run_homes.tolist(), lengths.tolist(), n_w.tolist()):
+        s, e = e, e + length
+        lo, k = s, None  # k: the first access executed at the home
         if h == cur:
-            n_loc += e - s
-            exec_cores[s:e] = cur
-            continue
-        seg_writes = int(wsum[e] - wsum[s])
-        has_read = seg_writes < e - s
-        has_write = seg_writes > 0
-        d_read = scheme.decide(cur, h, 0, False) if has_read else None
-        d_write = scheme.decide(cur, h, 0, True) if has_write else None
-        if d_read == MIGRATE and (d_write == MIGRATE or not has_write):
-            k = s  # migrate on the first access of the run
-        elif d_write == MIGRATE and d_read != MIGRATE:
-            # RA through the reads until the first write, then migrate
-            k = s + int(np.argmax(writes[s:e]))
-        elif d_read == MIGRATE:
-            # (write policy says RA, read policy migrates)
-            k = s + int(np.argmax(~writes[s:e]))
-        else:
-            charge_remote(s, e, h)
-            continue
+            k = s
+        elif learns:
+            # the first access is decided before the scheme learns the
+            # previous run, the rest of the run after
+            w = bool(writes[s])
+            if decide(cur, h, 0, w) == MIGRATE:
+                k = s
+            else:
+                lo, nw = s + 1, nw - w
+        if learns:
+            scheme.observe_run(h, length)
+        if k is None:
+            k = _first_migrating(decide, cur, h, writes, lo, e, nw)
         if k > s:
-            charge_remote(s, k, h)
-        cost += mig[cur, h]
-        bits += mig_bits
-        n_mig += 1
-        cur = h
-        exec_cores[k:e] = h
-        n_loc += e - k - 1
-    return float(cost), n_mig, n_ra, n_loc, int(bits), exec_cores
+            seg_core.append(cur)
+            seg_len.append(k - s)
+        if k < e:
+            cur = h
+            seg_core.append(h)
+            seg_len.append(e - k)
+    exec_cores = np.repeat(np.array(seg_core, dtype=np.int64), seg_len)
+    return _score(homes, writes, start_core, exec_cores, cost_model)
 
 
 def evaluate_scheme(
@@ -282,7 +271,7 @@ def evaluate_scheme(
             out = _fast_always_migrate(homes, writes, start, cost_model)
         elif isinstance(scheme, NeverMigrate):
             out = _fast_never_migrate(homes, writes, start, cost_model)
-        elif scheme.stateless:
+        elif scheme.stateless or scheme.learns_per_run:
             per_thread = scheme.clone()
             per_thread.reset()
             out = evaluate_thread_batched(homes, writes, start, per_thread, cost_model)

@@ -34,6 +34,20 @@ def run_lengths(home_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return home_seq[starts], (ends - starts).astype(np.int64)
 
 
+def home_runs(
+    home_seq: np.ndarray, writes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`run_lengths` plus the number of writes in each run.
+
+    Returns ``(cores, lengths, n_writes)``, one entry per run.
+    """
+    cores, lengths = run_lengths(home_seq)
+    if not lengths.size:
+        return cores, lengths, lengths
+    starts = np.cumsum(lengths) - lengths
+    return cores, lengths, np.add.reduceat(np.asarray(writes, dtype=np.int64), starts)
+
+
 def run_length_histogram(
     home_seq: np.ndarray,
     native_core: int,

@@ -5,6 +5,7 @@ import pytest
 from repro.arch.config import (
     CacheConfig,
     ContextConfig,
+    CostConfig,
     NocConfig,
     SystemConfig,
     small_test_config,
@@ -45,6 +46,33 @@ class TestNocConfig:
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):
             NocConfig().message_flits(-1)
+
+
+class TestWholeCycleLatencies:
+    """Latencies and fixed costs are whole cycle counts: the analytical
+    model's regrouped sums are exact only for whole-number costs."""
+
+    FIELDS = [
+        (NocConfig, "router_latency"),
+        (NocConfig, "link_latency"),
+        (CostConfig, "migration_fixed"),
+        (CostConfig, "remote_access_fixed"),
+        (CostConfig, "cache_access"),
+        (CostConfig, "dram_latency"),
+        (CostConfig, "eviction_fixed"),
+        (CacheConfig, "hit_latency"),
+    ]
+
+    @pytest.mark.parametrize("cls,field", FIELDS)
+    @pytest.mark.parametrize("value", [1.5, 0.1, float("inf"), float("nan"), "2", True])
+    def test_non_integral_rejected(self, cls, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("cls,field", FIELDS)
+    def test_whole_numbers_accepted(self, cls, field):
+        assert getattr(cls(**{field: 3}), field) == 3
+        assert getattr(cls(**{field: 3.0}), field) == 3
 
 
 class TestContextConfig:

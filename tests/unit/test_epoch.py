@@ -69,6 +69,34 @@ def test_fast_path_bit_parity(machine, workload, params):
     assert slow["fast_path"]["disabled_reason"] == "off"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known EM² fast-path parity defect on the 64-core SPLASH stand-ins: "
+        "on LU the fast path makes 193 migrations and 131 evictions where the "
+        "event-driven engine makes 192 and 128; the first difference is two "
+        "migrations issued at the same cycle (t=634) in swapped order "
+        "(docs/architecture.md, 'Known parity defect')"
+    ),
+)
+def test_fast_path_parity_lu_64_cores():
+    """The des-splash64 benchmark's LU point: em2 on 64 cores, default preset."""
+
+    def spec(fast_path):
+        return ExperimentSpec(
+            workload=WorkloadSpec(
+                name="lu", params={"blocks": 4, "num_threads": 64, "seed": 3}
+            ),
+            machine=MachineSpec(
+                name="em2", cores=64, preset="default", fast_path=fast_path
+            ),
+            scheme=SchemeSpec(name="history"),
+            placement=PlacementSpec(name="first-touch"),
+        )
+
+    assert _strip(run(spec(True))) == _strip(run(spec(False)))
+
+
 # ---------------------------------------------------------------- boundaries
 def _em2_machine(workload, params, fast_path=True, cores=8):
     from repro.core.em2 import EM2Machine

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.arch.config import small_test_config
+from repro.arch.config import NocConfig, small_test_config
 from repro.core.costs import CostModel
 from repro.core.decision import (
+    AddressIndexedHistory,
     AlwaysMigrate,
+    CostAwareHistory,
     DistanceThreshold,
     HistoryRunLength,
     NeverMigrate,
+    RandomScheme,
 )
 from repro.core.decision import NativeFirst
 from repro.core.decision.base import Decision, DecisionScheme
@@ -145,12 +148,13 @@ class _ReadMigrates(DecisionScheme):
 
 class TestBatchedMatchesSequential:
     """evaluate_thread_batched must agree with the sequential walk on
-    every statistic (cost up to float summation order)."""
+    every statistic, exactly: costs are whole numbers, so the order in
+    which they are summed cannot change the total."""
 
     def _check(self, scheme_factory, homes, writes, start, cm):
         fast = evaluate_thread_batched(homes, writes, start, scheme_factory(), cm)
         slow = evaluate_thread(homes, writes, start, scheme_factory(), cm)
-        assert fast[0] == pytest.approx(slow[0])
+        assert fast[0] == slow[0]
         assert fast[1:5] == slow[1:5]
         assert (fast[5] == slow[5]).all()
 
@@ -177,6 +181,33 @@ class TestBatchedMatchesSequential:
         self._check(_WriteMigrates, homes, writes, 0, cm)
         self._check(_ReadMigrates, homes, writes, 0, cm)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, 3.0, 100.0])
+    def test_history(self, cm, seed, start, threshold):
+        homes, writes = _runny_trace(30 + seed)
+        self._check(lambda: HistoryRunLength(threshold), homes, writes, start, cm)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_history_aliased_table(self, cm, seed, start):
+        """With homes aliasing in the predictor, learning the previous
+        run can flip the decision after a run's first access."""
+        homes, writes = _runny_trace(40 + seed)
+        self._check(
+            lambda: HistoryRunLength(2.0, table_size=2), homes, writes, start, cm
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("cores", [4, 16])
+    @pytest.mark.parametrize("table_size", [64, 3])
+    def test_costaware(self, seed, cores, table_size):
+        cm = CostModel(small_test_config(num_cores=cores))
+        homes, writes = _runny_trace(50 + seed, cores=cores, runs=80)
+        self._check(
+            lambda: CostAwareHistory(cm, table_size=table_size), homes, writes, 1, cm
+        )
+
     def test_empty_thread(self, cm):
         out = evaluate_thread_batched(
             np.empty(0, np.int64), np.empty(0, bool), 0, _WriteMigrates(), cm
@@ -184,11 +215,12 @@ class TestBatchedMatchesSequential:
         assert out[:5] == (0.0, 0, 0, 0, 0) and out[5].size == 0
 
     def test_stateful_scheme_rejected(self, cm):
-        with pytest.raises(ValueError, match="not stateless"):
-            evaluate_thread_batched(
-                np.array([1]), np.array([False]), 0,
-                HistoryRunLength(threshold=2.0), cm,
-            )
+        # history now learns per run and is served; these are not
+        for scheme in (RandomScheme(p=0.5), AddressIndexedHistory(threshold=2.0)):
+            with pytest.raises(ValueError, match="not stateless"):
+                evaluate_thread_batched(
+                    np.array([1]), np.array([False]), 0, scheme, cm
+                )
 
     def test_stateless_flags(self, cm):
         dm = cm.topology.distance_matrix
@@ -196,6 +228,13 @@ class TestBatchedMatchesSequential:
         assert NativeFirst(away=DistanceThreshold(dm, 1)).stateless
         assert not NativeFirst(away=HistoryRunLength(threshold=2.0)).stateless
         assert not HistoryRunLength(threshold=2.0).stateless
+
+    def test_learns_per_run_flags(self, cm):
+        assert HistoryRunLength(threshold=2.0).learns_per_run
+        assert CostAwareHistory(cm).learns_per_run
+        assert not AddressIndexedHistory(threshold=2.0).learns_per_run
+        assert not RandomScheme().learns_per_run
+        assert not DistanceThreshold(cm.topology.distance_matrix, 1).learns_per_run
 
     def test_evaluate_scheme_dispatch_matches_sequential(self, cm):
         """Whole-trace totals through the stateless fast path equal a
@@ -220,6 +259,67 @@ class TestBatchedMatchesSequential:
             migs += n_mig
         assert r.total_cost == pytest.approx(total)
         assert r.migrations == migs
+
+
+def charged_walk(homes, writes, start, scheme, cm):
+    """Reference walk that charges every access as it is decided,
+    instead of scoring the core sequence afterwards."""
+    cur, cost, n_mig, n_ra, n_loc, bits, cores = start, 0.0, 0, 0, 0, 0, []
+    for h, w in zip(homes.tolist(), writes.tolist()):
+        d = Decision.LOCAL
+        if h == cur:
+            n_loc += 1
+        else:
+            d = scheme.decide(cur, h, 0, w)
+            if d == Decision.MIGRATE:
+                cost += cm.migration[cur, h]
+                bits += cm.migration_bits()
+                n_mig += 1
+                cur = h
+            else:
+                cost += cm.remote_access(w)[cur, h]
+                bits += cm.remote_access_bits(w)
+                n_ra += 1
+        cores.append(cur)
+        scheme.observe(cur, h, 0, w, d)
+    return cost, n_mig, n_ra, n_loc, bits, np.array(cores, dtype=np.int64)
+
+
+class TestScoringMatchesChargedWalk:
+    """Every evaluation route scores the core sequence in one
+    vectorized pass; it must equal charging access by access, on links
+    narrow enough that remote reads and writes cost differently."""
+
+    @pytest.fixture
+    def narrow(self):
+        cm = CostModel(small_test_config(num_cores=16, noc=NocConfig(flit_bits=32)))
+        assert (cm.remote_read != cm.remote_write).any()
+        return cm
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda cm: AlwaysMigrate(),
+            lambda cm: NeverMigrate(),
+            lambda cm: DistanceThreshold(cm.topology.distance_matrix, 2),
+            lambda cm: HistoryRunLength(2.0),
+            lambda cm: CostAwareHistory(cm),
+            lambda cm: RandomScheme(p=0.4, seed=3),
+        ],
+        ids=["always", "never", "distance", "history", "costaware", "random"],
+    )
+    def test_routes_match_reference(self, narrow, seed, make):
+        homes, writes = _runny_trace(60 + seed, cores=16, runs=60)
+        ref = charged_walk(homes, writes, 5, make(narrow), narrow)
+        mt = MultiTrace(threads=[make_trace(homes, writes=writes)], thread_native_core=[5])
+        pl = striped(16, block_words=1)  # address k is homed at k % 16
+        r = evaluate_scheme(mt, pl, make(narrow), narrow)
+        assert (r.total_cost, r.migrations, r.remote_accesses, r.local_accesses,
+                r.traffic_bits) == ref[:5]
+        out = evaluate_thread(homes, writes, 5, make(narrow), narrow)
+        assert out[:5] == ref[:5]
+        assert (out[5] == ref[5]).all()
 
 
 class TestEvaluateScheme:

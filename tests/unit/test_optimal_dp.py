@@ -3,13 +3,15 @@
 The key evidence is an independent brute-force reference: a plain
 recursive cost minimizer written in a completely different style from
 the vectorized DP. They must agree exactly on many small random
-instances, and the DP must lower-bound every heuristic scheme.
+instances, and the DP must lower-bound every heuristic scheme. A second
+reference, the DP stepped once per access, pins the run-stepped DP's
+totals, decisions and paths bit for bit on long traces.
 """
 
 import numpy as np
 import pytest
 
-from repro.arch.config import small_test_config
+from repro.arch.config import NocConfig, small_test_config
 from repro.core.costs import CostModel
 from repro.core.decision import (
     AlwaysMigrate,
@@ -43,6 +45,64 @@ def brute_force_cost(homes, writes, start, cm):
     return rec(0, start)
 
 
+def per_access_dp(homes, writes, start, cm):
+    """The DP stepped once per access, with one predecessor per access:
+    the reference the run-stepped DP must match exactly."""
+    homes = np.asarray(homes, dtype=np.int64)
+    writes = np.asarray(writes).astype(bool)
+    mig, ra_r, ra_w = cm.migration, cm.remote_read, cm.remote_write
+    P, N = mig.shape[0], homes.size
+    cost = np.full(P, np.inf)
+    cost[start] = 0.0
+    pred = np.empty(N, dtype=np.int32)
+    mig_T = mig.T.copy()
+    for k in range(N):
+        h = homes[k]
+        ra = ra_w if writes[k] else ra_r
+        stay_home = cost[h]
+        arrive = cost + mig_T[h]
+        arrive[h] = np.inf
+        best_src = int(np.argmin(arrive))
+        best_arrive = arrive[best_src]
+        cost += ra[:, h]
+        if stay_home <= best_arrive:
+            cost[h] = stay_home
+            pred[k] = h
+        else:
+            cost[h] = best_arrive
+            pred[k] = best_src
+    end_core = int(np.argmin(cost))
+    decisions = np.empty(N, dtype=np.int8)
+    cores = np.empty(N, dtype=np.int64)
+    cur = end_core
+    for k in range(N - 1, -1, -1):
+        h = homes[k]
+        if cur != h:
+            decisions[k] = Decision.REMOTE
+            cores[k] = cur
+        else:
+            p = int(pred[k])
+            cores[k] = h
+            decisions[k] = Decision.LOCAL if p == h else Decision.MIGRATE
+            cur = p
+    return float(cost[end_core]), decisions, cores, end_core
+
+
+def narrow_link_costs(cores):
+    """A cost model whose remote reads and writes cost differently (on
+    the default 128-bit links both fit the same flit counts)."""
+    cm = CostModel(small_test_config(num_cores=cores, noc=NocConfig(flit_bits=32)))
+    assert (cm.remote_read != cm.remote_write).any()
+    return cm
+
+
+def run_heavy_trace(rng, cores, runs, max_len):
+    """Random homes in runs of 1..max_len accesses, reads and writes
+    mixed inside each run."""
+    homes = np.repeat(rng.integers(0, cores, runs), rng.integers(1, max_len + 1, runs))
+    return homes.astype(np.int64), rng.random(homes.size) < 0.4
+
+
 @pytest.fixture
 def cm():
     return CostModel(small_test_config(num_cores=4))
@@ -68,6 +128,60 @@ class TestAgainstBruteForce:
         assert optimal_cost(homes, writes, 0, cm) == pytest.approx(
             brute_force_cost(homes, writes, 0, cm)
         )
+
+
+class TestRunSteppedMatchesPerAccess:
+    """The DP steps once per home run; the per-access DP is the
+    reference. Totals compare with ``==``: the costs are whole numbers,
+    so regrouping a run's RA costs into one product is exact."""
+
+    @staticmethod
+    def _check(homes, writes, start, cm):
+        total, decisions, cores, end_core = per_access_dp(homes, writes, start, cm)
+        res = optimal_decisions(homes, writes, start, cm)
+        assert optimal_cost(homes, writes, start, cm) == total
+        assert res.total_cost == total
+        np.testing.assert_array_equal(res.decisions, decisions)
+        np.testing.assert_array_equal(res.cores, cores)
+        assert res.end_core == end_core
+
+    @pytest.mark.parametrize("cores", [4, 16, 64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_run_heavy_random_traces(self, cores, seed):
+        rng = np.random.default_rng(seed)
+        homes, writes = run_heavy_trace(rng, cores, runs=80, max_len=12)
+        cm = narrow_link_costs(cores)
+        self._check(homes, writes, int(rng.integers(0, cores)), cm)
+
+    @pytest.mark.parametrize("cores", [4, 16, 64])
+    def test_long_single_home_runs(self, cores):
+        rng = np.random.default_rng(cores)
+        homes, writes = run_heavy_trace(rng, cores, runs=30, max_len=400)
+        self._check(homes, writes, 0, narrow_link_costs(cores))
+
+    def test_runs_span_several_row_blocks(self):
+        # thousands of runs at 64 cores cross the DP's RA-row blocks
+        rng = np.random.default_rng(3)
+        homes, writes = run_heavy_trace(rng, 64, runs=3000, max_len=4)
+        self._check(homes, writes, 5, narrow_link_costs(64))
+
+    @pytest.mark.parametrize("cores", [4, 16, 64])
+    def test_empty_trace(self, cores):
+        empty = np.zeros(0, dtype=np.int64)
+        self._check(empty, empty.astype(bool), cores - 1,
+                    narrow_link_costs(cores))
+
+    @pytest.mark.parametrize("start", [0, 2])
+    def test_one_home_trace(self, start):
+        writes = np.random.default_rng(1).random(50) < 0.5
+        self._check(np.full(50, 2), writes, start, narrow_link_costs(4))
+
+    @pytest.mark.parametrize("cores", [4, 16, 64])
+    def test_start_core_is_first_home(self, cores):
+        rng = np.random.default_rng(10 + cores)
+        homes, writes = run_heavy_trace(rng, cores, runs=40, max_len=8)
+        cm = narrow_link_costs(cores)
+        self._check(homes, writes, int(homes[0]), cm)
 
 
 class TestReconstruction:

@@ -36,14 +36,6 @@ class DecisionScheme(ABC):
     #: :func:`repro.core.evaluation.evaluate_thread_batched`).
     stateless = False
 
-    #: True for schemes whose ``decide`` depends on (current, home,
-    #: write) and on state that changes only where a *home run* (a
-    #: maximal stretch of accesses with the same home) begins. Such a
-    #: scheme has an ``observe_run(home, length)`` method equal to the
-    #: run's per-access ``observe`` calls, and the segment kernel serves
-    #: it too (see :class:`repro.core.decision.history.RunLengthScheme`).
-    learns_per_run = False
-
     @abstractmethod
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         """Return MIGRATE or REMOTE for a non-local access."""

@@ -57,10 +57,9 @@ class RunLengthScheme(DecisionScheme):
     boundaries the predictor is fixed, so the per-access ``observe``
     calls of a run amount to one :meth:`observe_run`, which the
     evaluator's segment kernel calls instead. Subclasses supply
-    ``decide`` from :attr:`predictor`.
+    ``decide`` as a function of (current, home, write) and
+    :attr:`predictor` alone; the kernel serves every subclass.
     """
-
-    learns_per_run = True
 
     def __init__(self, table_size: int, initial_prediction: float) -> None:
         self.table_size = table_size

@@ -16,11 +16,11 @@ The cores come from one of three routes:
   the homes, or the start core throughout.
 * Stateless schemes (``DecisionScheme.stateless``: decide depends only
   on (current, home, write), observe is a no-op) and run-learned ones
-  (``DecisionScheme.learns_per_run``: the history schemes, whose
-  predictor learns only where a home run begins) take the segment
-  kernel :func:`evaluate_thread_batched`. It consults the scheme a few
-  times per *home run* instead of once per access, so its Python work
-  is O(R) for R runs, not O(N).
+  (subclasses of :class:`~repro.core.decision.history.RunLengthScheme`:
+  the history schemes, whose predictor learns only where a home run
+  begins) take the segment kernel :func:`evaluate_thread_batched`. It
+  consults the scheme a few times per *home run* instead of once per
+  access, so its Python work is O(R) for R runs, not O(N).
 * Any other scheme (random, address-indexed history) takes the
   sequential walk, one decide/observe per access on plain Python lists.
 """
@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.costs import CostModel
 from repro.core.decision.base import Decision, DecisionScheme
+from repro.core.decision.history import RunLengthScheme
 from repro.core.decision.static import AlwaysMigrate, NeverMigrate
 from repro.placement.base import Placement
 from repro.registry import MACHINES
@@ -132,7 +133,7 @@ def evaluate_thread(
     feeds address-indexed schemes; omitted, schemes see address 0.
     """
     homes = np.asarray(homes, dtype=np.int64)
-    writes = np.asarray(writes).astype(bool)
+    writes = np.asarray(writes, dtype=bool)
     if addrs is None:
         addrs_l = [0] * homes.size
     else:
@@ -155,19 +156,6 @@ def evaluate_thread(
         append(cur)
         observe(cur, h, a, w, d)
     exec_cores = np.array(exec_list, dtype=np.int64)
-    return _score(homes, writes, start_core, exec_cores, cost_model)
-
-
-def _fast_always_migrate(homes, writes, start_core, cost_model):
-    homes = np.asarray(homes, dtype=np.int64)
-    writes = np.asarray(writes).astype(bool)
-    return _score(homes, writes, start_core, homes.copy(), cost_model)
-
-
-def _fast_never_migrate(homes, writes, start_core, cost_model):
-    homes = np.asarray(homes, dtype=np.int64)
-    writes = np.asarray(writes).astype(bool)
-    exec_cores = np.full(homes.size, start_core, dtype=np.int64)
     return _score(homes, writes, start_core, exec_cores, cost_model)
 
 
@@ -207,13 +195,13 @@ def evaluate_thread_batched(
     Python work is O(runs), not O(accesses); exact parity with
     :func:`evaluate_thread` is enforced by the unit tests.
     """
-    learns = scheme.learns_per_run
+    learns = isinstance(scheme, RunLengthScheme)
     if not (scheme.stateless or learns):
         raise ValueError(
             f"scheme {scheme.name!r} is not stateless and does not learn per run"
         )
     homes = np.asarray(homes, dtype=np.int64)
-    writes = np.asarray(writes).astype(bool)
+    writes = np.asarray(writes, dtype=bool)
     run_homes, lengths, n_w = home_runs(homes, writes)
 
     decide = scheme.decide
@@ -264,14 +252,15 @@ def evaluate_scheme(
         if tr.size == 0:
             result.per_thread_cost.append(0.0)
             continue
-        homes = placement.home_of(tr["addr"])
-        writes = tr["write"]
+        homes = np.asarray(placement.home_of(tr["addr"]), dtype=np.int64)
+        writes = tr["write"].astype(bool)
         start = trace.thread_native_core[t] % cost_model.config.num_cores
         if isinstance(scheme, AlwaysMigrate):
-            out = _fast_always_migrate(homes, writes, start, cost_model)
+            out = _score(homes, writes, start, homes, cost_model)
         elif isinstance(scheme, NeverMigrate):
-            out = _fast_never_migrate(homes, writes, start, cost_model)
-        elif scheme.stateless or scheme.learns_per_run:
+            stay = np.full(homes.size, start, dtype=np.int64)
+            out = _score(homes, writes, start, stay, cost_model)
+        elif scheme.stateless or isinstance(scheme, RunLengthScheme):
             per_thread = scheme.clone()
             per_thread.reset()
             out = evaluate_thread_batched(homes, writes, start, per_thread, cost_model)

@@ -16,6 +16,7 @@ from repro.core.decision import (
 )
 from repro.core.decision import NativeFirst
 from repro.core.decision.base import Decision, DecisionScheme
+from repro.core.decision.history import RunLengthScheme
 from repro.core.evaluation import (
     evaluate_scheme,
     evaluate_thread,
@@ -68,49 +69,31 @@ class TestEvaluateThread:
 
 
 class TestFastPathsMatchSequential:
-    """The vectorized AlwaysMigrate/NeverMigrate paths must agree with
-    the generic sequential evaluator on every statistic."""
+    """evaluate_scheme scores AlwaysMigrate/NeverMigrate without a walk
+    (the cores are the homes, or the start core throughout); it must
+    agree with the generic sequential evaluator on every statistic."""
+
+    def _check(self, scheme, addrs, writes, start, pl, cm):
+        mt = MultiTrace(
+            threads=[make_trace(addrs, writes=writes)], thread_native_core=[start]
+        )
+        r = evaluate_scheme(mt, pl, scheme, cm)
+        slow = evaluate_thread(pl.home_of(addrs), writes, start, scheme, cm)
+        assert (r.total_cost, r.migrations, r.remote_accesses, r.local_accesses,
+                r.traffic_bits) == slow[:5]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_always_migrate(self, cm, seed):
         rng = np.random.default_rng(seed)
-        mt = MultiTrace(
-            threads=[
-                make_trace(
-                    rng.integers(0, 64, 100),
-                    writes=rng.integers(0, 2, 100),
-                )
-            ],
-            thread_native_core=[0],
-        )
-        pl = striped(4, block_words=4)
-
-        class _Always(AlwaysMigrate):
-            pass  # defeat isinstance fast path? no - subclass still matches
-
-        # compare fast path vs sequential manually
-        homes = pl.home_of(mt.threads[0]["addr"])
-        writes = mt.threads[0]["write"]
-        from repro.core.evaluation import _fast_always_migrate
-
-        fast = _fast_always_migrate(homes, writes, 0, cm)
-        slow = evaluate_thread(homes, writes, 0, AlwaysMigrate(), cm)
-        assert fast[0] == pytest.approx(slow[0])
-        assert fast[1:5] == slow[1:5]
-        assert (fast[5] == slow[5]).all()
+        addrs, writes = rng.integers(0, 64, 100), rng.integers(0, 2, 100)
+        self._check(AlwaysMigrate(), addrs, writes, 0, striped(4, block_words=4), cm)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_migrate(self, cm, seed):
         rng = np.random.default_rng(100 + seed)
-        homes = rng.integers(0, 4, 80)
+        homes = rng.integers(0, 4, 80)  # address k is homed at k % 4
         writes = rng.integers(0, 2, 80).astype(bool)
-        from repro.core.evaluation import _fast_never_migrate
-
-        fast = _fast_never_migrate(homes, writes, 2, cm)
-        slow = evaluate_thread(homes, writes, 2, NeverMigrate(), cm)
-        assert fast[0] == pytest.approx(slow[0])
-        assert fast[1:5] == slow[1:5]
-        assert (fast[5] == slow[5]).all()
+        self._check(NeverMigrate(), homes, writes, 2, striped(4, block_words=1), cm)
 
 
 def _runny_trace(seed, cores=4, runs=40):
@@ -144,6 +127,27 @@ class _ReadMigrates(DecisionScheme):
 
     def clone(self):
         return _ReadMigrates()
+
+
+class _RWGatedHistory(RunLengthScheme):
+    """Run-learned test scheme whose decision depends on the write flag:
+    a write migrates once the predicted run length reaches ``write_at``,
+    a read once it reaches ``read_at``."""
+
+    name = "rw-gated-history"
+
+    def __init__(self, write_at, read_at, table_size=64):
+        super().__init__(table_size, 1.0)
+        self.write_at, self.read_at = write_at, read_at
+
+    def decide(self, current, home, addr, write):
+        need = self.write_at if write else self.read_at
+        if self.predictor.predict(home) >= need:
+            return Decision.MIGRATE
+        return Decision.REMOTE
+
+    def clone(self):
+        return _RWGatedHistory(self.write_at, self.read_at, self.table_size)
 
 
 class TestBatchedMatchesSequential:
@@ -208,6 +212,25 @@ class TestBatchedMatchesSequential:
             lambda: CostAwareHistory(cm, table_size=table_size), homes, writes, 1, cm
         )
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("write_at, read_at", [(1.5, 3.0), (3.0, 1.5)])
+    @pytest.mark.parametrize("table_size", [64, 2])
+    def test_write_dependent_run_learner(
+        self, cm, seed, start, write_at, read_at, table_size
+    ):
+        """The kernel decides a run's first access on its own and the
+        rest after learning; the rest must be split by its own reads and
+        writes. Half the runs open with a write, so many of those rests
+        hold no write at all."""
+        homes, writes = _runny_trace(70 + seed)
+        run_starts = np.flatnonzero(np.diff(homes, prepend=-1))
+        writes[run_starts[::2]] = True
+        self._check(
+            lambda: _RWGatedHistory(write_at, read_at, table_size),
+            homes, writes, start, cm,
+        )
+
     def test_empty_thread(self, cm):
         out = evaluate_thread_batched(
             np.empty(0, np.int64), np.empty(0, bool), 0, _WriteMigrates(), cm
@@ -228,13 +251,6 @@ class TestBatchedMatchesSequential:
         assert NativeFirst(away=DistanceThreshold(dm, 1)).stateless
         assert not NativeFirst(away=HistoryRunLength(threshold=2.0)).stateless
         assert not HistoryRunLength(threshold=2.0).stateless
-
-    def test_learns_per_run_flags(self, cm):
-        assert HistoryRunLength(threshold=2.0).learns_per_run
-        assert CostAwareHistory(cm).learns_per_run
-        assert not AddressIndexedHistory(threshold=2.0).learns_per_run
-        assert not RandomScheme().learns_per_run
-        assert not DistanceThreshold(cm.topology.distance_matrix, 1).learns_per_run
 
     def test_evaluate_scheme_dispatch_matches_sequential(self, cm):
         """Whole-trace totals through the stateless fast path equal a

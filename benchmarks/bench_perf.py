@@ -126,8 +126,8 @@ COMMITTED_BASELINE_PATH = Path(__file__).resolve().parent / "baseline_throughput
 
 # ---------------------------------------------------------------- tracegen
 # Synthetic-generator throughput: accesses/second of MultiTrace
-# generation itself (the cost the trace store and shared-memory layer
-# amortize away, and the thing the vectorization PR made ~18x faster).
+# generation itself (the cost the trace store amortizes away, and the
+# thing the vectorization PR made ~18x faster).
 TRACEGEN_PARAMS = {
     "full": {
         "ocean": dict(num_threads=32, grid_n=258, iterations=2),
@@ -384,14 +384,14 @@ def run_trace_store(mode: str, base: ExperimentSpec, points: list[dict]) -> dict
 
         clear_build_memo()
         t0 = time.perf_counter()
-        rows_cold = sweep_specs(base, points, workers=1, share_traces=False)
+        rows_cold = sweep_specs(base, points, workers=1)
         out["trace_store_cold_seconds"] = time.perf_counter() - t0
         out["trace_store_cold_stats"] = store.stats()
 
         store.hits = store.misses = 0
         clear_build_memo()  # simulate a fresh process: disk is the only cache
         t0 = time.perf_counter()
-        rows_warm = sweep_specs(base, points, workers=1, share_traces=False)
+        rows_warm = sweep_specs(base, points, workers=1)
         out["trace_store_warm_seconds"] = time.perf_counter() - t0
         out["trace_store_warm_stats"] = store.stats()
         out["trace_store_warm_speedup"] = (
@@ -681,18 +681,19 @@ def run_harness(mode: str = "full", workers: int = 4, cache_dir: str | None = No
     own_tmp = cache_dir is None
     if own_tmp:
         cache_dir = tempfile.mkdtemp(prefix="bench_perf_cache_")
+    store = os.path.join(cache_dir, "results.rpjl")
     try:
-        cold = ResultCache(cache_dir)
-        cold.clear()
-        t0 = time.perf_counter()
-        rows_cold = sweep_specs(base, points, workers=workers, cache=cold)
-        report["cold_cache_seconds"] = time.perf_counter() - t0
+        with ResultCache(store) as cold:
+            cold.clear()
+            t0 = time.perf_counter()
+            rows_cold = sweep_specs(base, points, workers=workers, cache=cold)
+            report["cold_cache_seconds"] = time.perf_counter() - t0
         report["cold_cache_stats"] = cold.stats()
 
-        warm = ResultCache(cache_dir)
-        t0 = time.perf_counter()
-        rows_warm = sweep_specs(base, points, workers=workers, cache=warm)
-        report["warm_cache_seconds"] = time.perf_counter() - t0
+        with ResultCache(store) as warm:
+            t0 = time.perf_counter()
+            rows_warm = sweep_specs(base, points, workers=workers, cache=warm)
+            report["warm_cache_seconds"] = time.perf_counter() - t0
         report["warm_cache_stats"] = warm.stats()
         total = warm.hits + warm.misses
         report["warm_skip_fraction"] = warm.hits / total if total else 0.0

@@ -1,25 +1,29 @@
-"""Content-addressed on-disk cache for sweep results.
+"""Salted, content-addressed result store for sweep points.
 
-Re-running a bench after an unrelated edit used to recompute every
-(trace, placement, scheme) point from scratch. This cache keys each
-point's result rows by a stable SHA-256 of *everything that determines
+Re-running a sweep after an unrelated edit, or after a crash, should
+not recompute the points that already finished. :class:`ResultCache`
+keeps each point's bare canonical metrics under one row key
+(:func:`row_keys`), a stable SHA-256 of *everything that determines
 the numbers*:
 
-* the sweep point itself (parameters passed to the callback),
-* the workload/trace specification and seed,
-* the cost-model / system configuration,
-* a code-version salt (:data:`CACHE_SALT`), bumped whenever an
-  evaluation kernel changes semantics.
+* a code-version salt (:func:`code_salt`), bumped via
+  :data:`CACHE_SCHEMA` whenever an evaluation kernel changes semantics;
+* the point's canonical :class:`~repro.spec.ExperimentSpec` dict
+  (workload and seed, machine and cost configuration, scheme, ...);
+* the trace's :meth:`~repro.trace.events.MultiTrace.digest` when the
+  spec names a trace file, whose path says nothing about its content.
 
 Anything not in the key — formatting, plotting, docs — can change
-freely and the warm cache still hits. Changing a seed, a config field,
-or the salt changes the hash, so stale rows are structurally
-unreachable rather than explicitly expired. ``clear()`` wipes the
-directory for explicit invalidation.
+freely and the store still hits. Changing a seed, a config field, a
+trace file's bytes, or the salt changes the key, so stale rows are
+structurally unreachable rather than explicitly expired.
 
-Values are JSON (one file per key, written atomically via rename), so
-cached rows contain plain Python scalars. Callers that need cached and
-freshly-computed rows to compare equal should pass both through
+The rows live in one CRC-framed append-only log
+(:class:`~repro.analysis.journal.SweepJournal`) with crash recovery,
+so the same store serves warm re-runs (``sweep_specs(cache=...)``) and
+crash resume (``sweep_specs(resume=PATH)``). Values pass through JSON,
+so stored rows contain plain Python scalars; callers that need stored
+and freshly computed rows to compare equal pass both through
 :func:`canonical_rows`.
 """
 
@@ -28,9 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import warnings
 from pathlib import Path
 
+from repro.analysis.journal import SweepJournal
 from repro.util.errors import ConfigError
 
 # Bump the schema component when a kernel change invalidates old rows.
@@ -38,7 +43,7 @@ CACHE_SCHEMA = 1
 
 
 def code_salt() -> str:
-    """Default cache salt: package version + cache schema version.
+    """The row-key salt: package version + cache schema version.
 
     Imported lazily — :mod:`repro` imports :mod:`repro.analysis` at
     package init, so a module-level ``from repro import __version__``
@@ -95,127 +100,98 @@ def canonical_rows(rows: list[dict]) -> list[dict]:
     return json.loads(json.dumps([_jsonable(r) for r in rows]))
 
 
-class ResultCache:
-    """Content-addressed result store: one JSON file per key.
+def row_keys(spec_dicts: list[dict]) -> list[str]:
+    """The row key of each canonical spec dict: code salt + spec, plus
+    the trace's digest when the spec names a trace file (each distinct
+    file is loaded and digested once)."""
+    salt = code_salt()
+    digests: dict[str, str] = {}
+    keys = []
+    for spec in spec_dicts:
+        parts = {"salt": salt, "spec": spec}
+        workload = spec["workload"]
+        path = workload.get("trace_path")
+        if path is not None:
+            if path not in digests:
+                from repro.runner import build_workload
+                from repro.spec import WorkloadSpec
 
-    ``enabled=False`` turns every lookup into a miss and every store
-    into a no-op (the ``--no-cache`` path) while keeping counters, so
-    callers never need two code paths.
+                trace = build_workload(WorkloadSpec.from_dict(workload))
+                digests[path] = trace.digest()
+            parts["trace"] = digests[path]
+        keys.append(stable_key(parts))
+    return keys
+
+
+class ResultCache:
+    """Row key -> bare canonical metrics, in the log at ``path``.
+
+    A store that cannot be opened raises :class:`ConfigError`; a store
+    that fails later (disk full, fsync error) warns and carries on, so
+    the sweep that computed the rows still finishes.
     """
 
-    def __init__(
-        self,
-        cache_dir: str | os.PathLike,
-        salt: str | None = None,
-        enabled: bool = True,
-    ) -> None:
-        self.cache_dir = Path(cache_dir)
-        self.salt = salt if salt is not None else code_salt()
-        self.enabled = enabled
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = Path(path)
         self.hits = 0
         self.misses = 0
-        if self.enabled:
-            try:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise ConfigError(
-                    f"cannot use cache dir {self.cache_dir}: {exc}"
-                ) from exc
+        self._log = self._open()
 
-    # -- keys --------------------------------------------------------------
-    def key(self, **parts) -> str:
-        """Stable key over named parts; the salt is always mixed in."""
-        return stable_key({"salt": self.salt, **parts})
-
-    def key_for_spec(self, spec, extra: dict | None = None) -> str:
-        """Key for an :class:`~repro.spec.ExperimentSpec` (or its
-        canonical dict): the spec names everything that determines the
-        result rows, so the spec dict plus the salt *is* the key.
-        ``extra`` folds in context outside the spec (e.g. a trace
-        file's content summary when the spec holds only its path)."""
-        spec_dict = spec.to_dict() if hasattr(spec, "to_dict") else spec
-        if extra:
-            return self.key(spec=spec_dict, extra=dict(extra))
-        return self.key(spec=spec_dict)
-
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+    def _open(self) -> SweepJournal:
+        try:
+            return SweepJournal(self.path)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot use result store {self.path}: {exc}"
+            ) from exc
 
     # -- lookup / store ----------------------------------------------------
-    def get(self, key: str) -> list[dict] | None:
-        """Rows for ``key``, or None on a miss. Counts hits/misses."""
-        if not self.enabled:
+    def get(self, key: str) -> dict | None:
+        """Metrics for ``key``, or None on a miss. Counts hits/misses."""
+        metrics = self._log.get(key)
+        if metrics is None:
             self.misses += 1
-            return None
-        path = self._path(key)
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload["rows"]
+        else:
+            self.hits += 1
+        return metrics
 
-    def put(self, key: str, rows: list[dict]) -> None:
-        """Store ``rows`` under ``key`` (atomic rename; JSON-canonical).
-
-        A failing write (disk full, directory turned read-only after
-        construction) is a warned no-op — the cache degrades to a miss
-        on the next read instead of aborting the sweep that computed
-        the rows.
-        """
-        if not self.enabled:
-            return
-        payload = json.dumps({"key": key, "rows": canonical_rows(rows)})
+    def put(self, key: str, metrics: dict) -> None:
+        """Append ``metrics`` under ``key`` (JSON-canonical); a failing
+        write warns and leaves the point a miss."""
         try:
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            self._log.append(key, metrics)
         except OSError as exc:
-            self._warn_write_failure(key, exc)
-            return
+            self._warn(f"write for key {key[:12]}… failed ({exc})")
+
+    def flush(self) -> None:
+        """fsync the log; a failure warns (the records are already in
+        the kernel's hands, so only a host crash could still lose them)."""
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._path(key))
+            self._log.flush()
         except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            self._warn_write_failure(key, exc)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            self._warn(f"fsync failed ({exc})")
 
-    @staticmethod
-    def _warn_write_failure(key: str, exc: OSError) -> None:
-        import warnings
+    def close(self) -> None:
+        try:
+            self._log.close()
+        except OSError as exc:
+            self._warn(f"fsync failed ({exc})")
 
+    def _warn(self, what: str) -> None:
         warnings.warn(
-            f"result cache write for key {key[:12]}… failed ({exc}); "
-            "continuing uncached",
+            f"result store {self.path}: {what}; continuing uncached",
             RuntimeWarning,
             stacklevel=3,
         )
 
     # -- maintenance -------------------------------------------------------
     def clear(self) -> int:
-        """Explicit invalidation: delete every entry, return the count."""
-        if not self.cache_dir.is_dir():
-            return 0
-        n = 0
-        for path in self.cache_dir.glob("*.json"):
-            path.unlink(missing_ok=True)
-            n += 1
+        """Explicit invalidation: drop every entry, return the count."""
+        n = len(self._log)
+        self._log.close()
+        self.path.unlink()
+        self._log = self._open()
         return n
-
-    def __len__(self) -> int:
-        if not self.cache_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*.json"))
 
     def stats(self) -> dict:
         total = self.hits + self.misses
@@ -223,6 +199,11 @@ class ResultCache:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hits / total if total else 0.0,
-            "entries": len(self),
-            "enabled": self.enabled,
+            "entries": len(self._log),
         }
+
+    def __enter__(self) -> "ResultCache":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

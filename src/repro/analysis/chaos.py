@@ -399,7 +399,7 @@ def chaos_soak(
     The clean reference is a serial in-process evaluation of the same
     spec dicts (canonical rows); every chaos sweep's row list must
     match it as JSON *text*, which is the same bit-identity contract
-    the cache and journal paths honor. Returns a summary dict with
+    the result store honors. Returns a summary dict with
     ``rows_identical`` (the gate), the spec-pure ``schedule_digest``,
     ``digest_stable`` (every sweep re-derived the same digest), and
     per-sweep stats (elapsed, points/s, applied chaos events, requeue/

@@ -76,11 +76,10 @@ raises :class:`FarmUnavailable`, which ``sweep_specs`` degrades to the
 local pool with a warning; if every worker dies mid-sweep, the
 leftover points are finished locally instead of being lost.
 
-Durability: pass a :class:`~repro.analysis.journal.SweepJournal` and
-the coordinator appends every completed ``(spec_key, row)`` as it
-lands; a restarted coordinator (same grid, same journal) replays the
-journal, enqueues only the missing points, and still returns the
-bit-identical row list an uninterrupted run produces.
+Durability: ``on_row(i, row)`` is called with every completed row as
+it lands (first result wins, so once per point);
+:func:`~repro.analysis.sweep.sweep_specs` records it in its result
+stores, so a restarted sweep dispatches only the missing points.
 """
 
 from __future__ import annotations
@@ -351,8 +350,7 @@ class FarmCoordinator:
     ``run()`` returns the list of metrics dicts (JSON-canonical, one
     per spec, in spec order) and fills :attr:`stats` with per-worker
     accounting — chunk counts, points, trace pushes, requeues,
-    reconnects, hedges, journal hits — which the tests and the bench
-    read directly.
+    reconnects, hedges — which the tests and the bench read directly.
     """
 
     def __init__(
@@ -366,7 +364,7 @@ class FarmCoordinator:
         connect_timeout: float = CONNECT_TIMEOUT,
         reconnect: int = RECONNECT_ATTEMPTS,
         auth_token: str | None = None,
-        journal=None,
+        on_row=None,
     ) -> None:
         if not farm:
             raise FarmUnavailable("empty farm address list")
@@ -382,7 +380,7 @@ class FarmCoordinator:
         self.connect_timeout = connect_timeout
         self.reconnect = reconnect
         self.auth_token = auth_token
-        self.journal = journal
+        self.on_row = on_row
         n = len(self.spec_dicts)
         self.rows: list[dict | None] = [None] * n
         self.remaining = n
@@ -399,21 +397,7 @@ class FarmCoordinator:
         # issued_at, expected_seconds)
         self._inflight: dict[_WorkerLink, tuple[int, list[int], float, float]] = {}
         self._hedged: set[int] = set()  # chunk ids already hedged once
-        self._keys: list[str] | None = None
-        journal_hits = 0
-        if journal is not None:
-            from repro.analysis.journal import spec_journal_key
-
-            self._keys = [spec_journal_key(d) for d in self.spec_dicts]
-            for i, key in enumerate(self._keys):
-                row = journal.get(key)
-                if row is not None and self.rows[i] is None:
-                    self.rows[i] = row
-                    self.remaining -= 1
-                    journal_hits += 1
-        self.pending: deque[int] = deque(
-            i for i in range(n) if self.rows[i] is None
-        )
+        self.pending: deque[int] = deque(range(n))
         if self.remaining == 0:
             self.done_evt.set()
         self._workload_by_key: dict[str, dict] = {}
@@ -433,13 +417,11 @@ class FarmCoordinator:
             "local_leftovers": 0,
             "reconnects": 0,
             "hedges": 0,
-            "journal_hits": journal_hits,
         }
 
     # -- public entry ------------------------------------------------------
     def run(self) -> list[dict]:
         if self.remaining == 0:
-            # fully replayed from the journal: nothing to dispatch
             return self.rows
         links = self._connect_all()
         if not links:
@@ -456,7 +438,6 @@ class FarmCoordinator:
         for th in threads:
             th.join()
         if self.abort_exc is not None:
-            self._flush_journal()
             raise self.abort_exc
         leftovers = [i for i, r in enumerate(self.rows) if r is None]
         if leftovers:
@@ -469,8 +450,7 @@ class FarmCoordinator:
             )
             self.stats["local_leftovers"] = len(leftovers)
             for i in leftovers:
-                self.rows[i] = _eval_local(self.spec_dicts[i])
-                self._journal_append(i, self.rows[i])
+                self._land(i, _eval_local(self.spec_dicts[i]))
         for link in links:
             self.stats["workers"][link.addr] = {
                 "points": link.points_done,
@@ -479,16 +459,12 @@ class FarmCoordinator:
                 "reconnects": link.reconnects,
                 "dead": link.dead,
             }
-        self._flush_journal()
         return self.rows  # fully populated
 
-    def _journal_append(self, index: int, row: dict) -> None:
-        if self.journal is not None:
-            self.journal.append(self._keys[index], row)
-
-    def _flush_journal(self) -> None:
-        if self.journal is not None:
-            self.journal.flush()
+    def _land(self, index: int, row: dict) -> None:
+        self.rows[index] = row
+        if self.on_row is not None:
+            self.on_row(index, row)
 
     # -- connection management --------------------------------------------
     def _dial(self, addr: str) -> socket.socket:
@@ -676,9 +652,8 @@ class FarmCoordinator:
         with self.lock:
             for i, row in zip(indices, rows):
                 if self.rows[i] is None:  # first result wins after a requeue/hedge
-                    self.rows[i] = row
+                    self._land(i, row)
                     self.remaining -= 1
-                    self._journal_append(i, row)
             if self.remaining == 0:
                 self.done_evt.set()
         spp = float(elapsed) / max(len(indices), 1)
@@ -927,7 +902,7 @@ def farm_sweep(
     liveness: float | None = None,
     reconnect: int | None = None,
     auth_token: str | None = None,
-    journal=None,
+    on_row=None,
 ) -> list[dict]:
     """Run ``spec_dicts`` over the farm; return metrics dicts in order.
 
@@ -937,10 +912,8 @@ def farm_sweep(
     callers (``sweep_specs``) catch that and degrade to the local pool.
     ``stats_out``, when given, is updated with the coordinator's
     accounting (chunk counts, trace pushes, requeues, reconnects,
-    hedges, journal hits). ``journal`` is an open
-    :class:`~repro.analysis.journal.SweepJournal`: completed rows are
-    appended as they land and already-journaled points are never
-    re-dispatched.
+    hedges). ``on_row(i, row)`` is called with each completed row as
+    it lands, once per point.
     """
     cfg = normalize_farm(farm) or {}
     coord = FarmCoordinator(
@@ -966,7 +939,7 @@ def farm_sweep(
         auth_token=(
             auth_token if auth_token is not None else cfg.get("auth_token")
         ),
-        journal=journal,
+        on_row=on_row,
     )
     rows = coord.run()
     if stats_out is not None:

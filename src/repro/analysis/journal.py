@@ -1,31 +1,27 @@
-"""Durable sweep journal: crash-safe checkpoint/resume for sweeps.
+"""CRC-framed append-only log: the on-disk format of the result store.
 
-A sweep over N spec dicts is embarrassingly restartable — every point
-is a pure function of its canonical :class:`~repro.spec.ExperimentSpec`
-dict, and its identity is the same SHA-256 the result cache uses
-(:func:`repro.analysis.cache.stable_key`). What a crash actually loses
-is the *coordinator's memory of which points already finished*. The
-journal fixes exactly that: an append-only on-disk log of
-``(spec_key, result_row)`` records that the
-:class:`~repro.analysis.farm.FarmCoordinator` (and the local path of
-:func:`~repro.analysis.sweep.sweep_specs` via ``resume=``) appends to
-as results land, and that a restarted sweep replays to re-enqueue only
-the missing points.
+:class:`~repro.analysis.cache.ResultCache` keeps every sweep point's
+bare canonical metrics here under its salted row key, so one file
+serves both warm re-runs (``cache=``) and crash resume (``resume=``).
+The log's one job is surviving a crash at any byte offset.
 
 Record framing — the file must be recoverable after a crash at *any*
 byte offset:
 
 * an 8-byte file preamble ``RPJL`` + ``!I`` schema version;
 * each record is ``!II`` (body length, CRC32 of body) followed by a
-  JSON body ``{"key": <spec_key>, "row": {...}}``.
+  JSON body ``{"key": <row key>, "row": {...}}``.
 
 Appends are atomic at the record level because recovery simply
 truncates the corrupt tail: on open, records are scanned until the
 first truncated/length-insane/CRC-mismatching record, the file is
 truncated back to the last good offset, and everything before it is
-trusted. ``fsync`` is batched (:data:`DEFAULT_FSYNC_EVERY` records, or
-every record with ``fsync_every=1``) so durability costs one disk
-flush per batch, not per point; ``flush()``/``close()`` always sync.
+trusted. Each record goes out as one unbuffered ``write`` on an
+``O_APPEND`` descriptor, so a record is in the kernel's hands (and
+survives a crash of this process) as soon as :meth:`append` returns,
+and two logs appending to one path each land whole records at the end
+of the file; :meth:`flush`/:meth:`close` ``fsync`` them to survive a
+host crash too.
 
 Rows pass through JSON on the way in (via
 :func:`~repro.analysis.cache.canonical_rows`), so a replayed row is
@@ -41,7 +37,7 @@ import struct
 import zlib
 from pathlib import Path
 
-from repro.util.errors import ConfigError, ReproError
+from repro.util.errors import ConfigError
 
 MAGIC = b"RPJL"
 JOURNAL_SCHEMA = 1
@@ -50,50 +46,32 @@ _RECORD = struct.Struct("!II")  # body length, CRC32 of body
 # A record body over this is corruption by construction: journal rows
 # are single canonical result dicts, not traces.
 MAX_RECORD = 16 * 1024 * 1024
-DEFAULT_FSYNC_EVERY = 16
 
 
-class JournalError(ReproError):
+class JournalError(ConfigError):
     """The journal file exists but is not a sweep journal at all
     (foreign magic or schema) — truncating it would destroy data the
     user did not ask us to manage."""
 
 
-def spec_journal_key(spec_dict: dict) -> str:
-    """The journal identity of one sweep point: the stable SHA-256 of
-    its canonical spec dict. Pure function of the spec, so a restarted
-    coordinator derives the same keys and recognizes its own rows."""
-    from repro.analysis.cache import stable_key
-
-    return stable_key({"journal-point": spec_dict})
-
-
 class SweepJournal:
-    """Append-only ``(spec_key, row)`` log with corrupt-tail recovery.
+    """Append-only ``(key, row)`` log with corrupt-tail recovery.
 
     Opening an existing journal replays it: :attr:`rows` maps every
-    durably recorded ``spec_key`` to its result row, and the file is
-    truncated back past any half-written tail record (the crash case).
-    A fresh path starts an empty journal. The instance stays open for
+    durably recorded key to its result row, and the file is truncated
+    back past any half-written tail record (the crash case). A fresh
+    path starts an empty journal. The instance stays open for
     appending; use as a context manager or call :meth:`close`.
     """
 
-    def __init__(
-        self, path: str | os.PathLike, fsync_every: int = DEFAULT_FSYNC_EVERY
-    ) -> None:
-        if not isinstance(fsync_every, int) or fsync_every < 1:
-            raise ConfigError(
-                f"journal fsync_every must be a positive int, got {fsync_every!r}"
-            )
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self.fsync_every = fsync_every
         self.rows: dict[str, dict] = {}
         self.recovered_records = 0
         self.truncated_bytes = 0
-        self._since_sync = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._recover()
-        self._fh = open(self.path, "ab")
+        self._fh = open(self.path, "ab", buffering=0)
 
     # -- recovery ----------------------------------------------------------
     def _recover(self) -> None:
@@ -176,23 +154,23 @@ class SweepJournal:
                 f"journal record is {len(body)} bytes, over the "
                 f"{MAX_RECORD}-byte record ceiling"
             )
-        self._fh.write(_RECORD.pack(len(body), zlib.crc32(body)) + body)
+        record = _RECORD.pack(len(body), zlib.crc32(body)) + body
+        written = self._fh.write(record)
+        if written != len(record):
+            raise OSError(f"short write: {written} of {len(record)} bytes")
         self.rows[key] = row
-        self._since_sync += 1
-        if self._since_sync >= self.fsync_every:
-            self.flush()
 
     def flush(self) -> None:
-        """Push buffered records to the platters (fsync)."""
-        self._fh.flush()
+        """Make every appended record survive a host crash (fsync)."""
         os.fsync(self._fh.fileno())
-        self._since_sync = 0
 
     def close(self) -> None:
         if self._fh.closed:
             return
-        self.flush()
-        self._fh.close()
+        try:
+            self.flush()
+        finally:
+            self._fh.close()
 
     # -- replay helpers ----------------------------------------------------
     def get(self, key: str) -> dict | None:

@@ -129,10 +129,6 @@ def _run_chunk(fn: Callable[..., Mapping], chunk: list[dict]) -> list:
     return rows
 
 
-def _serial_sweep(points: list[dict], fn: Callable[..., Mapping]) -> list[dict]:
-    return [_eval_point(fn, point) for point in points]
-
-
 def _chunked(points: list[dict], chunk: int) -> list[list[dict]]:
     return [points[i : i + chunk] for i in range(0, len(points), chunk)]
 
@@ -202,6 +198,7 @@ def parallel_sweep(
     workers: int | None = None,
     chunk: int | None = None,
     point_timeout: float | None = None,
+    on_row: Callable[[int, dict], None] | None = None,
 ) -> list[dict]:
     """Evaluate ``fn(**point)`` for every point, fanning out over
     ``workers`` processes.
@@ -230,6 +227,9 @@ def parallel_sweep(
 
     Row order always matches point order. Worker exceptions re-raise
     in the parent as :class:`SweepPointError` with the failing point.
+    ``on_row(i, row)``, when given, is called with each row as it
+    lands, in point order, so the rows before a failing point have
+    all been handed over when its error is raised.
     """
     points = [dict(p) for p in points]
     workers = effective_workers(workers)
@@ -238,12 +238,24 @@ def parallel_sweep(
     if point_timeout is not None and point_timeout <= 0:
         raise ConfigError(f"point_timeout must be > 0, got {point_timeout}")
 
+    rows: list[dict] = []
+
+    def emit(row: dict) -> None:
+        if on_row is not None:
+            on_row(len(rows), row)
+        rows.append(row)
+
+    def finish_serially(rest: list[dict]) -> list[dict]:
+        for point in rest:
+            emit(_eval_point(fn, point))
+        return rows
+
     if (
         workers == 1
         or len(points) < POOL_MIN_POINTS
         or not _is_picklable(fn)
     ):
-        return _serial_sweep(points, fn)
+        return finish_serially(points)
 
     if chunk is None:
         chunk = 1 if point_timeout is not None else max(
@@ -251,14 +263,12 @@ def parallel_sweep(
         )
 
     chunks = _chunked(points, chunk)
-    rows: list[dict] = []
     done = 0  # chunks fully collected into rows
     pool_breaks = 0
     while done < len(chunks):
         executor = _get_pool(min(workers, len(chunks) - done))
         if executor is None:
-            rows.extend(_serial_sweep([p for c in chunks[done:] for p in c], fn))
-            return rows
+            return finish_serially([p for c in chunks[done:] for p in c])
         try:
             futures = [executor.submit(_run_chunk, fn, c) for c in chunks[done:]]
             # collect in submission order -> deterministic row ordering;
@@ -291,7 +301,7 @@ def parallel_sweep(
                             f"{type(exc).__name__}: {exc}",
                             point=point,
                         ) from exc
-                    rows.append(marker[1])
+                    emit(marker[1])
                 done += 1
         except BrokenProcessPool:
             # a worker died (OOM kill, segfault); the pool is unusable —
@@ -301,9 +311,6 @@ def parallel_sweep(
             if pool_breaks > 1:
                 # second break: stop trusting multiprocessing on this
                 # host and finish the remaining points in-process
-                rows.extend(
-                    _serial_sweep([p for c in chunks[done:] for p in c], fn)
-                )
-                return rows
+                return finish_serially([p for c in chunks[done:] for p in c])
             time.sleep(POOL_RETRY_BACKOFF)
     return rows

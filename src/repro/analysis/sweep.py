@@ -4,18 +4,19 @@ A sweep is a cartesian product over named parameter lists, evaluated
 by a callback returning a result dict per point. Results accumulate
 into table rows ready for :func:`repro.analysis.reports.format_table`.
 
-``sweep`` composes the two performance layers of ISSUE 1 behind its
-original signature: ``workers`` fans points out over
-:func:`repro.analysis.parallel.parallel_sweep`, and ``cache`` consults
-a :class:`repro.analysis.cache.ResultCache` per point so warm re-runs
-skip evaluation entirely. Both default off, so existing callers are
-untouched.
+``sweep`` fans callback points out over
+:func:`repro.analysis.parallel.parallel_sweep`. ``sweep_specs`` runs
+experiment specs and has three paths: the result stores
+(:class:`repro.analysis.cache.ResultCache`) answer the points they
+hold, the farm evaluates the rest when one is given, and the local
+pool (or the serial loop) otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from typing import Callable, Iterable, Mapping
 
 from repro.analysis.parallel import parallel_sweep
@@ -43,8 +44,6 @@ def sweep(
     fn: Callable[..., Mapping],
     workers: int = 1,
     chunk: int | None = None,
-    cache: "ResultCache | None" = None,
-    cache_extra: Mapping | None = None,
     point_timeout: float | None = None,
 ) -> list[dict]:
     """Evaluate ``fn(**point)`` for every point; each row merges the
@@ -54,216 +53,52 @@ def sweep(
 
     ``workers > 1`` evaluates points in parallel processes (row order
     still matches point order; see
-    :func:`repro.analysis.parallel.parallel_sweep`). ``cache`` skips
-    points whose rows are already on disk; ``cache_extra`` folds
-    context the points don't carry (trace spec/seed, cost config) into
-    every cache key. Cached results pass through JSON, so with a cache
-    attached *all* rows are JSON-canonicalized for uniformity.
+    :func:`repro.analysis.parallel.parallel_sweep`). Sweeps whose rows
+    should be stored go through :func:`sweep_specs`, whose points are
+    specs and so have row keys.
     """
-    points = [dict(p) for p in points]
-    if cache is None:
-        return parallel_sweep(
-            points, fn, workers=workers, chunk=chunk, point_timeout=point_timeout
-        )
-
-    from repro.analysis.cache import canonical_rows
-
-    keys = [cache.key(point=p, extra=dict(cache_extra or {})) for p in points]
-    rows: list[dict | None] = []
-    missing: list[int] = []
-    for i, k in enumerate(keys):
-        hit = cache.get(k)
-        if hit is None:
-            rows.append(None)
-            missing.append(i)
-        else:
-            rows.append(hit[0])
-    if missing:
-        fresh = parallel_sweep(
-            [points[i] for i in missing],
-            fn,
-            workers=workers,
-            chunk=chunk,
-            point_timeout=point_timeout,
-        )
-        fresh = canonical_rows(fresh)
-        for i, row in zip(missing, fresh):
-            cache.put(keys[i], [row])
-            rows[i] = row
-    return rows
+    return parallel_sweep(
+        points, fn, workers=workers, chunk=chunk, point_timeout=point_timeout
+    )
 
 
-def _sharing_engages(share_traces, workers: int, num_points: int) -> bool:
-    """Whether a spec sweep should publish workloads over shared memory.
-
-    Sharing only pays when a process pool will actually engage — the
-    gate mirrors :func:`repro.analysis.parallel.parallel_sweep`'s own
-    serial-fallback conditions, so we never publish segments that only
-    the parent would read.
-    """
-    if share_traces not in ("auto", True, False):
-        raise ConfigError(
-            f"share_traces must be 'auto', True, or False, got {share_traces!r}"
-        )
-    if share_traces is False:
-        return False
-    from repro.analysis.parallel import POOL_MIN_POINTS, effective_workers
-    from repro.analysis.shm import shm_available
-
-    if effective_workers(workers) <= 1 or num_points < POOL_MIN_POINTS:
-        return False
-    return shm_available()
-
-
-def _open_resume(resume):
-    """``resume`` as an open journal plus whether we own (must close) it."""
-    if resume is None:
-        return None, False
-    from repro.analysis.journal import SweepJournal
-
-    if isinstance(resume, SweepJournal):
-        return resume, False
-    return SweepJournal(resume), True
-
-
-def _run_spec_points(
+def _evaluate(
     spec_dicts: list[dict],
-    share_traces,
-    workers: int,
-    chunk: int | None,
-    point_timeout: float | None = None,
-    farm=None,
-    resume=None,
-) -> list[dict]:
-    """Fan ``spec_dicts`` out over :func:`parallel_sweep`, publishing
-    each distinct workload once over shared memory when sharing engages.
-
-    The parent builds every unique workload (hitting its own memo and
-    the on-disk trace store), publishes the columns, and attaches the
-    descriptor to each worker point; workers map the same physical
-    pages read-only instead of regenerating the trace per process. The
-    ``published_traces`` context manager unlinks every segment on the
-    way out — including when a worker death propagates
-    ``BrokenProcessPool`` through ``parallel_sweep``.
-
-    ``resume`` (a journal path or an open
-    :class:`~repro.analysis.journal.SweepJournal`) checkpoints every
-    completed point's canonical metrics and replays them on restart —
-    only the missing points are evaluated, and the returned rows are
-    bit-identical to an uninterrupted run (all metrics pass through
-    JSON canonicalization when a journal engages, mirroring the cache
-    path's contract).
-    """
-    from repro.runner import run_spec_dict
-
-    journal, own_journal = _open_resume(resume)
-    try:
-        if farm:
-            import warnings
-
-            from repro.analysis.farm import FarmUnavailable, farm_sweep
-            from repro.analysis.parallel import merge_row
-
-            try:
-                metrics = farm_sweep(
-                    spec_dicts,
-                    farm,
-                    point_timeout=point_timeout,
-                    chunk=chunk,
-                    journal=journal,
-                )
-            except FarmUnavailable as exc:
-                warnings.warn(
-                    f"farm has no reachable workers ({exc}); "
-                    "degrading to the local pool",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            else:
-                return [
-                    merge_row({"spec": d}, m) for d, m in zip(spec_dicts, metrics)
-                ]
-
-        if journal is not None:
-            return _journaled_local(
-                spec_dicts, share_traces, workers, chunk, point_timeout, journal
-            )
-    finally:
-        if own_journal:
-            journal.close()
-
-    if not _sharing_engages(share_traces, workers, len(spec_dicts)):
-        worker_points = [{"spec": d} for d in spec_dicts]
-        return parallel_sweep(
-            worker_points,
-            run_spec_dict,
-            workers=workers,
-            chunk=chunk,
-            point_timeout=point_timeout,
-        )
-
-    from repro.analysis.shm import published_traces
-    from repro.runner import build_workload
-    from repro.spec import WorkloadSpec
-
-    workload_keys = []
-    unique: dict[str, WorkloadSpec] = {}
-    for d in spec_dicts:
-        wspec = WorkloadSpec.from_dict(d["workload"])
-        key = wspec.cache_key()
-        workload_keys.append(key)
-        unique.setdefault(key, wspec)
-    traces = {key: build_workload(wspec) for key, wspec in unique.items()}
-    with published_traces(traces) as descriptors:
-        worker_points = [
-            {"spec": d, "shm_trace": descriptors[key]}
-            for d, key in zip(spec_dicts, workload_keys)
-        ]
-        return parallel_sweep(
-            worker_points,
-            run_spec_dict,
-            workers=workers,
-            chunk=chunk,
-            point_timeout=point_timeout,
-        )
-
-
-def _journaled_local(
-    spec_dicts: list[dict],
-    share_traces,
+    on_row: Callable[[int, Mapping], None],
     workers: int,
     chunk: int | None,
     point_timeout: float | None,
-    journal,
-) -> list[dict]:
-    """Local evaluation through an open journal: replay what it holds,
-    evaluate only the rest, checkpoint each fresh point's canonical
-    metrics. Rows come back merged the same way the plain path merges
-    them (``{"spec": ...}`` plus metrics)."""
-    from repro.analysis.cache import canonical_rows
-    from repro.analysis.journal import spec_journal_key
-    from repro.analysis.parallel import merge_row
+    farm,
+) -> None:
+    """Evaluate ``spec_dicts`` on the farm, or on the local pool (or
+    serially) when there is no farm or none of its workers answers;
+    ``on_row(i, row)`` receives each row as it lands."""
+    if farm:
+        from repro.analysis import farm as farm_mod
 
-    keys = [spec_journal_key(d) for d in spec_dicts]
-    metrics: list[dict | None] = [journal.get(k) for k in keys]
-    missing = [i for i, m in enumerate(metrics) if m is None]
-    if missing:
-        raw = _run_spec_points(
-            [spec_dicts[i] for i in missing],
-            share_traces,
-            workers,
-            chunk,
-            point_timeout,
-        )
-        for i, row in zip(missing, raw):
-            bare = dict(row)
-            bare.pop("spec", None)
-            bare.pop("shm_trace", None)
-            bare = canonical_rows([bare])[0]
-            journal.append(keys[i], bare)
-            metrics[i] = bare
-        journal.flush()
-    return [merge_row({"spec": d}, m) for d, m in zip(spec_dicts, metrics)]
+        try:
+            farm_mod.farm_sweep(
+                spec_dicts, farm, point_timeout=point_timeout, chunk=chunk,
+                on_row=on_row,
+            )
+            return
+        except farm_mod.FarmUnavailable as exc:
+            warnings.warn(
+                f"farm has no reachable workers ({exc}); "
+                "degrading to the local pool",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    from repro.runner import run_spec_dict
+
+    parallel_sweep(
+        [{"spec": d} for d in spec_dicts],
+        run_spec_dict,
+        workers=workers,
+        chunk=chunk,
+        point_timeout=point_timeout,
+        on_row=on_row,
+    )
 
 
 def sweep_specs(
@@ -272,8 +107,6 @@ def sweep_specs(
     workers: int = 1,
     chunk: int | None = None,
     cache: "ResultCache | None" = None,
-    cache_extra: Mapping | None = None,
-    share_traces="auto",
     point_timeout: float | None = None,
     farm=None,
     resume=None,
@@ -290,101 +123,77 @@ def sweep_specs(
       callback is the module-level :func:`repro.runner.run_spec_dict`,
       so the parallel path works for every spec the parent can
       describe (no silent serial fallback on unpicklable captures).
-    * With ``share_traces`` (default ``"auto"``), the parent builds
-      each distinct workload once and publishes it into POSIX shared
-      memory; pool workers attach zero-copy read-only views instead of
-      regenerating traces per process (:mod:`repro.analysis.shm`).
-      ``"auto"`` engages only when the pool itself will (enough points,
-      more than one effective worker, shm usable on this host);
-      ``False`` forces the old regenerate-in-worker behaviour.
-    * Cache keys derive from the canonical spec dict
-      (:meth:`ExperimentSpec.to_dict`) — the spec *is* everything that
-      determines the numbers, so no ad-hoc context plumbing is needed.
-      ``cache_extra`` remains for context genuinely outside the spec
-      (e.g. the content of a trace file the spec only names by path).
     * A metric key colliding with a point key (e.g. a ``scheme``
       metric under a ``scheme`` sweep axis) keeps the point's value —
       the axis label is authoritative for its own column.
+    * ``cache`` (a :class:`~repro.analysis.cache.ResultCache`) and
+      ``resume`` (a path, opened as ``ResultCache(resume)``) are result
+      stores. Every point is looked up in them first, by the salted
+      row key of :func:`~repro.analysis.cache.row_keys`; only the
+      misses are evaluated, each row is recorded in every store as it
+      lands (so a sweep that dies at point k has points before k on
+      disk), and the stores are flushed before returning. With a store
+      attached every row is JSON-canonical, so stored, resumed and
+      fresh rows are bit-identical.
     * ``farm`` is a list of ``"host:port"`` addresses of running
       ``repro worker`` processes — or a mapping with ``addrs`` plus
       optional ``auth_token`` / ``heartbeat`` / ``liveness`` /
       ``reconnect`` / ``chunk`` (see
-      :func:`repro.analysis.farm.normalize_farm`): points are
+      :func:`repro.analysis.farm.normalize_farm`): the misses are
       dispatched to them over sockets with pull-based work-stealing
       and trace-by-reference distribution
       (:mod:`repro.analysis.farm`). Farm rows pass through JSON
       (values canonical, key order preserved — the same rows, byte for
       byte, a local run yields). When no worker is reachable the sweep
       warns and degrades to the local pool.
-    * ``resume`` is a journal path (or an open
-      :class:`~repro.analysis.journal.SweepJournal`): every completed
-      point's canonical metrics are checkpointed as they land, and a
-      re-run with the same grid and journal replays the finished
-      points instead of re-evaluating them — the returned rows are
-      bit-identical to an uninterrupted run. Composes with ``farm``
-      (the coordinator journals results as workers stream them in) and
-      with ``cache`` (the cache layer sits above and consults its own
-      store first).
     """
-    points = [dict(p) for p in points]
+    from repro.analysis.cache import ResultCache, canonical_rows, row_keys
     from repro.runner import merge_spec
 
+    points = [dict(p) for p in points]
     spec_dicts = [merge_spec(base_spec, p).to_dict() for p in points]
+    stores = [cache] if cache is not None else []
+    if resume is not None:
+        stores.append(ResultCache(resume))
+    try:
+        keys = row_keys(spec_dicts) if stores else []
+        metrics: list[Mapping | None] = [None] * len(spec_dicts)
+        for i, key in enumerate(keys):
+            for store in stores:
+                metrics[i] = store.get(key)
+                if metrics[i] is not None:
+                    break
+        missing = [i for i, m in enumerate(metrics) if m is None]
 
-    def make_row(point: dict, metrics: Mapping) -> dict:
+        def on_row(j: int, row: Mapping) -> None:
+            i = missing[j]
+            # pool rows carry their worker point ({"spec": ...}); farm
+            # rows are bare metrics
+            bare = {k: v for k, v in row.items() if k != "spec"}
+            if stores:
+                bare = canonical_rows([bare])[0]
+                for store in stores:
+                    store.put(keys[i], bare)
+            metrics[i] = bare
+
+        if missing:
+            _evaluate(
+                [spec_dicts[i] for i in missing],
+                on_row, workers, chunk, point_timeout, farm,
+            )
+    finally:
+        for store in stores:
+            store.flush()
+        if resume is not None:
+            stores[-1].close()
+
+    rows = []
+    for point, m in zip(points, metrics):
         row = dict(point)
-        for key, value in metrics.items():
+        for key, value in m.items():
             if key not in row:
                 row[key] = value
-        return row
-
-    def metrics_of(raw_rows: list[dict]) -> list[dict]:
-        # parallel_sweep merges the worker point ({"spec": ..., maybe
-        # "shm_trace": ...}) into each row; strip the plumbing back off
-        # to recover the bare metrics.
-        out = []
-        for raw in raw_rows:
-            metrics = dict(raw)
-            metrics.pop("spec", None)
-            metrics.pop("shm_trace", None)
-            out.append(metrics)
-        return out
-
-    if cache is None:
-        raw = _run_spec_points(
-            spec_dicts, share_traces, workers, chunk, point_timeout, farm, resume
-        )
-        return [make_row(p, m) for p, m in zip(points, metrics_of(raw))]
-
-    from repro.analysis.cache import canonical_rows
-
-    extra = dict(cache_extra or {})
-    keys = [cache.key_for_spec(d, extra) for d in spec_dicts]
-    rows: list[dict | None] = []
-    missing: list[int] = []
-    for i, k in enumerate(keys):
-        hit = cache.get(k)
-        if hit is None:
-            rows.append(None)
-            missing.append(i)
-        else:
-            rows.append(hit[0])
-    if missing:
-        raw = _run_spec_points(
-            [spec_dicts[i] for i in missing],
-            share_traces,
-            workers,
-            chunk,
-            point_timeout,
-            farm,
-            resume,
-        )
-        fresh = canonical_rows(
-            [make_row(points[i], m) for i, m in zip(missing, metrics_of(raw))]
-        )
-        for i, row in zip(missing, fresh):
-            cache.put(keys[i], [row])
-            rows[i] = row
+        rows.append(row)
     return rows
 
 

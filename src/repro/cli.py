@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from repro import __version__
 from repro.analysis.cache import ResultCache
@@ -117,32 +118,21 @@ def _scheme_names(args) -> list[str]:
 
 
 def _cache_for(args) -> ResultCache | None:
-    """Build the result cache implied by --cache-dir/--no-cache.
-
-    Returns None when caching is off (no directory configured, or
-    --no-cache given — the latter bypasses both reads and writes).
+    """The result store implied by --cache-dir/--no-cache: the log
+    ``DIR/results.rpjl``, or None when caching is off (no directory
+    configured, or --no-cache given — which bypasses reads and writes).
     """
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get("REPRO_CACHE_DIR")
     if cache_dir is None or getattr(args, "no_cache", False):
         return None
-    return ResultCache(cache_dir)
+    return ResultCache(Path(cache_dir) / "results.rpjl")
 
 
-def _trace_cache_extra(spec: ExperimentSpec, trace) -> dict | None:
-    """Extra cache-key context for path-referenced traces: the spec
-    carries only the file path, so fold the loaded trace's identity in
-    (a generated workload is fully described by the spec — no extra)."""
-    if spec.workload.trace_path is None:
-        return None
-    return {
-        "trace": {
-            "name": trace.name,
-            "params": trace.params,
-            "threads": trace.num_threads,
-            "accesses": trace.total_accesses,
-            "native_cores": list(trace.thread_native_core),
-        }
-    }
+def _close_cache(cache: ResultCache | None) -> None:
+    """Close the result store and report its hit/miss counts on stderr."""
+    if cache is not None:
+        cache.close()
+        print(f"cache: {cache.stats()}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------- commands
@@ -243,18 +233,15 @@ def cmd_evaluate(args) -> int:
     base = _base_spec(args, machine=args.machine)
     names = _scheme_names(args)
     cache = _cache_for(args)
-    extra = _trace_cache_extra(base, build_workload(base.workload)) if cache else None
     rows = sweep_specs(
         base,
         [{"scheme": name} for name in names],
         workers=args.workers,
         cache=cache,
-        cache_extra=extra,
         farm=_farm_of(args),
         resume=getattr(args, "resume", None),
     )
-    if cache is not None:
-        print(f"cache: {cache.stats()}", file=sys.stderr)
+    _close_cache(cache)
     if getattr(args, "csv", False):
         from repro.analysis.reports import to_csv
 
@@ -309,12 +296,10 @@ def cmd_shootout(args) -> int:
         [{"scheme": name} for name in SCHEMES.names()],
         workers=args.workers,
         cache=cache,
-        cache_extra=_trace_cache_extra(base, trace) if cache else None,
         farm=_farm_of(args),
         resume=getattr(args, "resume", None),
     )
-    if cache is not None:
-        print(f"cache: {cache.stats()}", file=sys.stderr)
+    _close_cache(cache)
     rows = [{"scheme": "optimal (DP)", "total_cost": opt, "x_optimal": 1.0}]
     for r in scheme_rows:
         rows.append(
@@ -455,7 +440,6 @@ def cmd_bench(args) -> int:
     ``main()`` (JSON report, exit status) is reused verbatim.
     """
     import subprocess
-    from pathlib import Path
 
     root = Path(__file__).resolve().parents[2]
     script = root / "benchmarks" / "bench_perf.py"
@@ -533,13 +517,11 @@ def cmd_faults(args) -> int:
         for rate in rates
     ]
     cache = _cache_for(args)
-    extra = _trace_cache_extra(base, build_workload(base.workload)) if cache else None
     rows = sweep_specs(
         base,
         points,
         workers=args.workers,
         cache=cache,
-        cache_extra=extra,
         point_timeout=args.point_timeout,
         farm=_farm_of(args),
         resume=getattr(args, "resume", None),
@@ -584,8 +566,7 @@ def cmd_faults(args) -> int:
     if parity_checked and "zero_fault_parity" not in columns:
         columns.append("zero_fault_parity")
     print(format_table(display, columns=columns))
-    if cache is not None:
-        print(f"cache: {cache.stats()}", file=sys.stderr)
+    _close_cache(cache)
     if parity_failures:
         for name, keys in parity_failures:
             print(
@@ -737,8 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--cache-dir",
             default=None,
-            help="content-addressed result cache directory "
-            "(default: $REPRO_CACHE_DIR, unset = no caching)",
+            help="result store directory: rows are kept in DIR/results.rpjl "
+            "under a code-salted key (default: $REPRO_CACHE_DIR, unset = "
+            "no caching; *.json entries of older versions are ignored)",
         )
         sp.add_argument(
             "--no-cache",
@@ -757,10 +739,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--resume",
             default=None,
-            metavar="JOURNAL",
-            help="checkpoint completed sweep points to this journal file "
-            "and replay it on restart (rows stay bit-identical to an "
-            "uninterrupted run)",
+            metavar="FILE",
+            help="result store file: every finished sweep point is "
+            "recorded in it as it lands, and a re-run evaluates only the "
+            "points it lacks (rows stay bit-identical to an "
+            "uninterrupted run; same format as --cache-dir's store)",
         )
 
     def add_farm_tuning(sp):

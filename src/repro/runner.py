@@ -120,11 +120,10 @@ def build_workload(workload: WorkloadSpec):
 def seed_workload_memo(workload: WorkloadSpec | Mapping, trace) -> None:
     """Pre-load the build memo with an externally supplied trace.
 
-    This is how shared-memory sweep workers avoid regenerating
-    workloads: the parent publishes the trace, the worker attaches a
-    zero-copy view and seeds it here under the same key
-    :func:`build_workload` would compute, so the normal build path
-    finds it without knowing where it came from.
+    This is how farm workers avoid regenerating workloads: a trace the
+    coordinator pushed (or the worker's trace store holds) is seeded
+    here under the same key :func:`build_workload` would compute, so
+    the normal build path finds it without knowing where it came from.
     """
     if not isinstance(workload, WorkloadSpec):
         workload = WorkloadSpec.from_dict(workload)
@@ -241,27 +240,10 @@ def run(spec: ExperimentSpec) -> dict:
     )
 
 
-def run_spec_dict(spec: Mapping, shm_trace: Mapping | None = None) -> dict:
+def run_spec_dict(spec: Mapping) -> dict:
     """Worker entry point: deserialize and run. Module-level so it
-    pickles into :func:`repro.analysis.parallel.parallel_sweep` pools.
-
-    ``shm_trace`` is an optional shared-memory descriptor
-    (:func:`repro.analysis.shm.publish`) for this spec's workload: the
-    worker attaches a zero-copy read-only view and seeds the build memo
-    with it, so :func:`build_workload` never regenerates the trace. If
-    attaching fails (segment already unlinked, shm unavailable in this
-    worker) the descriptor is ignored and the normal generate/load path
-    runs — slower, never wrong.
-    """
-    parsed = ExperimentSpec.from_dict(spec)
-    if shm_trace is not None:
-        try:
-            from repro.analysis.shm import attach
-
-            seed_workload_memo(parsed.workload, attach(shm_trace))
-        except Exception:
-            pass
-    return run(parsed)
+    pickles into :func:`repro.analysis.parallel.parallel_sweep` pools."""
+    return run(ExperimentSpec.from_dict(spec))
 
 
 # ---------------------------------------------------------------- merging

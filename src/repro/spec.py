@@ -90,8 +90,8 @@ class WorkloadSpec:
     def cache_key(self) -> str:
         """Deterministic SHA-256 over the canonical workload dict — the
         content address of this spec's trace in the on-disk trace store
-        (:mod:`repro.trace.store`) and the cross-process identity the
-        shared-memory distribution layer keys attachments by."""
+        (:mod:`repro.trace.store`) and the digest the farm ships traces
+        by."""
         from repro.analysis.cache import stable_key
 
         return stable_key(self.to_dict())
@@ -367,8 +367,9 @@ class ExperimentSpec:
         return dataclasses.replace(self, **overrides)
 
     def cache_key(self) -> str:
-        """Deterministic SHA-256 over the canonical dict — the result
-        cache's content address (stable across processes and runs)."""
+        """Deterministic SHA-256 over the canonical dict (stable across
+        processes and runs). The result store's row key adds the code
+        salt to the same dict (:func:`repro.analysis.cache.row_keys`)."""
         from repro.analysis.cache import stable_key
 
         return stable_key(self.to_dict())

@@ -1,11 +1,11 @@
-"""Integration tests for the farm robustness plane (ISSUE 10).
+"""Integration tests for the farm robustness plane.
 
-Three contracts, matching the tentpole's three layers:
+Three contracts:
 
-* **journal + resume** — a coordinator killed mid-sweep (simulated by
-  journaling only a prefix of the grid, optionally with a corrupt tail
-  record) resumes into the *same* rows, bit for bit, as an
-  uninterrupted run, evaluating only the missing points;
+* **resume** — a sweep killed mid-grid (simulated by storing only a
+  prefix of the grid, optionally with a corrupt tail record) resumes
+  into the *same* rows, bit for bit, as an uninterrupted run,
+  evaluating only the missing points;
 * **reconnect** — a worker whose connection keeps dropping is redialed
   with backoff and serves the rest of the sweep from its persistent
   trace store (the trace crosses the wire at most once across all
@@ -19,10 +19,13 @@ Three contracts, matching the tentpole's three layers:
 import json
 import socket
 import threading
+import warnings
 
 import pytest
 
-from repro.analysis.cache import canonical_rows
+from repro import runner
+from repro.analysis import farm as farm_mod
+from repro.analysis.cache import ResultCache, canonical_rows, row_keys
 from repro.analysis.chaos import ChaosSpec, chaos_soak
 from repro.analysis.farm import (
     ERROR,
@@ -32,7 +35,8 @@ from repro.analysis.farm import (
     farm_sweep,
     recv_frame,
 )
-from repro.analysis.journal import SweepJournal, spec_journal_key
+from repro.analysis.journal import SweepJournal
+from repro.analysis.parallel import SweepPointError
 from repro.analysis.sweep import sweep_specs
 from repro.analysis.worker import WorkerServer
 from repro.runner import merge_spec
@@ -69,89 +73,127 @@ def _spec_dicts(schemes=SCHEMES):
     return [merge_spec(base, p).to_dict() for p in _points(schemes)]
 
 
-# ---------------------------------------------------------- journal resume
-def test_kill_and_resume_rows_bit_identical(tmp_path):
-    """Run the first half of the grid with a journal (the 'crash'),
-    then the full grid against the same journal: the resumed rows must
+# ------------------------------------------------------------------ resume
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The number of points each farm_sweep call was handed."""
+    sizes = []
+    real = farm_mod.farm_sweep
+
+    def spy(spec_dicts, *args, **kwargs):
+        sizes.append(len(spec_dicts))
+        return real(spec_dicts, *args, **kwargs)
+
+    monkeypatch.setattr(farm_mod, "farm_sweep", spy)
+    return sizes
+
+
+def test_kill_and_resume_rows_bit_identical(tmp_path, dispatched):
+    """Run the first half of the grid into a resume store (the 'crash'),
+    then the full grid against the same store: the resumed rows must
     equal an uninterrupted run as JSON text, and only the missing
     points may be dispatched."""
-    spec_dicts = _spec_dicts()
+    base, points = _base(), _points()
     path = tmp_path / "sweep.rpjl"
     server = WorkerServer().start_background()
     try:
-        uninterrupted = farm_sweep(spec_dicts, [server.address])
-        with SweepJournal(path) as j:
-            farm_sweep(spec_dicts[:4], [server.address], journal=j)
-        stats: dict = {}
+        uninterrupted = sweep_specs(base, points, farm=[server.address])
+        sweep_specs(base, points[:4], farm=[server.address], resume=path)
         with SweepJournal(path) as j:
             assert len(j) == 4  # the crash left 4 durable rows
-            resumed = farm_sweep(
-                spec_dicts, [server.address], journal=j, stats_out=stats
-            )
+        dispatched.clear()
+        resumed = sweep_specs(base, points, farm=[server.address], resume=path)
     finally:
         server.stop()
     assert json.dumps(resumed) == json.dumps(uninterrupted)
-    assert stats["journal_hits"] == 4
-    assert stats["points"] == len(spec_dicts)
+    assert dispatched == [len(points) - 4]
 
 
-def test_resume_after_corrupt_tail(tmp_path):
+def test_resume_after_corrupt_tail(tmp_path, dispatched):
     """A torn final record (crash mid-append) is truncated on recovery
     and its point simply re-evaluated — rows still bit-identical."""
-    spec_dicts = _spec_dicts()
+    base, points = _base(), _points()
     path = tmp_path / "sweep.rpjl"
     server = WorkerServer().start_background()
     try:
-        uninterrupted = farm_sweep(spec_dicts, [server.address])
-        with SweepJournal(path) as j:
-            farm_sweep(spec_dicts[:3], [server.address], journal=j)
+        uninterrupted = sweep_specs(base, points, farm=[server.address])
+        sweep_specs(base, points[:3], farm=[server.address], resume=path)
         with open(path, "ab") as fh:
             fh.write(b"\x00\x00\x00\x40torn-record")
-        with SweepJournal(path) as j:
-            assert j.truncated_bytes > 0
-            assert len(j) == 3
-            resumed = farm_sweep(spec_dicts, [server.address], journal=j)
+        dispatched.clear()
+        resumed = sweep_specs(base, points, farm=[server.address], resume=path)
     finally:
         server.stop()
     assert json.dumps(resumed) == json.dumps(uninterrupted)
+    assert dispatched == [len(points) - 3]
+    with SweepJournal(path) as j:  # the tail was cut before appending
+        assert j.truncated_bytes == 0
+        assert len(j) == len(points)
 
 
-def test_fully_journaled_sweep_dispatches_nothing(tmp_path):
-    """A complete journal answers the whole grid without touching the
+def test_fully_journaled_sweep_dispatches_nothing(tmp_path, dispatched):
+    """A complete store answers the whole grid without touching the
     farm — the address list can even be unreachable."""
-    spec_dicts = _spec_dicts(("history", "costaware"))
+    base, points = _base(), _points(("history", "costaware"))
     path = tmp_path / "sweep.rpjl"
     server = WorkerServer().start_background()
     try:
-        with SweepJournal(path) as j:
-            first = farm_sweep(spec_dicts, [server.address], journal=j)
+        first = sweep_specs(base, points, farm=[server.address], resume=path)
     finally:
         server.stop()
-    stats: dict = {}
-    with SweepJournal(path) as j:
-        replayed = farm_sweep(
-            spec_dicts, ["127.0.0.1:1"], journal=j, stats_out=stats
-        )
+    dispatched.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no unreachable-farm degradation
+        replayed = sweep_specs(base, points, farm=["127.0.0.1:1"], resume=path)
     assert json.dumps(replayed) == json.dumps(first)
-    assert stats["journal_hits"] == len(spec_dicts)
-    assert stats["chunks"] == 0
+    assert dispatched == []
 
 
 def test_sweep_specs_resume_local_path(tmp_path):
     """The local (no-farm) path honours ``resume=`` too: a partial
-    journal is replayed and the merged rows match a fresh run."""
+    store is replayed and the merged rows match a fresh run."""
     base, points = _base(), _points()
     path = tmp_path / "local.rpjl"
     fresh = sweep_specs(base, points, resume=path)
-    # the journal now holds every point under its spec key
-    with SweepJournal(path) as j:
-        key = spec_journal_key(merge_spec(base, points[0]).to_dict())
-        assert key in j
-        assert len(j) == len(points)
+    # the store now holds every point under its row key
+    with ResultCache(path) as store:
+        keys = row_keys([merge_spec(base, p).to_dict() for p in points])
+        assert all(store.get(k) is not None for k in keys)
+        assert store.stats()["entries"] == len(points)
     resumed = sweep_specs(base, points, resume=path)
     assert json.dumps(resumed) == json.dumps(fresh)
-    # rows equal the journal-free canonical rows as well
+    # rows equal the store-free canonical rows as well
     assert canonical_rows(sweep_specs(base, points)) == canonical_rows(resumed)
+
+
+def test_sweep_specs_resume_checkpoints_each_local_point(tmp_path, monkeypatch):
+    """A local sweep that dies at point k leaves points before k in the
+    resume store, so the re-run evaluates only from k on."""
+    base = _base()
+    points = _points(("never-migrate", "always-migrate", "history", "costaware"))
+    path = tmp_path / "local.rpjl"
+    real = runner.run_spec_dict
+    evaluated = []
+    failing = {"costaware"}
+
+    def flaky(spec):
+        name = spec["scheme"]["name"]
+        evaluated.append(name)
+        if name in failing:
+            raise RuntimeError("point died")
+        return real(spec)
+
+    monkeypatch.setattr(runner, "run_spec_dict", flaky)
+    with pytest.raises(SweepPointError):
+        sweep_specs(base, points, resume=path)
+    with SweepJournal(path) as j:
+        assert len(j) == 3
+    failing.clear()
+    evaluated.clear()
+    resumed = sweep_specs(base, points, resume=path)
+    assert evaluated == ["costaware"]
+    monkeypatch.undo()
+    assert resumed == canonical_rows(sweep_specs(base, points))
 
 
 # -------------------------------------------------------------- reconnect

@@ -1,8 +1,18 @@
 """Unit tests for the command-line interface."""
 
+import ast
+
 import pytest
 
+from repro import runner
+from repro.analysis.cache import stable_key
+from repro.analysis.journal import SweepJournal
 from repro.cli import _parse_params, main
+from repro.registry import SCHEMES
+from repro.runner import merge_spec
+from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
+from repro.trace.events import MultiTrace
+from repro.trace.io import save_multitrace
 from repro.util.errors import ReproError
 
 
@@ -197,3 +207,133 @@ class TestListCommand:
             for entry in registry.items():
                 assert entry.name in out
                 assert entry.description  # non-empty one-liner
+
+
+EVALUATE = ["evaluate", "--workload", "pingpong", "--threads", "4",
+            "--cores", "4", "--param", "rounds=8", "--scheme", "all"]
+
+
+def _cache_stats(err: str) -> dict | None:
+    """The ``cache: {...}`` stats line an evaluate run prints on stderr."""
+    lines = [ln for ln in err.splitlines() if ln.startswith("cache: ")]
+    return ast.literal_eval(lines[-1][len("cache: "):]) if lines else None
+
+
+def _run(capsys, argv) -> tuple[str, dict | None]:
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    return captured.out, _cache_stats(captured.err)
+
+
+class TestResultStore:
+    """--cache-dir, --resume and --no-cache on `repro evaluate`."""
+
+    def test_warm_cache_dir_rerun_is_identical_and_all_hits(self, tmp_path, capsys):
+        argv = EVALUATE + ["--cache-dir", str(tmp_path / "store")]
+        cold_out, cold = _run(capsys, argv)
+        warm_out, warm = _run(capsys, argv)
+        assert warm_out == cold_out
+        points = cold["misses"]
+        assert cold["hits"] == 0 and points > 1
+        assert warm["hits"] == points and warm["misses"] == 0
+
+    def test_warm_resume_rerun_is_identical_and_evaluates_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv = EVALUATE + ["--resume", str(tmp_path / "sweep.rpjl")]
+        cold_out, stats = _run(capsys, argv)
+        assert stats is None  # --resume alone reports no cache line
+
+        def no_evaluation(spec):
+            raise AssertionError(f"resumed sweep evaluated {spec}")
+
+        monkeypatch.setattr(runner, "run_spec_dict", no_evaluation)
+        warm_out, _ = _run(capsys, argv)
+        assert warm_out == cold_out
+
+    def test_no_cache_prints_no_stats_and_writes_nothing(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        plain_out, _ = _run(capsys, EVALUATE)
+        out, stats = _run(capsys, EVALUATE + ["--cache-dir", str(store), "--no-cache"])
+        assert out == plain_out
+        assert stats is None
+        assert not store.exists()
+
+    def test_cache_dir_on_a_file_is_a_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("x")
+        assert main(EVALUATE + ["--cache-dir", str(blocker)]) == 2
+        assert "error: cannot use result store" in capsys.readouterr().err
+
+    def test_unsalted_journal_opens_with_its_records_missing(self, tmp_path, capsys):
+        """A resume journal keyed by the bare spec dict (the format before
+        row keys were salted) still opens; its records never match, so
+        every point is evaluated afresh."""
+        base = ExperimentSpec(
+            workload=WorkloadSpec(
+                name="pingpong", params={"rounds": 8, "num_threads": 4}
+            ),
+            machine=MachineSpec(name="analytical", cores=4),
+            placement=PlacementSpec(name="first-touch"),
+        )
+        path = tmp_path / "old.rpjl"
+        with SweepJournal(path) as old:
+            for scheme in ("always-migrate", "never-migrate", "history"):
+                spec = merge_spec(base, {"scheme": scheme}).to_dict()
+                old.append(stable_key({"journal-point": spec}), {"total_cost": -1})
+        plain_out, _ = _run(capsys, EVALUATE)
+        out, _ = _run(capsys, EVALUATE + ["--resume", str(path)])
+        assert out == plain_out
+        with SweepJournal(path) as log:
+            assert log.recovered_records == 3 + len(SCHEMES.names())
+
+
+class TestTraceFileRows:
+    """A row computed from a trace file is keyed by the file's content."""
+
+    def _trace(self, seed: int, like: MultiTrace | None = None) -> MultiTrace:
+        mt = runner.build_workload(
+            WorkloadSpec(
+                name="uniform",
+                params={"num_threads": 4, "accesses_per_thread": 64, "seed": seed},
+            )
+        )
+        if like is None:
+            return mt
+        # other addresses under the first trace's metadata
+        return MultiTrace(
+            threads=mt.threads,
+            thread_native_core=list(like.thread_native_core),
+            name=like.name,
+            params=dict(like.params),
+        )
+
+    def _evaluate(self, capsys, path, *extra):
+        return _run(
+            capsys,
+            ["evaluate", "--trace", str(path), "--cores", "4",
+             "--scheme", "always-migrate", *extra],
+        )
+
+    def test_first_run_into_an_empty_store_warms_it(self, tmp_path, capsys):
+        path = save_multitrace(self._trace(1), tmp_path / "t.npz")
+        store = ["--cache-dir", str(tmp_path / "store")]
+        cold_out, cold = self._evaluate(capsys, path, *store)
+        warm_out, warm = self._evaluate(capsys, path, *store)
+        assert (cold["hits"], cold["misses"]) == (0, 1)
+        assert (warm["hits"], warm["misses"]) == (1, 0)
+        assert warm_out == cold_out
+
+    def test_rewritten_file_with_same_metadata_misses(self, tmp_path, capsys):
+        first = self._trace(1)
+        path = save_multitrace(first, tmp_path / "t.npz")
+        store = ["--cache-dir", str(tmp_path / "store")]
+        old_out, _ = self._evaluate(capsys, path, *store)
+        self._evaluate(capsys, path, *store)
+        save_multitrace(self._trace(2, like=first), path)
+        runner.clear_build_memo()  # the memo holds trace files by path
+        fresh_out, _ = self._evaluate(capsys, path)
+        assert fresh_out != old_out  # the rewrite changes the results
+        cached_out, stats = self._evaluate(capsys, path, *store)
+        assert cached_out == fresh_out
+        assert stats["misses"] == 1

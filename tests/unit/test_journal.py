@@ -1,6 +1,6 @@
-"""Unit tests for the durable sweep journal (ISSUE 10).
+"""Unit tests for the CRC-framed log behind the result store.
 
-The journal's one job is surviving a crash at any byte offset: every
+The log's one job is surviving a crash at any byte offset: every
 test here either round-trips records through close/reopen or corrupts
 the file tail in a specific way and asserts recovery trusts exactly
 the good prefix. The bit-identity contract (rows pass through JSON on
@@ -19,7 +19,6 @@ from repro.analysis.journal import (
     MAX_RECORD,
     JournalError,
     SweepJournal,
-    spec_journal_key,
 )
 from repro.util.errors import ConfigError
 
@@ -186,22 +185,8 @@ def test_short_foreign_prefix_refused(tmp_path):
 
 
 # ------------------------------------------------------------- validation
-def test_fsync_every_validated(tmp_path):
-    with pytest.raises(ConfigError, match="fsync_every"):
-        SweepJournal(_path(tmp_path), fsync_every=0)
-
-
 def test_oversized_record_refused(tmp_path):
     with SweepJournal(_path(tmp_path)) as j:
         with pytest.raises(ConfigError, match="record"):
             j.append("k", {"blob": "x" * (MAX_RECORD + 1)})
 
-
-# ---------------------------------------------------------------- identity
-def test_spec_journal_key_is_stable_and_distinct():
-    a = {"workload": {"name": "pingpong"}, "scheme": {"name": "history"}}
-    b = {"scheme": {"name": "history"}, "workload": {"name": "pingpong"}}
-    c = {"workload": {"name": "pingpong"}, "scheme": {"name": "random"}}
-    assert spec_journal_key(a) == spec_journal_key(b)  # key-order independent
-    assert spec_journal_key(a) != spec_journal_key(c)
-    assert len(spec_journal_key(a)) == 64  # SHA-256 hex

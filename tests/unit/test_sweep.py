@@ -6,7 +6,9 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.sweep import geomean, grid, normalize, sweep, sweep_specs
+from repro.runner import build_workload, clear_build_memo
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
+from repro.trace.io import save_multitrace
 from repro.util.errors import ConfigError
 
 
@@ -78,22 +80,37 @@ class TestSweepSpecs:
         assert parallel == serial
 
     def test_cache_hits_on_second_run(self, tmp_path):
-        cold = ResultCache(tmp_path)
-        rows_cold = sweep_specs(_base_spec(), self.POINTS, cache=cold)
+        path = tmp_path / "results.rpjl"
+        with ResultCache(path) as cold:
+            rows_cold = sweep_specs(_base_spec(), self.POINTS, cache=cold)
         assert cold.hits == 0 and cold.misses == len(self.POINTS)
-        warm = ResultCache(tmp_path)
-        rows_warm = sweep_specs(_base_spec(), self.POINTS, cache=warm)
+        with ResultCache(path) as warm:
+            rows_warm = sweep_specs(_base_spec(), self.POINTS, cache=warm)
         assert warm.hits == len(self.POINTS) and warm.misses == 0
         assert rows_warm == rows_cold
 
-    def test_cache_extra_partitions_keys(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        sweep_specs(_base_spec(), self.POINTS[:1], cache=cache,
-                    cache_extra={"trace": "v1"})
-        again = ResultCache(tmp_path)
-        sweep_specs(_base_spec(), self.POINTS[:1], cache=again,
-                    cache_extra={"trace": "v2"})
-        assert again.hits == 0  # different extra context, different key
+    def test_trace_file_content_partitions_keys(self, tmp_path):
+        """A spec names a trace file only by path; its rows are keyed by
+        the file's content, so rewriting the file misses and restoring
+        it hits again."""
+        def trace(seed):
+            return build_workload(WorkloadSpec(
+                name="uniform",
+                params={"num_threads": 4, "accesses_per_thread": 32, "seed": seed},
+            ))
+
+        path = tmp_path / "t.npz"
+        base = _base_spec().replace(
+            workload=WorkloadSpec(name="trace-file", trace_path=str(path))
+        )
+        hits = []
+        for seed in (1, 2, 1):
+            save_multitrace(trace(seed), path)
+            clear_build_memo()  # the memo holds trace files by path
+            with ResultCache(tmp_path / "results.rpjl") as store:
+                sweep_specs(base, self.POINTS[:1], cache=store)
+            hits.append(store.hits)
+        assert hits == [0, 0, 1]
 
     def test_unknown_point_key_rejected(self):
         with pytest.raises(ConfigError, match="sweep-spec key"):

@@ -762,6 +762,18 @@ def test_tracegen_smoke():
 
 
 # ---------------------------------------------------------------- script
+def merge_into(out_path: Path, report: dict) -> None:
+    """Read-modify-write ``BENCH_perf.json``: bench_scaling.py's
+    ``scaling`` section and ``scaling_*`` metrics survive, every other
+    key is this report's."""
+    try:
+        old = json.loads(out_path.read_text())
+    except (OSError, ValueError):
+        old = {}
+    kept = {k: v for k, v in old.items() if k == "scaling" or k.startswith("scaling_")}
+    out_path.write_text(json.dumps({**kept, **report}, indent=2, sort_keys=True) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true", help="small fast configuration")
@@ -794,7 +806,7 @@ def main(argv: list[str] | None = None) -> int:
     report.update(run_tracegen(mode=mode, repeats=max(args.repeats // 2, 1)))
 
     out = Path(args.out) if args.out else Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    merge_into(out, report)
 
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = (

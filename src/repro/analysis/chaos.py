@@ -52,6 +52,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.analysis.farm import parse_hostport, set_nodelay
 from repro.util.errors import ConfigError
 
 ACTIONS = ("reset", "partial", "stall", "partition")
@@ -232,8 +233,6 @@ class ChaosProxy:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ChaosProxy":
-        from repro.analysis.farm import parse_hostport
-
         for upstream in self.upstreams:
             peer = parse_hostport(upstream)
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -276,7 +275,10 @@ class ChaosProxy:
                     self.unplanned_connections += 1
             plan = self.schedule.plan_for(idx)
             try:
-                upstream = socket.create_connection(peer, timeout=3.0)
+                # each recv is forwarded as its own send, so with Nagle
+                # on either leg a RESULT+NEXT pair would stall again
+                set_nodelay(client)
+                upstream = set_nodelay(socket.create_connection(peer, timeout=3.0))
             except OSError:
                 try:
                     client.close()

@@ -29,7 +29,10 @@ permanent typed ``ERROR`` and the connection is dropped.
 Graceful drain: :meth:`WorkerServer.request_drain` (wired to
 SIGTERM/SIGINT by the CLI) finishes the in-flight chunk, sends its
 RESULT, then closes — the coordinator sees a clean close with nothing
-in flight, so nothing is requeued and no work is lost.
+in flight, so nothing is requeued and no work is lost. The accept loop
+waits on the listener and a wake-up socket pair through one selector,
+so a stop or a finished drain ends it at once rather than at the next
+poll tick.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from repro.analysis.farm import (
     parse_hostport,
     recv_frame,
     send_frame,
+    set_nodelay,
 )
 from repro.trace.store import TraceStore
 from repro.util.errors import ConfigError
@@ -128,6 +132,9 @@ class WorkerServer:
         self.points_served = 0
         self.auth_failures = 0
         self._sock: socket.socket | None = None
+        self._sel: selectors.BaseSelector | None = None
+        self._wake_r: socket.socket | None = None
+        self._wake_w: socket.socket | None = None
         self._stop = threading.Event()
         self._draining = threading.Event()
         self._active_chunks = 0
@@ -141,8 +148,15 @@ class WorkerServer:
         sock.bind((self.host, self.port))
         sock.listen(8)
         self.port = sock.getsockname()[1]
-        sock.settimeout(0.5)  # so serve_forever notices stop()
+        sock.setblocking(False)
         self._sock = sock
+        # registered here, not in serve_forever, so a stop() that lands
+        # before the accept loop starts still finds its wake-up waiting
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(sock, selectors.EVENT_READ)
+        self._sel.register(self._wake_r, selectors.EVENT_READ)
         return self
 
     @property
@@ -154,12 +168,15 @@ class WorkerServer:
         return self._draining.is_set()
 
     def serve_forever(self) -> None:
-        assert self._sock is not None, "call start() first"
-        while not self._stop.is_set():
+        assert self._sel is not None, "call start() first"
+        while True:
+            self._sel.select()  # a connection, or the wake-up from _halt
+            if self._stop.is_set():
+                break
             try:
                 conn, _peer = self._sock.accept()
-            except socket.timeout:
-                continue
+            except BlockingIOError:
+                continue  # the peer gave up before we accepted
             except OSError:
                 break
             if self._draining.is_set():
@@ -186,17 +203,27 @@ class WorkerServer:
         self._draining.set()
         with self._drain_lock:
             if self._active_chunks == 0:
-                self._stop.set()
+                self._halt()
+
+    def _halt(self) -> None:
+        """Set the stop flag and wake the accept loop to see it."""
+        self._stop.set()
+        if self._wake_w is not None:
+            try:
+                self._wake_w.send(b"x")
+            except OSError:
+                pass  # already woken, or already closed
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+        self._halt()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
+        for closable in (self._sel, self._sock, self._wake_r, self._wake_w):
+            if closable is not None:
+                try:
+                    closable.close()
+                except OSError:
+                    pass
         if self._own_trace_dir:
             shutil.rmtree(self.trace_dir, ignore_errors=True)
 
@@ -210,6 +237,7 @@ class WorkerServer:
         chunks_on_conn = 0
         authed = self.auth_token is None
         try:
+            set_nodelay(conn)
             self._session(conn, chunks_on_conn, authed)
         except OSError:
             pass  # peer vanished mid-send; the coordinator's problem now
@@ -393,7 +421,7 @@ class WorkerServer:
             with self._drain_lock:
                 self._active_chunks -= 1
                 if self._draining.is_set() and self._active_chunks == 0:
-                    self._stop.set()
+                    self._halt()
         th.join()
         send_frame(conn, RESULT, {"chunk_id": msg["chunk_id"], **box})
         self.chunks_served += 1

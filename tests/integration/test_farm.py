@@ -13,13 +13,19 @@ streamed results), just without a second machine. Contracts:
 * zero reachable workers degrades to the local pool with a warning;
 * a worker-side evaluation error surfaces as the same
   :class:`~repro.analysis.parallel.SweepPointError` the local pool
-  raises, with the offending spec attached.
+  raises, with the offending spec attached;
+* every farm connection has Nagle off, and a sweep returns as soon as
+  its last row lands.
 """
+
+import socket
+import time
 
 import pytest
 
+from repro.analysis import farm as farm_mod
 from repro.analysis.cache import canonical_rows
-from repro.analysis.farm import FarmUnavailable, farm_sweep
+from repro.analysis.farm import FarmCoordinator, FarmUnavailable, farm_sweep
 from repro.analysis.parallel import SweepPointError
 from repro.analysis.sweep import sweep_specs
 from repro.analysis.worker import WorkerServer
@@ -167,3 +173,63 @@ def test_worker_side_error_surfaces_as_sweep_point_error(workers):
     with pytest.raises(SweepPointError) as err:
         farm_sweep(spec_dicts, _addrs(workers))
     assert "worker" in str(err.value)
+
+
+# ------------------------------------------------------------ wire latency
+def _nodelay(sock) -> int:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_every_farm_connection_is_nodelay(workers, monkeypatch):
+    """The worker writes RESULT then NEXT; with Nagle on, NEXT would
+    wait for the coordinator's delayed ACK of RESULT. Both ends of
+    every connection must have it off."""
+    seen = {"coordinator": [], "worker": []}
+    dial, session = FarmCoordinator._dial, WorkerServer._session
+
+    def spy_dial(self, addr):
+        sock = dial(self, addr)
+        seen["coordinator"].append(_nodelay(sock))
+        return sock
+
+    def spy_session(self, conn, *args):
+        seen["worker"].append(_nodelay(conn))
+        return session(self, conn, *args)
+
+    monkeypatch.setattr(FarmCoordinator, "_dial", spy_dial)
+    monkeypatch.setattr(WorkerServer, "_session", spy_session)
+    base = _base()
+    farm_sweep([merge_spec(base, p).to_dict() for p in _points()], _addrs(workers))
+    assert len(seen["coordinator"]) == 2 and all(seen["coordinator"])
+    assert len(seen["worker"]) == 2 and all(seen["worker"])
+
+
+def test_sweep_returns_as_soon_as_its_last_row_lands(workers, monkeypatch):
+    """A worker that asks for work while the other holds the last chunk
+    waits on the sweep's end, not out a fixed idle period: with that
+    period stretched to 2 s, the sweep still returns right after its
+    last row. The slow point stays well under HEDGE_MIN_SECONDS, so it
+    is never hedged."""
+    monkeypatch.setattr(farm_mod, "IDLE_POLL_SECONDS", 2.0)
+    slow = {
+        "machine": {"name": "em2", "cores": 4, "preset": "small-test"},
+        "workload": {
+            "name": "uniform",
+            "params": {"num_threads": 4, "accesses_per_thread": 2000},
+        },
+    }
+    base = _base()
+    spec_dicts = [merge_spec(base, p).to_dict() for p in (slow, {"scheme": "history"})]
+    landed: list[float] = []
+    stats: dict = {}
+    farm_sweep(
+        spec_dicts,
+        _addrs(workers),
+        chunk=1,
+        stats_out=stats,
+        on_row=lambda i, row: landed.append(time.monotonic()),
+    )
+    returned = time.monotonic()
+    assert len(landed) == 2
+    assert stats["hedges"] == 0
+    assert returned - landed[-1] < 0.1

@@ -19,6 +19,7 @@ Three contracts:
 import json
 import socket
 import threading
+import time
 import warnings
 
 import pytest
@@ -375,6 +376,9 @@ def test_drain_finishes_chunk_sends_result_then_closes():
         except OSError:
             pass
         conn.close()
+        # the drain ended with the last chunk, which woke the accept loop
+        server._thread.join(timeout=0.1)
+        assert not server._thread.is_alive()
     finally:
         server.stop()
     assert server.draining
@@ -385,10 +389,18 @@ def test_drain_idle_worker_stops_immediately():
     server = WorkerServer().start_background()
     try:
         server.request_drain()
-        server._thread.join(timeout=5.0)
+        server._thread.join(timeout=0.1)
         assert not server._thread.is_alive()
     finally:
         server.stop()
+
+
+def test_stop_right_after_start_returns_immediately():
+    server = WorkerServer().start_background()
+    t0 = time.monotonic()
+    server.stop()
+    assert time.monotonic() - t0 < 0.1
+    assert not server._thread.is_alive()
 
 
 # ------------------------------------------------------------ chaos gates

@@ -212,6 +212,35 @@ def test_digest_is_traffic_independent():
     assert ChaosSchedule(spec).schedule_digest() == before
 
 
+def test_both_proxy_legs_are_nodelay(monkeypatch):
+    """The proxy forwards each recv as its own send, so with Nagle on
+    either leg a worker's RESULT+NEXT pair would stall on its way to
+    the coordinator. Both legs of every proxied connection have it off."""
+    seen = []
+    pump = ChaosProxy._pump
+
+    def spy(self, src, dst, events, pair):
+        seen.append(
+            [s.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for s in (src, dst)]
+        )
+        return pump(self, src, dst, events, pair)
+
+    monkeypatch.setattr(ChaosProxy, "_pump", spy)
+    upstream, addr = _echo_server()
+    proxy = ChaosProxy([addr], ChaosSchedule(ChaosSpec(seed=0))).start()
+    try:
+        host, port = proxy.addresses[0].rsplit(":", 1)
+        client = socket.create_connection((host, int(port)), timeout=5.0)
+        client.sendall(b"ping")
+        assert client.recv(4) == b"ping"  # both pumps have started
+        client.close()
+    finally:
+        proxy.stop()
+        upstream.close()
+    assert len(seen) == 2
+    assert all(all(legs) for legs in seen)
+
+
 def test_proxy_needs_upstreams():
     with pytest.raises(ConfigError, match="upstream"):
         ChaosProxy([], ChaosSchedule(ChaosSpec()))

@@ -25,7 +25,7 @@ from repro.placement.dynamic import evaluate_dynamic_placement
 from repro.trace.synthetic import make_workload
 
 
-def test_lookahead_window_convergence(benchmark, bench_cost, bench_workers):
+def test_lookahead_window_convergence(benchmark, bench_cost):
     """Cost vs lookahead window, normalized to the DP optimum: how much
     future does a decision unit need?"""
     trace = cached_workload("ocean", num_threads=16, grid_n=98, iterations=1)
@@ -47,7 +47,6 @@ def test_lookahead_window_convergence(benchmark, bench_cost, bench_workers):
         rows = sweep(
             grid(window=[1, 2, 4, 8, 16, 64, np.inf]),
             eval_window,
-            workers=bench_workers,
         )
         for r in rows:
             r["window"] = str(r["window"])
@@ -65,7 +64,7 @@ def test_lookahead_window_convergence(benchmark, bench_cost, bench_workers):
     assert ratios[-1] < 1.6  # infinite-window greedy lands near optimal
 
 
-def test_guest_context_pressure(benchmark, bench_workers):
+def test_guest_context_pressure(benchmark):
     """Evictions vs guest-context count (DESIGN.md ablation 4)."""
     trace = cached_workload(
         "hotspot", num_threads=16, accesses_per_thread=96, hot_fraction=0.5, burst=4
@@ -84,9 +83,7 @@ def test_guest_context_pressure(benchmark, bench_workers):
         }
 
     def run_sweep():
-        return sweep(
-            grid(guest_contexts=[1, 2, 4, 8]), eval_point, workers=bench_workers
-        )
+        return sweep(grid(guest_contexts=[1, 2, 4, 8]), eval_point)
 
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     emit("ablation: guest-context count (hotspot, EM2)", format_table(rows))

@@ -41,7 +41,7 @@ def workload():
     return trace, cached_first_touch(trace, 16)
 
 
-def test_context_size_sweep(benchmark, workload, bench_workers):
+def test_context_size_sweep(benchmark, workload):
     trace, placement = workload
     energy = EnergyModel()
 
@@ -58,7 +58,6 @@ def test_context_size_sweep(benchmark, workload, bench_workers):
         return sweep(
             grid(context_bits=[256, 512, 1024, 1536, 2048, 4096]),
             eval_point,
-            workers=bench_workers,
         )
 
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
@@ -71,7 +70,7 @@ def test_context_size_sweep(benchmark, workload, bench_workers):
     assert costs[3] > 1.2 * costs[0]
 
 
-def test_link_width_sweep(benchmark, workload, bench_workers):
+def test_link_width_sweep(benchmark, workload):
     """'especially on low-bandwidth interconnects' (§5): narrower flits
     hurt pure EM² much more than the RA-heavy hybrid."""
     trace, placement = workload
@@ -87,9 +86,7 @@ def test_link_width_sweep(benchmark, workload, bench_workers):
         }
 
     def run_sweep():
-        return sweep(
-            grid(flit_bits=[32, 64, 128, 256]), eval_point, workers=bench_workers
-        )
+        return sweep(grid(flit_bits=[32, 64, 128, 256]), eval_point)
 
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     emit("ex-context: link-width sensitivity (EM2 vs RA-only)", format_table(rows))

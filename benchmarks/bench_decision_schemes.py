@@ -104,7 +104,7 @@ def test_scheme_vs_optimal(benchmark, bench_cost, wl):
         assert by["history(be)"] <= by["random(0.5)"] * 1.25
 
 
-def test_crossover_run_length(benchmark, bench_cost, bench_workers):
+def test_crossover_run_length(benchmark, bench_cost):
     """Ablation: sweep the consumer run length; migration should beat
     RA exactly past the break-even length (the §3 crossover)."""
 
@@ -120,9 +120,7 @@ def test_crossover_run_length(benchmark, bench_cost, bench_workers):
         }
 
     def run_sweep():
-        return sweep(
-            grid(run_length=[1, 2, 4, 8, 16, 32]), eval_point, workers=bench_workers
-        )
+        return sweep(grid(run_length=[1, 2, 4, 8, 16, 32]), eval_point)
 
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     emit("ex-schemes: migration-vs-RA crossover in run length", format_table(rows))

@@ -61,7 +61,7 @@ def test_dp_optimal_vs_static_extremes(benchmark, bench_cost, pingpong16):
     assert migs > 0 and ras > 0  # a true hybrid wins here
 
 
-def test_dp_runtime_scaling(benchmark, bench_workers):
+def test_dp_runtime_scaling(benchmark):
     """Measure T(N, P); report T / (N*P) — flat ratios mean O(N*P)."""
 
     def eval_point(P, N):
@@ -77,9 +77,7 @@ def test_dp_runtime_scaling(benchmark, bench_workers):
                 "ns_per_NP2": dt / (N * P * P) * 1e9}
 
     def run_sweep():
-        return sweep(
-            grid(P=[16, 64, 256], N=[2000, 8000]), eval_point, workers=bench_workers
-        )
+        return sweep(grid(P=[16, 64, 256], N=[2000, 8000]), eval_point)
 
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     emit("ex-dp: DP runtime scaling (paper bound O(N*P^2); ours O(N*P))",

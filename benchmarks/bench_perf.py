@@ -4,7 +4,7 @@ This is the measurement companion to ISSUE 1's performance layer. It
 runs one multi-point (workload x scheme) sweep four ways —
 
 1. serial        (``workers=1``, no cache)
-2. parallel      (``workers=N`` process pool, no cache)
+2. parallel      (``workers=N`` local worker processes, no cache)
 3. cold cache    (parallel + empty content-addressed cache)
 4. warm cache    (parallel + the cache populated by run 3)
 
@@ -16,11 +16,11 @@ bit-identity fixture) and the on-disk trace store (cold generate+persist
 vs warm load-from-disk sweep).
 
 Every point is a partial :class:`~repro.spec.ExperimentSpec` overlay
-swept through :func:`repro.analysis.sweep.sweep_specs`: pool workers
-receive serialized spec dicts and rebuild through the registries
-(:func:`repro.runner.run_spec_dict`), so nothing here needs to pickle
-beyond plain dicts, and cache keys derive from the canonical spec
-dict rather than ad-hoc context.
+swept through :func:`repro.analysis.sweep.sweep_specs`: worker
+processes receive serialized spec dicts and rebuild through the
+registries (:func:`repro.runner.run_spec_dict`), so nothing here needs
+to pickle beyond plain dicts, and cache keys derive from the canonical
+spec dict rather than ad-hoc context.
 
 Run directly::
 
@@ -47,8 +47,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.cache import ResultCache, canonical_rows
-from repro.analysis.parallel import effective_workers
-from repro.analysis.sweep import sweep_specs
+from repro.analysis.sweep import effective_workers, sweep_specs
 from repro.registry import WORKLOADS
 from repro.runner import build, clear_build_memo
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec

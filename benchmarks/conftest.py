@@ -7,7 +7,6 @@ its experiment table (visible with ``pytest -s`` and in the saved
 
 from __future__ import annotations
 
-import os
 import sys
 
 import pytest
@@ -18,17 +17,6 @@ from repro.placement import first_touch
 from repro.trace.synthetic import make_workload
 
 sys.stdout.reconfigure(line_buffering=True)
-
-
-@pytest.fixture(scope="session")
-def bench_workers() -> int:
-    """Worker count for grid sweeps inside benches.
-
-    Set ``REPRO_BENCH_WORKERS=N`` to fan sweep points out over N
-    processes. Callbacks that close over fixtures are unpicklable and
-    degrade to the serial path automatically (rows are identical
-    either way — see tests/unit/test_parallel.py)."""
-    return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
 
 @pytest.fixture(scope="session")

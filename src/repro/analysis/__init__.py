@@ -1,11 +1,10 @@
-"""Analysis utilities: energy model, report tables, parallel sweeps,
-and the content-addressed result cache."""
+"""Analysis utilities: energy model, report tables, sweeps, and the
+content-addressed result cache."""
 
 from repro.analysis.cache import ResultCache, canonical_rows, stable_key
 from repro.analysis.energy import EnergyModel, EnergyReport
-from repro.analysis.parallel import SweepPointError, parallel_sweep
 from repro.analysis.reports import format_table, runlength_table, to_csv
-from repro.analysis.sweep import geomean, grid, normalize, sweep
+from repro.analysis.sweep import SweepPointError, geomean, grid, normalize, sweep
 
 __all__ = [
     "EnergyModel",
@@ -17,7 +16,6 @@ __all__ = [
     "runlength_table",
     "to_csv",
     "grid",
-    "parallel_sweep",
     "stable_key",
     "sweep",
     "geomean",

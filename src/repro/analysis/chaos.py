@@ -411,10 +411,12 @@ def chaos_soak(
         raise ConfigError(f"chaos soak needs >= 1 worker, got {workers!r}")
     if not isinstance(sweeps, int) or sweeps < 1:
         raise ConfigError(f"chaos soak needs >= 1 sweep, got {sweeps!r}")
-    from repro.analysis.farm import _eval_local, farm_sweep
+    from repro.analysis.farm import farm_sweep
+    from repro.analysis.sweep import eval_serially
     from repro.analysis.worker import WorkerServer
 
-    reference = [_eval_local(d) for d in spec_dicts]
+    reference: list = [None] * len(spec_dicts)
+    eval_serially(spec_dicts, reference.__setitem__)
     reference_text = json.dumps(reference)
     servers = [
         WorkerServer(auth_token=auth_token).start_background()

@@ -51,30 +51,42 @@ Session, coordinator's view of one worker::
     -> DONE
 
 Pull-based stealing: workers ask (``NEXT``) whenever idle, so a fast
-host simply asks more often — there is no static shard. Chunk size
-adapts per worker from an EMA of its observed seconds/point, targeting
-:data:`CHUNK_TARGET_SECONDS` per round trip while leaving a stealable
-tail. Results stream back incrementally and are placed by point index
+host simply asks more often — there is no static shard. A chunk is
+a quarter of a fair share of the grid (:data:`MAX_CHUNK` points at
+most), and once a worker's speed is known, from an EMA of its
+observed seconds/point, no more than :data:`CHUNK_TARGET_SECONDS` of
+its work. Results stream back incrementally and are placed by point index
 (first result wins), so the final row order is deterministic no matter
 which worker computed what.
+
+Local links: the same coordinator feeds local worker processes
+(``local=N``, which ``sweep_specs`` sets from ``workers``). They pull
+from the same queue over a pipe instead of a socket, so chunk sizing,
+requeue, ``point_timeout``, hedging and first-result-wins are one
+implementation for both link kinds. They are processes, not loopback
+``repro worker`` sockets: a process forked for the sweep already holds
+every trace the parent built, where a socket worker is pushed each
+trace before ``BEGIN``.
 
 Failure semantics: the coordinator PINGs an idle connection every
 ``heartbeat`` seconds; a worker silent past its liveness ceiling, or
 whose socket errors out, is declared dead and its in-flight chunk is
-re-queued to the survivors. Dropped links are then *redialed* with
-jittered exponential backoff (``reconnect`` attempts per outage) — the
-worker's persistent :class:`~repro.trace.store.TraceStore` answers the
-re-run trace negotiation from disk, so a reconnect never re-ships a
-trace. An idle worker with nothing pending *hedges* the oldest overdue
-in-flight chunk of another worker (at most one hedge per chunk);
-first-result-wins discards whichever copy loses. ``point_timeout``
-travels with each chunk and doubles as the coordinator-side deadline
-(timeout × points + grace) — exceeding it raises the same
-:class:`~repro.analysis.parallel.SweepPointError` the local pool
-raises, with the offending spec attached. Zero reachable workers
-raises :class:`FarmUnavailable`, which ``sweep_specs`` degrades to the
-local pool with a warning; if every worker dies mid-sweep, the
-leftover points are finished locally instead of being lost.
+re-queued to the survivors; so is the chunk of a local process that
+exits. Dropped links are then *redialed* with jittered exponential
+backoff (``reconnect`` attempts per outage) — the worker's persistent
+:class:`~repro.trace.store.TraceStore` answers the re-run trace
+negotiation from disk, so a reconnect never re-ships a trace. An idle
+worker with nothing pending *hedges* the oldest overdue in-flight
+chunk of another worker (at most one hedge per chunk);
+first-result-wins discards whichever copy loses. While
+``point_timeout`` is set every chunk is one point, and the
+coordinator keeps its deadline: a point still running past it raises
+:class:`~repro.analysis.sweep.SweepPointError` naming that point (a
+local process running it is killed). A point that fails on a worker
+raises the same error, naming the point. Zero reachable workers
+raises :class:`FarmUnavailable`, which ``sweep_specs`` answers by
+evaluating locally with a warning; if every worker dies mid-sweep, the
+leftover points are finished in this process instead of being lost.
 
 Durability: ``on_row(i, row)`` is called with every completed row as
 it lands (first result wins, so once per point);
@@ -97,6 +109,7 @@ import warnings
 from collections import deque
 from typing import Mapping
 
+from repro.analysis.sweep import SweepPointError, eval_serially, eval_specs, point_failed
 from repro.util.errors import ConfigError, ReproError
 
 # -------------------------------------------------------------- wire layer
@@ -169,7 +182,7 @@ class AuthError(FarmError):
 
 
 class FarmUnavailable(FarmError):
-    """No farm worker was reachable; callers degrade to the local pool."""
+    """No farm worker was reachable; callers evaluate locally instead."""
 
 
 def encode_frame(kind: int, payload) -> bytes:
@@ -285,10 +298,12 @@ HEARTBEAT_INTERVAL = 1.0
 LIVENESS_TIMEOUT = 15.0
 CHUNK_TARGET_SECONDS = 0.5
 MAX_CHUNK = 64
-DEADLINE_GRACE = 2.0
-#: a worker asking for work while the rest is in flight elsewhere
-#: re-checks requeues and hedge eligibility this often
+#: a link asking for work while the rest is in flight elsewhere
+#: re-checks requeues and hedge eligibility this often, and a link
+#: waiting on its local process re-checks the sweep's end as often
 IDLE_POLL_SECONDS = 0.05
+#: seconds an idle local process gets to exit before it is killed
+LOCAL_EXIT_SECONDS = 5.0
 #: redial attempts per outage before a dropped worker is abandoned
 RECONNECT_ATTEMPTS = 2
 RECONNECT_BASE_SECONDS = 0.1
@@ -343,10 +358,11 @@ def _check_intervals(heartbeat: float, liveness: float) -> tuple[float, float]:
 
 
 class _WorkerLink:
-    """Coordinator-side state for one worker address (survives redials)."""
+    """Coordinator-side state for one worker (survives redials)."""
 
-    def __init__(self, addr: str, sock: socket.socket) -> None:
+    def __init__(self, addr: str, sock: socket.socket | None = None) -> None:
         self.addr = addr
+        self.where = f"on worker {addr}"
         self.sock = sock
         self.sec_per_point: float | None = None  # EMA of observed latency
         self.points_done = 0
@@ -360,8 +376,44 @@ class _WorkerLink:
         self.progressed = False
 
 
+class _LocalLink(_WorkerLink):
+    """A local worker process, fed chunks over a pipe."""
+
+    def __init__(self, addr: str, proc, conn) -> None:
+        super().__init__(addr)
+        self.proc = proc
+        self.conn = conn
+
+
+def _local_worker(conn, inherited) -> None:
+    """A local link's process: evaluate each chunk of spec dicts the
+    coordinator sends, replying ``(rows, error, elapsed)``, until it
+    sends None or goes away. ``inherited`` are pipe ends of other
+    links a fork copied into this process; closing them lets each
+    process see its own coordinator end close."""
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            specs = conn.recv()
+        except EOFError:
+            return
+        if specs is None:
+            return
+        t0 = time.perf_counter()
+        rows, exc = eval_specs(specs)
+        error = None if exc is None else f"{type(exc).__name__}: {exc}"
+        conn.send((rows, error, time.perf_counter() - t0))
+
+
 class FarmCoordinator:
-    """Shard one sweep's spec dicts across remote workers.
+    """Shard one sweep's spec dicts across worker links.
+
+    A link is a socket to a ``repro worker`` (one per ``farm``
+    address) or a local worker process (``local`` of them, started for
+    this sweep and stopped when it ends). Every link pulls its chunks
+    from one pending queue, so chunk sizing, requeue, ``point_timeout``,
+    hedging and first-result-wins placement are the same for both.
 
     ``run()`` returns the list of metrics dicts (JSON-canonical, one
     per spec, in spec order) and fills :attr:`stats` with per-worker
@@ -372,28 +424,30 @@ class FarmCoordinator:
     def __init__(
         self,
         spec_dicts: list[dict],
-        farm: list[str],
+        farm: list[str] = (),
         point_timeout: float | None = None,
         chunk: int | None = None,
         heartbeat: float = HEARTBEAT_INTERVAL,
         liveness: float = LIVENESS_TIMEOUT,
-        connect_timeout: float = CONNECT_TIMEOUT,
         reconnect: int = RECONNECT_ATTEMPTS,
         auth_token: str | None = None,
         on_row=None,
+        local: int = 0,
     ) -> None:
-        if not farm:
+        if not farm and local < 1:
             raise FarmUnavailable("empty farm address list")
         if not isinstance(reconnect, int) or reconnect < 0:
             raise ConfigError(
                 f"farm reconnect must be a non-negative int, got {reconnect!r}"
             )
+        if chunk is not None and (not isinstance(chunk, int) or chunk < 1):
+            raise ConfigError(f"farm chunk must be an int >= 1, got {chunk!r}")
         self.spec_dicts = list(spec_dicts)
         self.farm = list(farm)
+        self.local = local
         self.point_timeout = point_timeout
         self.fixed_chunk = chunk
         self.heartbeat, self.liveness = _check_intervals(heartbeat, liveness)
-        self.connect_timeout = connect_timeout
         self.reconnect = reconnect
         self.auth_token = auth_token
         self.on_row = on_row
@@ -403,7 +457,7 @@ class FarmCoordinator:
         self.lock = threading.Lock()
         self.done_evt = threading.Event()
         self.abort_exc: Exception | None = None
-        self.live_workers = 0
+        self._share = 1  # chunk size bound, set by run() from grid and links
         self._chunk_ctr = 0
         self._build_lock = threading.Lock()
         self._trace_cache: dict[str, tuple[object, dict]] = {}
@@ -416,9 +470,11 @@ class FarmCoordinator:
         self.pending: deque[int] = deque(range(n))
         if self.remaining == 0:
             self.done_evt.set()
+        # socket workers are offered every trace by digest; local
+        # processes build (or inherit) their own
         self._workload_by_key: dict[str, dict] = {}
-        for i in self.pending:
-            wdict = self.spec_dicts[i].get("workload")
+        for spec in self.spec_dicts if self.farm else ():
+            wdict = spec.get("workload")
             if wdict is not None:
                 from repro.spec import WorkloadSpec
 
@@ -439,20 +495,36 @@ class FarmCoordinator:
     def run(self) -> list[dict]:
         if self.remaining == 0:
             return self.rows
-        links = self._connect_all()
-        if not links:
-            raise FarmUnavailable(
-                f"no reachable farm workers among {', '.join(self.farm)}"
-            )
-        self.live_workers = len(links)
-        threads = [
-            threading.Thread(target=self._serve, args=(link,), daemon=True)
-            for link in links
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+        # local processes start before this sweep's threads and sockets
+        # exist, so a fork copies neither
+        links: list[_WorkerLink] = self._start_local()
+        try:
+            links += self._connect_all()
+            if not links and not self.local:
+                raise FarmUnavailable(
+                    f"no reachable farm workers among {', '.join(self.farm)}"
+                )
+            self._share = -(-len(self.pending) // (4 * max(1, len(links))))
+            threads = [
+                threading.Thread(
+                    target=(
+                        self._serve_local
+                        if isinstance(link, _LocalLink)
+                        else self._serve
+                    ),
+                    args=(link,),
+                    daemon=True,
+                )
+                for link in links
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        finally:
+            for link in links:
+                if isinstance(link, _LocalLink):
+                    self._stop_local(link)
         if self.abort_exc is not None:
             raise self.abort_exc
         leftovers = [i for i, r in enumerate(self.rows) if r is None]
@@ -460,13 +532,15 @@ class FarmCoordinator:
             # every worker died mid-sweep: degrade, never lose points
             warnings.warn(
                 f"all farm workers died; evaluating {len(leftovers)} "
-                "remaining point(s) locally",
+                "remaining point(s) in this process",
                 RuntimeWarning,
                 stacklevel=2,
             )
             self.stats["local_leftovers"] = len(leftovers)
-            for i in leftovers:
-                self._land(i, _eval_local(self.spec_dicts[i]))
+            eval_serially(
+                [self.spec_dicts[i] for i in leftovers],
+                lambda j, row: self._land(leftovers[j], row),
+            )
         for link in links:
             self.stats["workers"][link.addr] = {
                 "points": link.points_done,
@@ -482,15 +556,99 @@ class FarmCoordinator:
         if self.on_row is not None:
             self.on_row(index, row)
 
+    # -- local processes ---------------------------------------------------
+    def _start_local(self) -> list[_LocalLink]:
+        """Start the local worker processes. They fork where the
+        platform can, so each inherits the traces this process already
+        built and starts in milliseconds; a spawned process would
+        import the package and rebuild every trace first."""
+        import multiprocessing
+
+        if not self.local:
+            return []
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        links: list[_LocalLink] = []
+        for k in range(self.local):
+            conn, child_end = ctx.Pipe()
+            proc = ctx.Process(
+                target=_local_worker,
+                args=(child_end, [link.conn for link in links] + [conn]),
+                name=f"repro-local-{k}",
+                daemon=True,
+            )
+            try:
+                proc.start()
+            except OSError as exc:  # no processes to be had on this host
+                warnings.warn(
+                    f"cannot start local worker {k}: {exc}",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                conn.close()
+                break
+            finally:
+                child_end.close()
+            links.append(_LocalLink(f"local-{k}", proc, conn))
+        return links
+
+    def _stop_local(self, link: _LocalLink) -> None:
+        """End a local process: an idle one exits when told to; a busy
+        one (a hung point, a moot hedge, an aborted sweep) is killed."""
+        with self.lock:
+            busy = link in self._inflight
+        if not busy:
+            try:
+                link.conn.send(None)
+                link.proc.join(LOCAL_EXIT_SECONDS)
+            except OSError:
+                pass
+        if link.proc.exitcode is None:
+            link.proc.kill()
+            link.proc.join()
+        link.conn.close()
+
+    def _serve_local(self, link: _LocalLink) -> None:
+        """Feed one local process until the sweep ends. A process that
+        dies has its chunk requeued to the other links."""
+        from multiprocessing.connection import wait
+
+        try:
+            while True:
+                assigned = self._await_chunk(link)
+                if assigned is None:
+                    return
+                chunk_id, indices = assigned
+                deadline = self._issue(link, chunk_id, indices)
+                link.conn.send([self.spec_dicts[i] for i in indices])
+                while not wait([link.conn, link.proc.sentinel], IDLE_POLL_SECONDS):
+                    if self.done_evt.is_set():  # the sweep ended or aborted
+                        return
+                    if deadline is not None and time.monotonic() > deadline:
+                        self._timed_out(link, indices)
+                        return
+                # (rows, error, elapsed); EOFError if the process died
+                if not self._finish(link, indices, *link.conn.recv()):
+                    return
+        except (EOFError, OSError) as exc:
+            self._requeue(link)
+            if not self.done_evt.is_set():
+                warnings.warn(
+                    f"local worker {link.addr} died (exit code "
+                    f"{link.proc.exitcode}): {type(exc).__name__}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+
     # -- connection management --------------------------------------------
     def _dial(self, addr: str) -> socket.socket:
         host, port = parse_hostport(addr)
         sock = set_nodelay(
-            socket.create_connection((host, port), timeout=self.connect_timeout)
+            socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
         )
         # handshake and trace pushes may legitimately take a while;
         # the serving loop tightens this to the heartbeat interval
-        sock.settimeout(max(self.liveness, self.connect_timeout))
+        sock.settimeout(max(self.liveness, CONNECT_TIMEOUT))
         return sock
 
     def _connect_all(self) -> list[_WorkerLink]:
@@ -614,20 +772,34 @@ class FarmCoordinator:
             return cached
 
     # -- work distribution -------------------------------------------------
+    def _await_chunk(self, link: _WorkerLink):
+        """The next ``(chunk_id, indices)`` for ``link``, or None once
+        the sweep has ended or aborted. While the rest of the grid is in
+        flight elsewhere, wait on the sweep's end (which also wakes on
+        an abort), re-checking requeues and hedge eligibility."""
+        assigned = None
+        while not self.done_evt.is_set():
+            assigned = self._next_chunk(link)
+            if assigned is not None or self.done_evt.wait(IDLE_POLL_SECONDS):
+                break
+        return assigned
+
     def _next_chunk(self, link: _WorkerLink):
         with self.lock:
             if self.pending:
-                if self.fixed_chunk is not None:
-                    n = max(1, self.fixed_chunk)
+                if self.point_timeout is not None:
+                    n = 1  # a deadline then names exactly one point
+                elif self.fixed_chunk is not None:
+                    n = self.fixed_chunk
                 else:
+                    # a quarter of a fair share of the grid: few chunk
+                    # boundaries, so points that share a trace mostly
+                    # stay on one worker; once the link's speed is
+                    # known, about CHUNK_TARGET_SECONDS of work at most
+                    n = min(self._share, MAX_CHUNK)
                     spp = link.sec_per_point
-                    if spp is None:
-                        n = 1  # first chunk calibrates the EMA
-                    else:
-                        n = max(1, int(CHUNK_TARGET_SECONDS / max(spp, 1e-6)))
-                    # leave a stealable tail for the other live workers
-                    tail = -(-len(self.pending) // max(1, 2 * self.live_workers))
-                    n = min(n, MAX_CHUNK, max(1, tail))
+                    if spp is not None:
+                        n = min(n, max(1, int(CHUNK_TARGET_SECONDS / max(spp, 1e-6))))
                 n = min(n, len(self.pending))
                 indices = [self.pending.popleft() for _ in range(n)]
                 self._chunk_ctr += 1
@@ -661,12 +833,47 @@ class FarmCoordinator:
         self.stats["hedges"] += 1
         return self._chunk_ctr, best[1]
 
-    def _record(self, link: _WorkerLink, indices: list[int], rows: list, elapsed) -> None:
-        if len(rows) != len(indices):
+    def _issue(self, link: _WorkerLink, chunk_id: int, indices: list[int]):
+        """Register a chunk as in flight on ``link`` before it is sent,
+        so a link that fails from here on has it requeued. Returns the
+        chunk's ``point_timeout`` deadline (None without a timeout)."""
+        now = time.monotonic()
+        expect = max(len(indices) * (link.sec_per_point or 0.0), HEDGE_MIN_SECONDS)
+        with self.lock:
+            self._inflight[link] = (chunk_id, indices, now, expect)
+        return None if self.point_timeout is None else now + self.point_timeout
+
+    def _finish(self, link: _WorkerLink, indices, rows, error, elapsed) -> bool:
+        """Land a chunk's rows, first result wins. The worker stops at
+        a failing point and names its error: the rows before it land,
+        then the sweep aborts naming that point. False once aborted."""
+        if len(rows) > len(indices) or (error is None and len(rows) < len(indices)):
             raise FarmError(
                 f"worker {link.addr} returned {len(rows)} rows for "
                 f"{len(indices)} points"
             )
+        self._record(link, indices[: len(rows)], rows, elapsed)
+        with self.lock:
+            self._inflight.pop(link, None)
+        if error is None:
+            return True
+        self._abort(point_failed(self.spec_dicts[indices[len(rows)]], link.where, error))
+        return False
+
+    def _timed_out(self, link: _WorkerLink, indices: list[int]) -> None:
+        """Abort the sweep: the point in flight on ``link`` outlived
+        ``point_timeout``. (A local process running it is killed when
+        the sweep's links stop; a socket worker is let go.)"""
+        spec = self.spec_dicts[indices[0]]
+        self._abort(
+            SweepPointError(
+                f"sweep point {spec!r} exceeded point_timeout="
+                f"{self.point_timeout}s {link.where}",
+                point=spec,
+            )
+        )
+
+    def _record(self, link: _WorkerLink, indices: list[int], rows: list, elapsed) -> None:
         with self.lock:
             for i, row in zip(indices, rows):
                 if self.rows[i] is None:  # first result wins after a requeue/hedge
@@ -688,7 +895,6 @@ class FarmCoordinator:
         shared registry is authoritative) to the head of the queue."""
         with self.lock:
             link.dead = True
-            self.live_workers -= 1
             entry = self._inflight.pop(link, None)
             if entry is not None:
                 undone = [i for i in entry[1] if self.rows[i] is None]
@@ -759,38 +965,31 @@ class FarmCoordinator:
             link.sock = sock
             with self.lock:
                 link.dead = False
-                self.live_workers += 1
                 link.reconnects += 1
                 self.stats["reconnects"] += 1
             return True
         return False
 
     def _serve_connection(self, link: _WorkerLink) -> None:
-        inflight = None  # (chunk_id, indices) awaiting RESULT
-        deadline = None
+        inflight = None  # indices of the chunk awaiting RESULT
+        chunk_id = deadline = None
         try:
             self._handshake(link)
             self._negotiate_traces(link)
             send_frame(link.sock, BEGIN, {})
             link.progressed = True
-            link.sock.settimeout(self.heartbeat)
             last_frame = time.monotonic()
             while not self.done_evt.is_set() and self.abort_exc is None:
+                wait_for = self.heartbeat
+                if deadline is not None:
+                    wait_for = min(wait_for, max(deadline - time.monotonic(), 1e-3))
+                link.sock.settimeout(wait_for)
                 try:
                     kind, msg = recv_frame(link.sock)
                 except socket.timeout:
                     now = time.monotonic()
-                    if deadline is not None and now > deadline:
-                        idx = inflight[1][0]
-                        from repro.analysis.parallel import SweepPointError
-
-                        self._abort(
-                            SweepPointError(
-                                f"farm point exceeded point_timeout="
-                                f"{self.point_timeout}s on worker {link.addr}",
-                                point={"spec": self.spec_dicts[idx]},
-                            )
-                        )
+                    if deadline is not None and now >= deadline:
+                        self._timed_out(link, inflight)
                         break
                     if now - last_frame > self.liveness:
                         raise FarmError(
@@ -806,69 +1005,38 @@ class FarmCoordinator:
                     send_frame(link.sock, PONG, {})
                     continue
                 if kind == NEXT:
-                    assigned = self._next_chunk(link)
-                    # idle: wake the moment the sweep ends or aborts (both
-                    # set done_evt), else re-check requeues and hedging
-                    while assigned is None and not self.done_evt.wait(
-                        IDLE_POLL_SECONDS
-                    ):
-                        assigned = self._next_chunk(link)
+                    assigned = self._await_chunk(link)
                     if assigned is None:
                         break
-                    chunk_id, indices = assigned
+                    chunk_id, inflight = assigned
+                    deadline = self._issue(link, chunk_id, inflight)
                     send_frame(
                         link.sock,
                         CHUNK,
                         {
                             "chunk_id": chunk_id,
-                            "indices": indices,
-                            "specs": [self.spec_dicts[i] for i in indices],
-                            "point_timeout": self.point_timeout,
+                            "indices": inflight,
+                            "specs": [self.spec_dicts[i] for i in inflight],
                         },
                     )
-                    inflight = (chunk_id, indices)
-                    expect = max(
-                        len(indices) * (link.sec_per_point or 0.0),
-                        HEDGE_MIN_SECONDS,
-                    )
-                    with self.lock:
-                        self._inflight[link] = (
-                            chunk_id, indices, time.monotonic(), expect
-                        )
-                    if self.point_timeout is not None:
-                        deadline = (
-                            time.monotonic()
-                            + self.point_timeout * len(indices)
-                            + DEADLINE_GRACE
-                        )
                     last_frame = time.monotonic()
                     continue
                 if kind == RESULT:
-                    if inflight is None or msg.get("chunk_id") != inflight[0]:
+                    if inflight is None or msg.get("chunk_id") != chunk_id:
                         raise FarmError(
                             f"worker {link.addr} sent RESULT for an "
                             "unexpected chunk"
                         )
-                    err = msg.get("error")
-                    if err is not None:
-                        from repro.analysis.parallel import SweepPointError
-
-                        idx = err.get("index", inflight[1][0])
-                        self._abort(
-                            SweepPointError(
-                                f"farm point failed on worker {link.addr}: "
-                                f"{err.get('message')}",
-                                point={"spec": self.spec_dicts[idx]},
-                            )
-                        )
+                    error = msg.get("error")
+                    if not self._finish(
+                        link,
+                        inflight,
+                        msg["rows"],
+                        None if error is None else error.get("message"),
+                        msg.get("elapsed", 0.0),
+                    ):
                         break
-                    self._record(
-                        link, inflight[1], msg["rows"], msg.get("elapsed", 0.0)
-                    )
-                    with self.lock:
-                        self._inflight.pop(link, None)
-                    inflight = None
-                    deadline = None
+                    inflight = deadline = None
                     continue
                 if kind == ERROR:
                     raise FarmError(
@@ -881,8 +1049,8 @@ class FarmCoordinator:
         finally:
             # NB: the shared in-flight entry is NOT popped here — on an
             # error path _requeue (in _serve) pops it and returns the
-            # undone points to the queue; RESULT handling pops it on
-            # the happy path.
+            # undone points to the queue; _finish pops it on the happy
+            # path.
             try:
                 send_frame(link.sock, DONE, {})
             except OSError:
@@ -893,70 +1061,32 @@ class FarmCoordinator:
                 pass
 
 
-def _eval_local(spec_dict: dict) -> dict:
-    """Evaluate one leftover point in-process, canonically."""
-    from repro.analysis.cache import canonical_rows
-    from repro.runner import run_spec_dict
-
-    try:
-        return canonical_rows([run_spec_dict(spec_dict)])[0]
-    except Exception as exc:
-        from repro.analysis.parallel import SweepPointError
-
-        raise SweepPointError(
-            f"local fallback point failed: {type(exc).__name__}: {exc}",
-            point={"spec": spec_dict},
-        ) from exc
-
-
 def farm_sweep(
     spec_dicts: list[dict],
     farm,
     point_timeout: float | None = None,
-    chunk: int | None = None,
     stats_out: dict | None = None,
-    heartbeat: float | None = None,
-    liveness: float | None = None,
-    reconnect: int | None = None,
-    auth_token: str | None = None,
     on_row=None,
 ) -> list[dict]:
-    """Run ``spec_dicts`` over the farm; return metrics dicts in order.
+    """Run ``spec_dicts`` over the socket farm; return metrics dicts in
+    order.
 
     ``farm`` is an address list or a :func:`normalize_farm` config
-    mapping; explicit keyword arguments override the mapping's values.
-    Raises :class:`FarmUnavailable` when no worker is reachable —
-    callers (``sweep_specs``) catch that and degrade to the local pool.
-    ``stats_out``, when given, is updated with the coordinator's
-    accounting (chunk counts, trace pushes, requeues, reconnects,
-    hedges). ``on_row(i, row)`` is called with each completed row as
-    it lands, once per point.
+    mapping, whose keys set the coordinator's options. Raises
+    :class:`FarmUnavailable` when no worker is reachable — callers
+    (``sweep_specs``) catch that and evaluate locally. ``stats_out``,
+    when given, is updated with the coordinator's accounting (chunk
+    counts, trace pushes, requeues, reconnects, hedges). ``on_row(i,
+    row)`` is called with each completed row as it lands, once per
+    point.
     """
     cfg = normalize_farm(farm) or {}
     coord = FarmCoordinator(
         spec_dicts,
-        cfg.get("addrs", []),
+        cfg.pop("addrs", []),
         point_timeout=point_timeout,
-        chunk=chunk if chunk is not None else cfg.get("chunk"),
-        heartbeat=(
-            heartbeat
-            if heartbeat is not None
-            else cfg.get("heartbeat", HEARTBEAT_INTERVAL)
-        ),
-        liveness=(
-            liveness
-            if liveness is not None
-            else cfg.get("liveness", LIVENESS_TIMEOUT)
-        ),
-        reconnect=(
-            reconnect
-            if reconnect is not None
-            else cfg.get("reconnect", RECONNECT_ATTEMPTS)
-        ),
-        auth_token=(
-            auth_token if auth_token is not None else cfg.get("auth_token")
-        ),
         on_row=on_row,
+        **cfg,
     )
     rows = coord.run()
     if stats_out is not None:

@@ -1,26 +1,76 @@
 """Parameter-sweep utilities for the benchmark harness and examples.
 
 A sweep is a cartesian product over named parameter lists, evaluated
-by a callback returning a result dict per point. Results accumulate
-into table rows ready for :func:`repro.analysis.reports.format_table`.
+point by point. Results accumulate into table rows ready for
+:func:`repro.analysis.reports.format_table`.
 
-``sweep`` fans callback points out over
-:func:`repro.analysis.parallel.parallel_sweep`. ``sweep_specs`` runs
-experiment specs and has three paths: the result stores
+``sweep`` runs a callback for every point in-process. ``sweep_specs``
+runs experiment specs: the result stores
 (:class:`repro.analysis.cache.ResultCache`) answer the points they
-hold, the farm evaluates the rest when one is given, and the local
-pool (or the serial loop) otherwise.
+hold, and the rest go to one dispatcher, the farm coordinator
+(:class:`repro.analysis.farm.FarmCoordinator`) — over sockets to
+``repro worker`` processes when a farm is given, to local worker
+processes for ``workers > 1`` — or to the in-process serial loop.
+Every path evaluates through :func:`eval_specs`, so a row is the same
+canonical JSON value whichever path produced it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import warnings
 from typing import Callable, Iterable, Mapping
 
-from repro.analysis.parallel import parallel_sweep
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, ReproError
+
+#: Below this many points, starting worker processes costs more than
+#: it saves and ``sweep_specs`` runs serially regardless of ``workers``.
+LOCAL_MIN_POINTS = 4
+
+
+class SweepPointError(ReproError):
+    """A sweep point failed; ``point`` is the failing sweep point (the
+    callback's keyword arguments for :func:`sweep`, the spec dict for
+    :func:`sweep_specs`)."""
+
+    def __init__(self, message: str, point: Mapping | None = None) -> None:
+        super().__init__(message)
+        self.point = dict(point) if point is not None else None
+
+
+def merge_row(point: Mapping, metrics: Mapping) -> dict:
+    """Merge a sweep point with its metrics, rejecting key collisions."""
+    row = dict(point)
+    for key in metrics:
+        if key in row:
+            raise ConfigError(
+                f"sweep metric key {key!r} collides with a parameter key "
+                f"(point {row!r}); rename one of them"
+            )
+    row.update(metrics)
+    return row
+
+
+def default_workers() -> int:
+    """Worker count when the caller passes ``workers=None``."""
+    return max(os.cpu_count() or 1, 1)
+
+
+def effective_workers(requested: int | None) -> int:
+    """The worker count actually used for ``requested``.
+
+    Requests are clamped to the CPU count: oversubscribing cores with
+    CPU-bound simulator processes only adds context-switch overhead.
+    Benches record both the requested and this effective value so
+    results stay interpretable across machines.
+    """
+    if requested is None:
+        return default_workers()
+    if requested < 1:
+        raise ConfigError(f"workers must be >= 1, got {requested}")
+    return min(requested, default_workers())
 
 
 def grid(**params: Iterable) -> list[dict]:
@@ -39,73 +89,107 @@ def grid(**params: Iterable) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
 
 
-def sweep(
-    points: Iterable[Mapping],
-    fn: Callable[..., Mapping],
-    workers: int = 1,
-    chunk: int | None = None,
-    point_timeout: float | None = None,
-) -> list[dict]:
-    """Evaluate ``fn(**point)`` for every point; each row merges the
-    point's parameters with the returned metrics. A metric key that
-    collides with a parameter key raises :class:`ConfigError` naming
-    the key — silent overwrites corrupt result tables.
-
-    ``workers > 1`` evaluates points in parallel processes (row order
-    still matches point order; see
-    :func:`repro.analysis.parallel.parallel_sweep`). Sweeps whose rows
-    should be stored go through :func:`sweep_specs`, whose points are
-    specs and so have row keys.
+def sweep(points: Iterable[Mapping], fn: Callable[..., Mapping]) -> list[dict]:
+    """Evaluate ``fn(**point)`` for every point, in order and
+    in-process; each row merges the point's parameters with the
+    returned metrics. A metric key that collides with a parameter key
+    raises :class:`ConfigError` naming the key — silent overwrites
+    corrupt result tables — and an exception in ``fn`` raises
+    :class:`SweepPointError` carrying the point. Sweeps that should
+    run in parallel or be stored go through :func:`sweep_specs`, whose
+    points are specs.
     """
-    return parallel_sweep(
-        points, fn, workers=workers, chunk=chunk, point_timeout=point_timeout
+    rows = []
+    for point in points:
+        try:
+            metrics = fn(**point)
+        except Exception as exc:
+            raise SweepPointError(
+                f"sweep point {dict(point)!r} failed: {type(exc).__name__}: {exc}",
+                point=point,
+            ) from exc
+        rows.append(merge_row(point, metrics))
+    return rows
+
+
+def eval_specs(spec_dicts: list[dict]) -> tuple[list[dict], Exception | None]:
+    """The chunk evaluator every sweep path shares: run each spec dict
+    in order and return its metrics as canonical rows (plain JSON
+    values, as :func:`~repro.analysis.cache.canonical_rows` makes
+    them). Evaluation stops at the first failing spec; its exception
+    is returned next to the rows of the specs before it."""
+    from repro import runner
+    from repro.analysis.cache import canonical_rows
+
+    rows: list[dict] = []
+    for spec in spec_dicts:
+        try:
+            rows.append(canonical_rows([runner.run_spec_dict(spec)])[0])
+        except Exception as exc:
+            return rows, exc
+    return rows, None
+
+
+def point_failed(spec: Mapping, where: str, error: str) -> SweepPointError:
+    """The error a failed spec point raises; ``where`` says where it
+    ran ("in this process", "on worker HOST:PORT", ...)."""
+    return SweepPointError(
+        f"sweep point {dict(spec)!r} failed {where}: {error}", point=spec
     )
+
+
+def eval_serially(spec_dicts: list[dict], on_row: Callable[[int, dict], None]) -> None:
+    """The in-process serial loop: ``on_row(i, row)`` receives each
+    canonical row as it lands, so the rows before a failing point have
+    all been handed over when its :class:`SweepPointError` is raised."""
+    for i, spec in enumerate(spec_dicts):
+        rows, exc = eval_specs([spec])
+        if exc is not None:
+            raise point_failed(
+                spec, "in this process", f"{type(exc).__name__}: {exc}"
+            ) from exc
+        on_row(i, rows[0])
 
 
 def _evaluate(
     spec_dicts: list[dict],
-    on_row: Callable[[int, Mapping], None],
+    on_row: Callable[[int, dict], None],
     workers: int,
-    chunk: int | None,
     point_timeout: float | None,
     farm,
 ) -> None:
-    """Evaluate ``spec_dicts`` on the farm, or on the local pool (or
-    serially) when there is no farm or none of its workers answers;
-    ``on_row(i, row)`` receives each row as it lands."""
-    if farm:
+    """Evaluate ``spec_dicts`` on the farm; on local worker processes
+    when there is no farm (or none of its workers answers) and
+    ``workers`` > 1; serially otherwise. ``on_row(i, row)`` receives
+    each row as it lands."""
+    local = workers > 1 and len(spec_dicts) >= LOCAL_MIN_POINTS
+    if farm or local:  # the serial loop needs no farm import
         from repro.analysis import farm as farm_mod
-
+    if farm:
         try:
             farm_mod.farm_sweep(
-                spec_dicts, farm, point_timeout=point_timeout, chunk=chunk,
-                on_row=on_row,
+                spec_dicts, farm, point_timeout=point_timeout, on_row=on_row
             )
             return
         except farm_mod.FarmUnavailable as exc:
             warnings.warn(
                 f"farm has no reachable workers ({exc}); "
-                "degrading to the local pool",
+                "degrading to local evaluation",
                 RuntimeWarning,
                 stacklevel=3,
             )
-    from repro.runner import run_spec_dict
-
-    parallel_sweep(
-        [{"spec": d} for d in spec_dicts],
-        run_spec_dict,
-        workers=workers,
-        chunk=chunk,
-        point_timeout=point_timeout,
-        on_row=on_row,
-    )
+    if local:
+        farm_mod.FarmCoordinator(
+            spec_dicts, local=workers, point_timeout=point_timeout, on_row=on_row
+        ).run()
+    else:
+        eval_serially(spec_dicts, on_row)
 
 
 def sweep_specs(
     base_spec,
     points: Iterable[Mapping],
-    workers: int = 1,
-    chunk: int | None = None,
+    workers: int | None = 1,
     cache: "ResultCache | None" = None,
     point_timeout: float | None = None,
     farm=None,
@@ -119,22 +203,27 @@ def sweep_specs(
 
     Differences from :func:`sweep`:
 
-    * Workers receive **serialized spec dicts**, never closures — the
-      callback is the module-level :func:`repro.runner.run_spec_dict`,
-      so the parallel path works for every spec the parent can
-      describe (no silent serial fallback on unpicklable captures).
+    * Points are evaluated as **serialized spec dicts**, so they can
+      run in other processes: ``workers > 1`` (clamped to the CPU
+      count, :func:`effective_workers`; ``None`` = the CPU count)
+      starts that many local worker processes for a sweep of at least
+      :data:`LOCAL_MIN_POINTS` points, fed by the farm coordinator.
+      ``point_timeout`` (seconds) bounds each point there: a point
+      still running past it raises :class:`SweepPointError` naming it,
+      and a hung local process is killed.
     * A metric key colliding with a point key (e.g. a ``scheme``
       metric under a ``scheme`` sweep axis) keeps the point's value —
       the axis label is authoritative for its own column.
+    * Metrics are canonical JSON values (:func:`eval_specs`) on every
+      path, so serial, parallel, farm, stored and resumed rows compare
+      equal, key order included.
     * ``cache`` (a :class:`~repro.analysis.cache.ResultCache`) and
       ``resume`` (a path, opened as ``ResultCache(resume)``) are result
       stores. Every point is looked up in them first, by the salted
       row key of :func:`~repro.analysis.cache.row_keys`; only the
       misses are evaluated, each row is recorded in every store as it
       lands (so a sweep that dies at point k has points before k on
-      disk), and the stores are flushed before returning. With a store
-      attached every row is JSON-canonical, so stored, resumed and
-      fresh rows are bit-identical.
+      disk), and the stores are flushed before returning.
     * ``farm`` is a list of ``"host:port"`` addresses of running
       ``repro worker`` processes — or a mapping with ``addrs`` plus
       optional ``auth_token`` / ``heartbeat`` / ``liveness`` /
@@ -142,14 +231,15 @@ def sweep_specs(
       :func:`repro.analysis.farm.normalize_farm`): the misses are
       dispatched to them over sockets with pull-based work-stealing
       and trace-by-reference distribution
-      (:mod:`repro.analysis.farm`). Farm rows pass through JSON
-      (values canonical, key order preserved — the same rows, byte for
-      byte, a local run yields). When no worker is reachable the sweep
-      warns and degrades to the local pool.
+      (:mod:`repro.analysis.farm`). When no worker is reachable the
+      sweep warns and evaluates locally.
     """
-    from repro.analysis.cache import ResultCache, canonical_rows, row_keys
+    from repro.analysis.cache import ResultCache, row_keys
     from repro.runner import merge_spec
 
+    workers = effective_workers(workers)
+    if point_timeout is not None and point_timeout <= 0:
+        raise ConfigError(f"point_timeout must be > 0, got {point_timeout}")
     points = [dict(p) for p in points]
     spec_dicts = [merge_spec(base_spec, p).to_dict() for p in points]
     stores = [cache] if cache is not None else []
@@ -165,21 +255,16 @@ def sweep_specs(
                     break
         missing = [i for i, m in enumerate(metrics) if m is None]
 
-        def on_row(j: int, row: Mapping) -> None:
+        def on_row(j: int, row: dict) -> None:
             i = missing[j]
-            # pool rows carry their worker point ({"spec": ...}); farm
-            # rows are bare metrics
-            bare = {k: v for k, v in row.items() if k != "spec"}
-            if stores:
-                bare = canonical_rows([bare])[0]
-                for store in stores:
-                    store.put(keys[i], bare)
-            metrics[i] = bare
+            for store in stores:
+                store.put(keys[i], row)
+            metrics[i] = row
 
         if missing:
             _evaluate(
                 [spec_dicts[i] for i in missing],
-                on_row, workers, chunk, point_timeout, farm,
+                on_row, workers, point_timeout, farm,
             )
     finally:
         for store in stores:

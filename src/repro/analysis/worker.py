@@ -74,12 +74,9 @@ from repro.analysis.farm import (
     send_frame,
     set_nodelay,
 )
+from repro.analysis.sweep import eval_specs
 from repro.trace.store import TraceStore
-from repro.util.errors import ConfigError
-
-# While a chunk evaluates on the worker thread, the connection loop
-# polls the socket this often so coordinator PINGs are answered promptly.
-EVAL_POLL_SECONDS = 0.25
+from repro.util.errors import ConfigError, ReproError
 
 
 class WorkerServer:
@@ -101,17 +98,11 @@ class WorkerServer:
         verbose: bool = False,
         fail_after_chunks: int | None = None,
         auth_token: str | None = None,
-        poll_interval: float = EVAL_POLL_SECONDS,
     ) -> None:
         if not isinstance(idle_timeout, (int, float)) or idle_timeout <= 0:
             raise ConfigError(
                 f"worker idle timeout must be a positive number of seconds, "
                 f"got {idle_timeout!r}"
-            )
-        if not isinstance(poll_interval, (int, float)) or poll_interval <= 0:
-            raise ConfigError(
-                f"worker heartbeat poll interval must be a positive number "
-                f"of seconds, got {poll_interval!r}"
             )
         if auth_token is not None and (
             not isinstance(auth_token, str) or not auth_token
@@ -123,7 +114,6 @@ class WorkerServer:
         self.trace_dir = trace_dir or tempfile.mkdtemp(prefix="repro-worker-traces-")
         self.store = TraceStore(self.trace_dir)
         self.idle_timeout = float(idle_timeout)
-        self.poll_interval = float(poll_interval)
         self.verbose = verbose
         self.fail_after_chunks = fail_after_chunks
         self.auth_token = auth_token
@@ -377,10 +367,10 @@ class WorkerServer:
     def _serve_chunk(self, conn: socket.socket, msg: dict) -> bool:
         """Evaluate one chunk; keep answering PINGs meanwhile.
 
-        The eval thread signals completion over a self-pipe so the
-        RESULT goes out the instant the chunk finishes (a plain recv
-        timeout would add up to a poll interval of latency per chunk,
-        which dominates short sweeps). Returns False when the
+        The connection loop waits on the socket and on a self-pipe the
+        eval thread writes when it finishes, so PINGs are answered as
+        they arrive and the RESULT goes out the instant the chunk is
+        done. Returns False when the
         coordinator sent DONE mid-evaluation (it gave up on this
         worker) or the server is draining — either way the connection
         is finished, but a drain only closes *after* the RESULT went
@@ -400,7 +390,7 @@ class WorkerServer:
         try:
             finished = False
             while not finished and th.is_alive():
-                events = sel.select(timeout=self.poll_interval)
+                events = sel.select()
                 for key, _mask in events:
                     if key.data == "done":
                         finished = True
@@ -432,52 +422,26 @@ class WorkerServer:
         send_frame(conn, NEXT, {})
         return True
 
-    def _eval_chunk(self, msg: dict, box: dict, done_w=None) -> None:
-        indices = msg.get("indices", [])
-        specs = msg.get("specs", [])
-        point_timeout = msg.get("point_timeout")
-        rows = []
+    def _eval_chunk(self, msg: dict, box: dict, done_w) -> None:
         t0 = time.perf_counter()
         try:
-            self._eval_points(indices, specs, point_timeout, rows, box, t0)
-        finally:
-            box.setdefault("rows", rows)
-            box["elapsed"] = time.perf_counter() - t0
-            if done_w is not None:
+            specs = msg.get("specs", [])
+            for spec in specs:
                 try:
-                    done_w.send(b"x")
-                except OSError:
-                    pass
-
-    def _eval_points(self, indices, specs, point_timeout, rows, box, t0) -> None:
-        from repro.analysis.cache import canonical_rows
-        from repro.runner import run_spec_dict
-
-        for j, spec_dict in enumerate(specs):
-            if (
-                point_timeout is not None
-                and time.perf_counter() - t0 > point_timeout * (j + 1)
-            ):
-                box["error"] = {
-                    "index": indices[j] if j < len(indices) else None,
-                    "message": (
-                        f"chunk budget exhausted before point {j} "
-                        f"(point_timeout={point_timeout}s)"
-                    ),
-                }
-                break
-            self._ensure_trace(spec_dict)
+                    self._ensure_trace(spec)
+                except ReproError:
+                    pass  # evaluating the spec reports it, naming its point
+            rows, exc = eval_specs(specs)
+            box["rows"] = rows
+            if exc is not None:
+                box["error"] = {"message": f"{type(exc).__name__}: {exc}"}
+        finally:
+            box.setdefault("rows", [])
+            box["elapsed"] = time.perf_counter() - t0
             try:
-                metrics = run_spec_dict(spec_dict)
-            except Exception as exc:
-                box["error"] = {
-                    "index": indices[j] if j < len(indices) else None,
-                    "message": f"{type(exc).__name__}: {exc}",
-                }
-                break
-            rows.append(canonical_rows([metrics])[0])
-        box["rows"] = rows
-        box["elapsed"] = time.perf_counter() - t0
+                done_w.send(b"x")
+            except OSError:
+                pass
 
     def _ensure_trace(self, spec_dict: dict) -> None:
         """Seed the build memo from the worker-local store if needed.
@@ -515,7 +479,6 @@ def main(args) -> int:
         or os.environ.get("REPRO_FARM_TOKEN")
         or None,
         idle_timeout=getattr(args, "worker_timeout", None) or 600.0,
-        poll_interval=getattr(args, "heartbeat", None) or EVAL_POLL_SECONDS,
     ).start()
 
     def _on_signal(signum, frame):

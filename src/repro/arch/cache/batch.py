@@ -2,13 +2,6 @@
 
 Two pieces back the epoch-batched fast path (:mod:`repro.core.epoch`):
 
-* :class:`L1BlockKernel` — a numpy-state mirror of one
-  :class:`~repro.arch.cache.sram.CacheArray` level that applies a whole
-  block of (address, write) accesses and returns per-access hit bits
-  plus the resulting replacement state. Presence, fill order, free-way
-  selection, and LRU victim choice are exactly equivalent to driving
-  ``CacheArray.lookup``/``fill`` one access at a time (the property
-  tests assert this across associativities).
 * :func:`frozen_hit_prefix` — classify how many upcoming accesses are
   *pure* hits against a live ``CacheArray``'s current (frozen) state.
   Pure hits mutate only recency and counters, never presence or
@@ -19,11 +12,10 @@ Two pieces back the epoch-batched fast path (:mod:`repro.core.epoch`):
   array: counters and final recency order (last-touch order of the
   distinct lines) identical to touching line by line.
 
-The kernel (and the columnar :class:`CacheArray` itself) keeps stamps
-instead of an explicit LRU list: the victim is the valid way with the
-smallest last-touch stamp, which is the same line an LRU order list
-fronts (stamps are drawn from one monotone counter, so ties cannot
-occur).
+The columnar :class:`CacheArray` keeps stamps instead of an explicit
+LRU list: the victim is the valid way with the smallest last-touch
+stamp, which is the same line an LRU order list fronts (stamps are
+drawn from one monotone counter, so ties cannot occur).
 """
 
 from __future__ import annotations
@@ -31,78 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.cache.sram import CacheArray, TileCacheStore
-from repro.arch.config import CacheConfig
-
-
-class L1BlockKernel:
-    """Numpy-state set-associative cache level with block application."""
-
-    def __init__(self, config: CacheConfig) -> None:
-        self.config = config
-        self.num_sets = config.num_sets
-        self.ways = config.associativity
-        self.line_shift = config.line_bytes.bit_length() - 1
-        self.tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
-        self.valid = np.zeros((self.num_sets, self.ways), dtype=bool)
-        self.dirty = np.zeros((self.num_sets, self.ways), dtype=bool)
-        self.stamps = np.zeros((self.num_sets, self.ways), dtype=np.int64)
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    # -- block application ------------------------------------------------
-    def apply(self, addrs: np.ndarray, writes: np.ndarray) -> np.ndarray:
-        """Apply a block of byte-address accesses; return per-access hit bits.
-
-        The decode (line/set/tag split) is vectorized; the presence walk
-        is sequential because each fill depends on the previous one's
-        replacement decision — exactly the dependency a real cache has.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        writes = np.asarray(writes, dtype=bool)
-        lines = addrs >> self.line_shift
-        sis = (lines % self.num_sets).astype(np.int64)
-        tgs = lines // self.num_sets
-        hits = np.zeros(len(addrs), dtype=bool)
-        tags, valid, dirty, stamps = self.tags, self.valid, self.dirty, self.stamps
-        clock = self._clock
-        for i in range(len(addrs)):
-            si = sis[i]
-            tag = tgs[i]
-            row_valid = valid[si]
-            match = np.flatnonzero(row_valid & (tags[si] == tag))
-            if match.size:
-                way = match[0]
-                hits[i] = True
-                self.hits += 1
-            else:
-                self.misses += 1
-                free = np.flatnonzero(~row_valid)
-                if free.size:
-                    way = free[0]
-                else:
-                    way = int(np.argmin(stamps[si]))
-                    self.evictions += 1
-                tags[si, way] = tag
-                valid[si, way] = True
-                dirty[si, way] = False
-            if writes[i]:
-                dirty[si, way] = True
-            clock += 1
-            stamps[si, way] = clock
-        self._clock = clock
-        return hits
-
-    # -- introspection ----------------------------------------------------
-    def resident_lines(self) -> set[int]:
-        """Line base addresses currently resident (for parity checks)."""
-        out = set()
-        for si in range(self.num_sets):
-            for w in range(self.ways):
-                if self.valid[si, w]:
-                    out.add(int(self.tags[si, w] * self.num_sets + si) << self.line_shift)
-        return out
 
 
 def frozen_hit_prefix(

@@ -202,18 +202,6 @@ class CacheHierarchy:
                 wb_mem += 1
         return wb_mem
 
-    def set_l1_memo(self, line_addr: int, slot: int) -> None:
-        """Reseed the same-line memo after an external bulk hit apply.
-
-        The cross-core window kernel (:func:`~repro.arch.cache.batch.
-        apply_hit_windows`) touches L1 slots without going through
-        :meth:`access`; it reseeds the memo here with the window's
-        final line/slot so the next scalar access sees exactly the
-        state a per-access walk would have left.
-        """
-        self._last_la = line_addr
-        self._last_slot = slot
-
     def contains(self, addr: int) -> bool:
         """True when the line is resident at either level (no side effects)."""
         return self.l1.probe(addr) is not None or self.l2.probe(addr) is not None

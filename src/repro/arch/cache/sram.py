@@ -124,9 +124,6 @@ class CacheArray:
     def set_index(self, addr: int) -> int:
         return self.line_addr(addr) % self.num_sets
 
-    def tag_of(self, addr: int) -> int:
-        return self.line_addr(addr) // self.num_sets
-
     # -- operations ------------------------------------------------------
     def _touch(self, slot: int) -> None:
         self._clock += 1

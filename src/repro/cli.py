@@ -733,9 +733,11 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="HOST:PORT,...",
             help="comma-separated addresses of running `repro worker` "
             "processes; sweep points are dispatched to them with "
-            "work-stealing (unreachable farm degrades to the local pool)",
+            "work-stealing (an unreachable farm degrades to local "
+            "evaluation)",
         )
         add_farm_tuning(sp)
+        add_heartbeat(sp)
         sp.add_argument(
             "--resume",
             default=None,
@@ -747,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_farm_tuning(sp):
-        """Heartbeat/liveness/auth knobs shared by both farm surfaces
+        """Auth/liveness knobs shared by both farm surfaces
         (coordinator-side sweeps and the worker itself)."""
         sp.add_argument(
             "--auth-token",
@@ -757,20 +759,21 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: $REPRO_FARM_TOKEN; unset = unauthenticated)",
         )
         sp.add_argument(
-            "--heartbeat",
-            type=float,
-            default=None,
-            metavar="SEC",
-            help="heartbeat interval in seconds (coordinator PING cadence / "
-            "worker poll cadence); must be positive",
-        )
-        sp.add_argument(
             "--worker-timeout",
             type=float,
             default=None,
             metavar="SEC",
             help="declare a silent peer dead after this many seconds; must "
             "exceed the heartbeat interval",
+        )
+
+    def add_heartbeat(sp):
+        sp.add_argument(
+            "--heartbeat",
+            type=float,
+            default=None,
+            metavar="SEC",
+            help="coordinator PING cadence in seconds; must be positive",
         )
 
     sp = sub.add_parser(
@@ -913,6 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_trace_args(sp)
     add_farm_tuning(sp)
+    add_heartbeat(sp)
     sp.add_argument("--num-workers", type=int, default=2,
                     help="embedded farm workers behind the chaos proxy")
     sp.add_argument("--sweeps", type=int, default=2,

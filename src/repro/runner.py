@@ -241,8 +241,8 @@ def run(spec: ExperimentSpec) -> dict:
 
 
 def run_spec_dict(spec: Mapping) -> dict:
-    """Worker entry point: deserialize and run. Module-level so it
-    pickles into :func:`repro.analysis.parallel.parallel_sweep` pools."""
+    """Deserialize and run one sweep point: what every sweep path
+    (serial loop, local process, farm worker) evaluates."""
     return run(ExperimentSpec.from_dict(spec))
 
 

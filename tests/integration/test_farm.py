@@ -10,10 +10,12 @@ streamed results), just without a second machine. Contracts:
   the sweep still completes exactly;
 * each trace digest is pushed to a given worker at most once, and a
   second sweep against a warm worker pushes nothing;
-* zero reachable workers degrades to the local pool with a warning;
+* zero reachable workers degrades to local evaluation with a warning;
 * a worker-side evaluation error surfaces as the same
-  :class:`~repro.analysis.parallel.SweepPointError` the local pool
-  raises, with the offending spec attached;
+  :class:`~repro.analysis.sweep.SweepPointError` a local sweep raises,
+  with the offending spec attached;
+* under ``point_timeout`` a chunk is one point, so a slow point is the
+  one the timeout names;
 * every farm connection has Nagle off, and a sweep returns as soon as
   its last row lands.
 """
@@ -23,11 +25,11 @@ import time
 
 import pytest
 
+from repro import runner
 from repro.analysis import farm as farm_mod
 from repro.analysis.cache import canonical_rows
 from repro.analysis.farm import FarmCoordinator, FarmUnavailable, farm_sweep
-from repro.analysis.parallel import SweepPointError
-from repro.analysis.sweep import sweep_specs
+from repro.analysis.sweep import SweepPointError, sweep_specs
 from repro.analysis.worker import WorkerServer
 from repro.runner import clear_build_memo, merge_spec
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
@@ -73,6 +75,36 @@ def test_farm_rows_bit_identical_to_serial(workers):
     assert [list(r) for r in farm] == [list(r) for r in serial]
 
 
+def test_one_row_format_across_every_path(workers, tmp_path, monkeypatch):
+    """Serial, local processes, a socket farm, a warm cache and a resume
+    store all hand back the same rows, key order included."""
+    import importlib
+
+    from repro.analysis.cache import ResultCache
+
+    # force local processes even on a 1-CPU host
+    monkeypatch.setattr(
+        importlib.import_module("repro.analysis.sweep"), "default_workers", lambda: 2
+    )
+    base, points = _base(), _points()
+    serial = sweep_specs(base, points)
+    with ResultCache(tmp_path / "cache.rpjl") as store:
+        sweep_specs(base, points, cache=store)
+    with ResultCache(tmp_path / "cache.rpjl") as store:
+        warm = sweep_specs(base, points, cache=store)
+        assert store.hits == len(points)
+    sweep_specs(base, points, resume=tmp_path / "resume.rpjl")
+    paths = {
+        "workers=2": sweep_specs(base, points, workers=2),
+        "farm": sweep_specs(base, points, farm=_addrs(workers)),
+        "warm cache": warm,
+        "resume": sweep_specs(base, points, resume=tmp_path / "resume.rpjl"),
+    }
+    for name, rows in paths.items():
+        assert rows == serial, name
+        assert [list(r) for r in rows] == [list(r) for r in serial], name
+
+
 def test_farm_streams_results_in_spec_order(workers):
     """Row order is by point index regardless of which worker computed
     what — the scheme column must match the grid exactly."""
@@ -102,8 +134,9 @@ def test_worker_death_mid_chunk_requeues_to_survivor():
     try:
         with pytest.warns(RuntimeWarning, match="dropped"):
             metrics = farm_sweep(
-                spec_dicts, [flaky.address, steady.address],
-                chunk=1, stats_out=stats,
+                spec_dicts,
+                {"addrs": [flaky.address, steady.address], "chunk": 1},
+                stats_out=stats,
             )
     finally:
         flaky.stop()
@@ -148,7 +181,7 @@ def test_zero_workers_degrades_to_local_pool():
         rows = sweep_specs(base, points, farm=["127.0.0.1:1"])
     msgs = [str(w.message) for w in rec]
     assert any("unreachable" in m for m in msgs)
-    assert any("degrading to the local pool" in m for m in msgs)
+    assert any("degrading to local evaluation" in m for m in msgs)
     assert canonical_rows(rows) == serial
 
 
@@ -164,7 +197,7 @@ def test_farm_sweep_raises_farm_unavailable_directly():
 def test_worker_side_error_surfaces_as_sweep_point_error(workers):
     """A spec that builds on the coordinator but fails to evaluate on
     the worker (bogus scheme param) must abort the sweep with the
-    local pool's exception type, spec attached."""
+    exception type a local sweep raises, spec attached."""
     base = _base()
     points = [{"scheme": "history"},
               {"scheme": {"name": "distance-1", "params": {"distance": -7}}}]
@@ -173,6 +206,33 @@ def test_worker_side_error_surfaces_as_sweep_point_error(workers):
     with pytest.raises(SweepPointError) as err:
         farm_sweep(spec_dicts, _addrs(workers))
     assert "worker" in str(err.value)
+    assert err.value.point == spec_dicts[1]
+
+
+def test_point_timeout_names_the_slow_point(workers, monkeypatch):
+    """Under ``point_timeout`` every chunk is one point and the
+    coordinator keeps the deadline, so the error names the point that
+    overran it, never a later point of the same chunk, even when the
+    farm asks for 4-point chunks."""
+    spec_dicts = [merge_spec(_base(), p).to_dict() for p in _points()]
+    real = runner.run_spec_dict
+
+    def slow_first(spec):
+        if spec == spec_dicts[0]:
+            time.sleep(2.5)
+        return real(spec)
+
+    monkeypatch.setattr(runner, "run_spec_dict", slow_first)
+    t0 = time.monotonic()
+    with pytest.raises(SweepPointError, match="point_timeout") as err:
+        farm_sweep(
+            spec_dicts,
+            {"addrs": [workers[0].address], "chunk": 4},
+            point_timeout=1.0,
+        )
+    assert err.value.point == spec_dicts[0]
+    assert "worker" in str(err.value)
+    assert time.monotonic() - t0 < 2.5
 
 
 # ------------------------------------------------------------ wire latency
@@ -224,8 +284,7 @@ def test_sweep_returns_as_soon_as_its_last_row_lands(workers, monkeypatch):
     stats: dict = {}
     farm_sweep(
         spec_dicts,
-        _addrs(workers),
-        chunk=1,
+        {"addrs": _addrs(workers), "chunk": 1},
         stats_out=stats,
         on_row=lambda i, row: landed.append(time.monotonic()),
     )

@@ -37,8 +37,7 @@ from repro.analysis.farm import (
     recv_frame,
 )
 from repro.analysis.journal import SweepJournal
-from repro.analysis.parallel import SweepPointError
-from repro.analysis.sweep import sweep_specs
+from repro.analysis.sweep import SweepPointError, sweep_specs
 from repro.analysis.worker import WorkerServer
 from repro.runner import merge_spec
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
@@ -213,7 +212,9 @@ def test_reconnect_resumes_trace_store_trace_pushed_once():
     stats: dict = {}
     try:
         metrics = farm_sweep(
-            spec_dicts, [flaky.address], chunk=1, reconnect=4, stats_out=stats
+            spec_dicts,
+            {"addrs": [flaky.address], "chunk": 1, "reconnect": 4},
+            stats_out=stats,
         )
     finally:
         flaky.stop()
@@ -235,9 +236,11 @@ def test_reconnect_zero_keeps_old_die_fast_semantics():
         with pytest.warns(RuntimeWarning, match="dropped"):
             farm_sweep(
                 spec_dicts,
-                [flaky.address, steady.address],
-                chunk=1,
-                reconnect=0,
+                {
+                    "addrs": [flaky.address, steady.address],
+                    "chunk": 1,
+                    "reconnect": 0,
+                },
                 stats_out=stats,
             )
     finally:
@@ -255,8 +258,7 @@ def test_wrong_token_is_permanent_and_never_redialed():
         with pytest.warns(RuntimeWarning, match="rejected permanently"):
             farm_sweep(
                 spec_dicts,
-                {"addrs": [server.address], "auth_token": "wrong"},
-                reconnect=3,
+                {"addrs": [server.address], "auth_token": "wrong", "reconnect": 3},
             )
         assert server.auth_failures >= 1
     finally:

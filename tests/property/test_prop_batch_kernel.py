@@ -1,12 +1,9 @@
 """Property tests for the vectorized cache-batch kernels.
 
-The epoch-batched fast path (ISSUE 6) rests on three kernels in
+The epoch-batched fast path (ISSUE 6) rests on two kernels in
 :mod:`repro.arch.cache.batch`; each must be *exactly* equivalent to
 driving the scalar structures access by access:
 
-* :class:`L1BlockKernel` vs a scalar :class:`CacheArray` — same hit
-  bits, same counters, same resident lines, for randomized (addr,
-  write) blocks across associativities.
 * :func:`frozen_hit_prefix` — classifies precisely the accesses that
   the live array would hit without state change.
 * :func:`apply_hit_prefix` — bulk hit application leaves the array in
@@ -19,7 +16,7 @@ randomized coverage deterministically.
 import numpy as np
 import pytest
 
-from repro.arch.cache.batch import L1BlockKernel, apply_hit_prefix, frozen_hit_prefix
+from repro.arch.cache.batch import apply_hit_prefix, frozen_hit_prefix
 from repro.arch.cache.hierarchy import CacheHierarchy
 from repro.arch.cache.sram import CacheArray
 from repro.arch.config import CacheConfig
@@ -32,60 +29,6 @@ def _random_block(rng, n, line_bytes, num_lines):
     addrs = lines * line_bytes + offsets
     writes = rng.random(n) < 0.4
     return addrs, writes
-
-
-def _scalar_reference(config, addrs, writes):
-    """Drive a scalar CacheArray access by access; return hit bits."""
-    arr = CacheArray(config)
-    hits = np.zeros(len(addrs), dtype=bool)
-    for i, (a, w) in enumerate(zip(addrs.tolist(), writes.tolist())):
-        slot = arr.lookup(a)
-        if slot is None:
-            arr.fill(a, dirty=w)
-        else:
-            hits[i] = True
-            if w:
-                arr.dirty[slot] = True
-    return arr, hits
-
-
-@pytest.mark.parametrize("assoc", [1, 2, 4, 8])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_block_kernel_matches_scalar_array(assoc, seed):
-    config = CacheConfig(
-        size_bytes=32 * assoc * 8, line_bytes=32, associativity=assoc
-    )
-    rng = np.random.default_rng(seed)
-    # address pool 3x the cache's line capacity: plenty of conflict misses
-    addrs, writes = _random_block(rng, 400, 32, config.num_lines * 3)
-
-    kernel = L1BlockKernel(config)
-    got = kernel.apply(addrs, writes)
-    arr, want = _scalar_reference(config, addrs, writes)
-
-    assert got.tolist() == want.tolist()
-    assert kernel.hits == arr.hits
-    assert kernel.misses == arr.misses
-    assert kernel.evictions == arr.evictions
-    assert kernel.resident_lines() == set(arr.resident_addrs())
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_block_kernel_incremental_equals_one_shot(seed):
-    """Applying a block in chunks equals applying it at once."""
-    config = CacheConfig(size_bytes=1024, line_bytes=32, associativity=2)
-    rng = np.random.default_rng(seed)
-    addrs, writes = _random_block(rng, 300, 32, config.num_lines * 2)
-
-    whole = L1BlockKernel(config)
-    hits_whole = whole.apply(addrs, writes)
-
-    chunked = L1BlockKernel(config)
-    parts = []
-    for lo in range(0, len(addrs), 37):
-        parts.append(chunked.apply(addrs[lo : lo + 37], writes[lo : lo + 37]))
-    assert np.concatenate(parts).tolist() == hits_whole.tolist()
-    assert chunked.resident_lines() == whole.resident_lines()
 
 
 @pytest.mark.parametrize("assoc", [1, 2, 4])

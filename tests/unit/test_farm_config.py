@@ -1,9 +1,10 @@
 """Unit tests for farm configuration and the auth primitives (ISSUE 10).
 
 Covers the knobs the CLI exposes (``--heartbeat``/``--worker-timeout``/
-``--auth-token``), their :class:`ConfigError` validation, the
-``farm=`` mapping form, and the HMAC challenge-response helpers whose
-domain separation keeps one side's proof from being reflected back.
+``--auth-token``; a worker takes the last two), their
+:class:`ConfigError` validation, the ``farm=`` mapping form, and the
+HMAC challenge-response helpers whose domain separation keeps one
+side's proof from being reflected back.
 """
 
 import pytest
@@ -72,8 +73,6 @@ def test_coordinator_validates_intervals_and_reconnect():
 def test_worker_validates_its_knobs():
     with pytest.raises(ConfigError, match="idle timeout"):
         WorkerServer(idle_timeout=0)
-    with pytest.raises(ConfigError, match="poll interval"):
-        WorkerServer(poll_interval=-1)
     with pytest.raises(ConfigError, match="auth token"):
         WorkerServer(auth_token="")
 

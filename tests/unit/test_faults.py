@@ -108,16 +108,25 @@ class TestDeterminism:
         assert first["faults.total"] > 0
 
     def test_cross_process_digest_matches_serial(self, monkeypatch):
-        """The pool path (serialized spec dicts, fresh workers) must
-        reproduce the in-process fault schedule exactly."""
-        import repro.analysis.parallel as par
-        from repro.analysis.parallel import shutdown_pool
+        """Local worker processes (serialized spec dicts, fed by the
+        farm coordinator) must reproduce the in-process fault schedule
+        exactly."""
+        import importlib
+
+        from repro.analysis.farm import FarmCoordinator
         from repro.analysis.sweep import sweep_specs
 
-        # force the pool even on 1-CPU hosts, else workers=2 silently
-        # degrades to the serial loop and proves nothing
-        monkeypatch.setattr(par, "default_workers", lambda: 2)
-        shutdown_pool()
+        # force local processes even on 1-CPU hosts, else workers=2
+        # silently runs the serial loop and proves nothing
+        sweep_mod = importlib.import_module("repro.analysis.sweep")
+        monkeypatch.setattr(sweep_mod, "default_workers", lambda: 2)
+        started = []
+        real_start = FarmCoordinator._start_local
+        monkeypatch.setattr(
+            FarmCoordinator,
+            "_start_local",
+            lambda self: started.append(self.local) or real_start(self),
+        )
 
         base = _spec()
         points = [
@@ -127,6 +136,7 @@ class TestDeterminism:
         ]
         serial = sweep_specs(base, points, workers=1)
         parallel = sweep_specs(base, points, workers=2)
+        assert started == [2]
         assert parallel == serial
 
 

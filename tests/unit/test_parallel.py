@@ -1,93 +1,106 @@
-"""Unit tests for the process-parallel sweep executor.
+"""Unit tests for parallel sweeps on local worker processes.
 
-The load-bearing property is ISSUE 1's equivalence guarantee: a sweep
+The load-bearing property is the equivalence guarantee: a spec sweep
 run with ``workers=4`` must produce the *identical* row list — values,
-types, and ordering — as ``workers=1``, and a worker failure must
-surface in the parent naming the sweep point that caused it.
+types, and key order — as ``workers=1``, and a failing point must
+surface in the parent naming the sweep point that caused it. Parallel
+sweeps run on the farm coordinator's local links
+(:class:`repro.analysis.farm.FarmCoordinator` with ``local=N``), the
+same dispatcher that feeds socket workers.
 
-Callbacks used in the pool tests live at module level: closures do not
-pickle, and an unpicklable callback (deliberately) degrades to the
-serial path, which would make the parallel tests vacuous.
+Local processes are forked, so a function patched over
+``repro.runner.run_spec_dict`` before a sweep runs in them too; that
+is how these tests make a point fail, hang, or kill its process.
 """
 
+import importlib
+import multiprocessing
 import os
 import pickle
 import time
 
 import pytest
 
-from repro.analysis.parallel import (
-    POOL_MIN_POINTS,
+from repro import runner
+from repro.analysis.farm import FarmCoordinator, farm_sweep
+from repro.analysis.sweep import (
+    LOCAL_MIN_POINTS,
     SweepPointError,
     default_workers,
     effective_workers,
+    eval_specs,
+    grid,
     merge_row,
-    parallel_sweep,
-    shutdown_pool,
+    sweep,
+    sweep_specs,
 )
-from repro.analysis.sweep import grid
-from repro.arch.config import small_test_config
-from repro.core.costs import CostModel
-from repro.core.decision import AlwaysMigrate, HistoryRunLength
-from repro.core.evaluation import evaluate_scheme
-from repro.placement import first_touch
-from repro.trace.synthetic import make_workload
+from repro.runner import merge_spec
+from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
 from repro.util.errors import ConfigError
 
+# the package re-exports a function named ``sweep`` over the module
+sweep_mod = importlib.import_module("repro.analysis.sweep")
+
 _WORKLOADS = {
-    "pingpong": dict(name="pingpong", num_threads=4, rounds=16, run=4),
-    "uniform": dict(name="uniform", num_threads=4, accesses_per_thread=64),
+    "pingpong": {"name": "pingpong", "params": {"num_threads": 4, "rounds": 16, "run": 4}},
+    "uniform": {"name": "uniform", "params": {"num_threads": 4, "accesses_per_thread": 64}},
 }
 
-
-def _make_scheme(name):
-    if name == "always":
-        return AlwaysMigrate()
-    return HistoryRunLength(threshold=3.0)
+#: builds on the parent, fails to evaluate (no such scheme parameter)
+_BAD_SCHEME = {"name": "distance-1", "params": {"distance": -7}}
 
 
-def _eval_real_point(workload, scheme):
-    """A real evaluation: trace generation + scheme walk, per point."""
-    params = dict(_WORKLOADS[workload])
-    trace = make_workload(params.pop("name"), **params)
-    placement = first_touch(trace, 4)
-    cm = CostModel(small_test_config(num_cores=4))
-    metrics = evaluate_scheme(trace, placement, _make_scheme(scheme), cm).as_dict()
-    metrics.pop("scheme")  # would collide with the point's 'scheme' key
-    return metrics
+def _base() -> ExperimentSpec:
+    return ExperimentSpec(
+        workload=WorkloadSpec(name="pingpong", params={"num_threads": 4, "rounds": 8}),
+        machine=MachineSpec(name="analytical", cores=4, preset="small-test"),
+        placement=PlacementSpec(name="first-touch"),
+    )
 
 
-def _ident(x):
-    return {"y": x}
+def _seed_points(n):
+    return [
+        {"workload": {"name": "uniform",
+                      "params": {"num_threads": 4, "accesses_per_thread": 32, "seed": s}}}
+        for s in range(n)
+    ]
 
 
-def _boom(x):
-    if x == 3:
-        raise ValueError("x exploded")
-    return {"y": x}
+def _spec_dicts(points):
+    base = _base()
+    return [merge_spec(base, p).to_dict() for p in points]
 
 
-def _collide(x):
-    return {"x": x}
+def _serial_rows(spec_dicts):
+    rows, exc = eval_specs(spec_dicts)
+    assert exc is None
+    return rows
 
 
-class _Unpicklable(Exception):
-    def __init__(self, handle):
-        super().__init__("holds a live handle")
-        self.handle = handle
+@pytest.fixture(autouse=True)
+def _two_cpus(monkeypatch):
+    """Force local processes: 1-CPU hosts clamp workers to 1 and these
+    tests would silently exercise the serial loop instead."""
+    monkeypatch.setattr(sweep_mod, "default_workers", lambda: 2)
 
 
-def _boom_unpicklable(x):
-    raise _Unpicklable(handle=lambda: None)
+def _patch_eval(monkeypatch, fn):
+    """Run ``fn(spec, real)`` in place of every point's evaluation."""
+    real = runner.run_spec_dict
+    monkeypatch.setattr(runner, "run_spec_dict", lambda spec: fn(spec, real))
 
 
 class TestParallelMatchesSerial:
     def test_rows_identical_schemes_x_workloads(self):
         """2 schemes x 2 workloads: workers=4 rows == workers=1 rows,
-        including value types (pickle round trips preserve numpy)."""
-        points = grid(workload=sorted(_WORKLOADS), scheme=["always", "history"])
-        serial = parallel_sweep(points, _eval_real_point, workers=1)
-        par = parallel_sweep(points, _eval_real_point, workers=4)
+        including value types and key order."""
+        points = [
+            {"workload": w, "scheme": s}
+            for w in _WORKLOADS.values()
+            for s in ("always-migrate", "history")
+        ]
+        serial = sweep_specs(_base(), points, workers=1)
+        par = sweep_specs(_base(), points, workers=4)
         assert par == serial
         for a, b in zip(serial, par):
             assert list(a) == list(b)  # key order too
@@ -97,27 +110,47 @@ class TestParallelMatchesSerial:
         assert repr(par) == repr(serial)
 
     def test_ordering_with_explicit_chunks(self):
-        points = grid(x=list(range(13)))
-        rows = parallel_sweep(points, _ident, workers=3, chunk=2)
-        assert [r["x"] for r in rows] == list(range(13))
+        spec_dicts = _spec_dicts(_seed_points(13))
+        coord = FarmCoordinator(spec_dicts, local=3, chunk=2)
+        assert coord.run() == _serial_rows(spec_dicts)
+        assert coord.stats["chunks"] == 7
 
     def test_single_point_and_empty(self):
-        assert parallel_sweep([{"x": 9}], _ident, workers=4) == [{"x": 9, "y": 9}]
-        assert parallel_sweep([], _ident, workers=4) == []
+        point = [{"scheme": "history"}]
+        assert sweep_specs(_base(), point, workers=4) == sweep_specs(_base(), point)
+        assert sweep_specs(_base(), [], workers=4) == []
 
 
 class TestFailureAttribution:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_exception_carries_failing_point(self, workers):
+        points = [{"scheme": s} for s in ("never-migrate", "history")]
+        points += [{"scheme": _BAD_SCHEME}, {"scheme": "costaware"}]
         with pytest.raises(SweepPointError) as ei:
-            parallel_sweep(grid(x=[1, 2, 3, 4]), _boom, workers=workers)
-        assert ei.value.point == {"x": 3}
-        assert "x exploded" in str(ei.value)
+            sweep_specs(_base(), points, workers=workers)
+        assert ei.value.point == _spec_dicts(points)[2]
+        assert "unexpected keyword argument 'distance'" in str(ei.value)
 
-    def test_unpicklable_exception_still_attributed(self):
-        with pytest.raises(SweepPointError) as ei:
-            parallel_sweep(grid(x=[1]), _boom_unpicklable, workers=1)
-        assert ei.value.point == {"x": 1}
+    def test_unpicklable_exception_still_attributed(self, monkeypatch):
+        """An exception that cannot cross a process boundary is still
+        reported, by message, against its point."""
+
+        class Unpicklable(Exception):
+            def __init__(self):
+                super().__init__("holds a live handle")
+                self.handle = lambda: None
+
+        victim = _spec_dicts(_seed_points(4))[1]
+
+        def boom(spec, real):
+            if spec == victim:
+                raise Unpicklable()
+            return real(spec)
+
+        _patch_eval(monkeypatch, boom)
+        with pytest.raises(SweepPointError, match="holds a live handle") as ei:
+            sweep_specs(_base(), _seed_points(4), workers=2)
+        assert ei.value.point == victim
 
     def test_sweep_point_error_survives_pickling(self):
         err = SweepPointError("boom", point={"x": 3})
@@ -126,39 +159,52 @@ class TestFailureAttribution:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_metric_key_collision_is_config_error(self, workers):
-        with pytest.raises(ConfigError, match="'x'"):
-            parallel_sweep(grid(x=[1, 2]), _collide, workers=workers)
+        """The analytical evaluator reports a ``scheme`` metric. A spec
+        sweep keeps its ``scheme`` axis label over it, on local
+        processes as in-process; a callback sweep handed those rows as
+        metrics raises ConfigError naming the key."""
+        points = [{"scheme": s} for s in ("never-migrate", "always-migrate",
+                                          "history", "costaware")]
+        rows = sweep_specs(_base(), points, workers=workers)
+        assert [r["scheme"] for r in rows] == [p["scheme"] for p in points]
+        it = iter(rows)
+        with pytest.raises(ConfigError, match="'scheme'"):
+            sweep(points, lambda scheme: next(it))
 
 
 class TestDegradation:
     def test_unpicklable_callback_falls_back_to_serial(self):
+        """``sweep`` runs its callback in-process, in point order, so a
+        closure (which would not pickle) is fine."""
         calls = []
 
-        def fn(x):  # closure: unpicklable, must run in-process
+        def fn(x):
             calls.append(x)
             return {"y": x * 2}
 
-        rows = parallel_sweep(grid(x=[1, 2, 3]), fn, workers=4)
+        rows = sweep(grid(x=[1, 2, 3]), fn)
         assert rows == [{"x": 1, "y": 2}, {"x": 2, "y": 4}, {"x": 3, "y": 6}]
         assert calls == [1, 2, 3]
 
-    def test_workers_none_uses_cpu_count(self):
+    def test_workers_none_uses_cpu_count(self, monkeypatch):
+        monkeypatch.undo()
         assert default_workers() >= 1
-        rows = parallel_sweep(grid(x=[1, 2]), _ident, workers=None)
-        assert [r["x"] for r in rows] == [1, 2]
+        points = _seed_points(4)
+        assert sweep_specs(_base(), points, workers=None) == sweep_specs(_base(), points)
 
     def test_bad_workers_and_chunk_rejected(self):
-        with pytest.raises(ConfigError):
-            parallel_sweep(grid(x=[1]), _ident, workers=0)
-        with pytest.raises(ConfigError):
-            parallel_sweep(grid(x=[1, 2]), _ident, workers=2, chunk=0)
+        with pytest.raises(ConfigError, match="workers"):
+            sweep_specs(_base(), _seed_points(1), workers=0)
+        with pytest.raises(ConfigError, match="chunk"):
+            FarmCoordinator(_spec_dicts(_seed_points(2)), local=2, chunk=0)
+        with pytest.raises(ConfigError, match="chunk"):
+            farm_sweep(
+                _spec_dicts(_seed_points(2)), {"addrs": ["127.0.0.1:1"], "chunk": 0}
+            )
 
 
 class TestScheduling:
-    def test_effective_workers_clamps_to_cpu_count(self, monkeypatch):
-        import repro.analysis.parallel as par
-
-        monkeypatch.setattr(par, "default_workers", lambda: 2)
+    def test_effective_workers_clamps_to_cpu_count(self):
         assert effective_workers(8) == 2
         assert effective_workers(1) == 1
         assert effective_workers(None) == 2
@@ -168,93 +214,101 @@ class TestScheduling:
             effective_workers(0)
 
     def test_small_sweeps_skip_the_pool(self, monkeypatch):
-        """Below POOL_MIN_POINTS the pool must not even be created —
-        startup costs more than the points."""
-        import repro.analysis.parallel as par
-
-        monkeypatch.setattr(par, "default_workers", lambda: 4)
-        created = []
-        real_get = par._get_pool
+        """Below LOCAL_MIN_POINTS no process is started — startup costs
+        more than the points."""
+        started = []
+        real = FarmCoordinator._start_local
         monkeypatch.setattr(
-            par, "_get_pool", lambda n: created.append(n) or real_get(n)
+            FarmCoordinator,
+            "_start_local",
+            lambda self: started.append(self.local) or real(self),
         )
-        points = grid(x=list(range(POOL_MIN_POINTS - 1)))
-        rows = parallel_sweep(points, _ident, workers=4)
-        assert [r["x"] for r in rows] == list(range(POOL_MIN_POINTS - 1))
-        assert created == []
+        points = _seed_points(LOCAL_MIN_POINTS - 1)
+        assert sweep_specs(_base(), points, workers=2) == sweep_specs(_base(), points)
+        assert started == []
+        sweep_specs(_base(), _seed_points(LOCAL_MIN_POINTS), workers=2)
+        assert started == [2]
 
-    def test_pool_is_reused_across_sweeps(self, monkeypatch):
-        import repro.analysis.parallel as par
-
-        monkeypatch.setattr(par, "default_workers", lambda: 2)
-        shutdown_pool()
-        points = grid(x=list(range(8)))
-        parallel_sweep(points, _ident, workers=2)
-        first = par._pool
-        assert first is not None
-        parallel_sweep(points, _ident, workers=2)
-        assert par._pool is first
-        shutdown_pool()
-        assert par._pool is None
-
-
-def _sleepy(x):
-    if x == 2:
-        time.sleep(60)
-    return {"y": x}
-
-
-def _worker_suicide(x):
-    """Dies instantly in any pool worker; evaluates fine in-process."""
-    import multiprocessing
-
-    if multiprocessing.current_process().name != "MainProcess":
-        os._exit(1)
-    return {"y": x}
+    def test_no_process_outlives_a_sweep(self):
+        sweep_specs(_base(), _seed_points(6), workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestHardening:
-    @pytest.fixture(autouse=True)
-    def _two_workers(self, monkeypatch):
-        """Force the pool path: 1-CPU hosts clamp workers to 1 and these
-        tests would silently exercise the serial loop instead."""
-        import repro.analysis.parallel as par
-
-        monkeypatch.setattr(par, "default_workers", lambda: 2)
-        shutdown_pool()
-        yield
-        shutdown_pool()
-
-    def test_point_timeout_kills_hung_worker(self):
+    def test_point_timeout_kills_hung_worker(self, monkeypatch):
         """A point that never returns must surface as SweepPointError
-        naming that point within ~point_timeout, not hang the sweep."""
-        points = grid(x=list(range(6)))
+        naming that point within ~point_timeout, not hang the sweep,
+        and its process must not survive the sweep."""
+        victim = _spec_dicts(_seed_points(6))[2]
+
+        def hang(spec, real):
+            if spec == victim:
+                time.sleep(60)
+            return real(spec)
+
+        _patch_eval(monkeypatch, hang)
         t0 = time.perf_counter()
         with pytest.raises(SweepPointError, match="point_timeout") as ei:
-            parallel_sweep(points, _sleepy, workers=2, point_timeout=1.0)
-        assert ei.value.point == {"x": 2}
-        assert time.perf_counter() - t0 < 30  # far below the 60s sleep
-        # the broken pool was disposed; the next sweep gets a fresh one
-        rows = parallel_sweep(grid(x=list(range(6))), _ident, workers=2)
-        assert [r["y"] for r in rows] == list(range(6))
+            sweep_specs(_base(), _seed_points(6), workers=2, point_timeout=1.0)
+        assert ei.value.point == victim
+        assert time.perf_counter() - t0 < 10  # far below the 60s sleep
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        assert len(sweep_specs(_base(), _seed_points(6), workers=2)) == 6
 
     def test_point_timeout_defaults_chunk_to_one(self):
         """With a timeout, every chunk is a single point so the error
         attributes exactly (no innocent chunk-mates blamed)."""
-        points = grid(x=list(range(12)))
-        rows = parallel_sweep(points, _ident, workers=2, point_timeout=30.0)
-        assert [r["y"] for r in rows] == list(range(12))
+        spec_dicts = _spec_dicts(_seed_points(12))
+        coord = FarmCoordinator(spec_dicts, local=2, chunk=4, point_timeout=30.0)
+        assert coord.run() == _serial_rows(spec_dicts)
+        assert coord.stats["chunks"] == 12
 
     def test_point_timeout_validation(self):
         with pytest.raises(ConfigError, match="point_timeout"):
-            parallel_sweep(grid(x=[0, 1, 2, 3]), _ident, workers=2, point_timeout=0)
+            sweep_specs(_base(), _seed_points(4), workers=2, point_timeout=0)
 
-    def test_persistently_broken_pool_finishes_serially(self):
-        """Workers that die on arrival break the pool; after one fresh
-        retry the sweep must complete in-process, never raise or hang."""
-        points = grid(x=list(range(8)))
-        rows = parallel_sweep(points, _worker_suicide, workers=2)
-        assert [r["y"] for r in rows] == list(range(8))
+    def test_killed_process_has_its_chunk_requeued(self, monkeypatch, tmp_path):
+        """A local process that dies mid-chunk: its points go back to
+        the queue, a surviving process evaluates them, and the rows are
+        the serial rows."""
+        spec_dicts = _spec_dicts(_seed_points(8))
+        serial = _serial_rows(spec_dicts)
+        marker = tmp_path / "killed"
+
+        def die_once(spec, real):
+            if spec == spec_dicts[3] and not marker.exists():
+                marker.touch()
+                os._exit(1)
+            return real(spec)
+
+        _patch_eval(monkeypatch, die_once)
+        coord = FarmCoordinator(spec_dicts, local=2)
+        with pytest.warns(RuntimeWarning, match="died"):
+            rows = coord.run()
+        assert marker.exists()
+        assert rows == serial
+        assert coord.stats["requeues"] == 1
+        assert coord.stats["local_leftovers"] == 0
+
+    def test_persistently_broken_pool_finishes_serially(self, monkeypatch):
+        """Processes that die on every point leave the sweep to the
+        serial leftovers: it completes in-process, never raises or
+        hangs."""
+        parent = os.getpid()
+
+        def die_in_child(spec, real):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(spec)
+
+        points = _seed_points(8)
+        serial = sweep_specs(_base(), points)
+        _patch_eval(monkeypatch, die_in_child)
+        with pytest.warns(RuntimeWarning) as rec:
+            rows = sweep_specs(_base(), points, workers=2)
+        assert rows == serial
+        assert any("remaining point" in str(w.message) for w in rec)
 
 
 class TestMergeRow:

@@ -1,15 +1,26 @@
 """Unit tests for sweep utilities."""
 
+import importlib
 import math
 
 import pytest
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.sweep import geomean, grid, normalize, sweep, sweep_specs
+from repro.analysis.sweep import (
+    LOCAL_MIN_POINTS,
+    geomean,
+    grid,
+    normalize,
+    sweep,
+    sweep_specs,
+)
 from repro.runner import build_workload, clear_build_memo
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
 from repro.trace.io import save_multitrace
 from repro.util.errors import ConfigError
+
+# the package re-exports a function named ``sweep`` over the module
+sweep_mod = importlib.import_module("repro.analysis.sweep")
 
 
 class TestGrid:
@@ -43,10 +54,17 @@ class TestSweep:
         with pytest.raises(ConfigError, match="'x'"):
             sweep(grid(x=[1, 2]), lambda x: {"x": x, "y": 1})
 
-    def test_workers_kwarg_preserves_rows(self):
-        # closure callback -> degrades to serial; rows must be unchanged
-        rows = sweep(grid(x=[1, 2, 3]), lambda x: {"y": x * 10}, workers=4)
-        assert rows == [{"x": 1, "y": 10}, {"x": 2, "y": 20}, {"x": 3, "y": 30}]
+    def test_workers_kwarg_preserves_rows(self, monkeypatch):
+        """``sweep`` is the in-process loop and takes no ``workers``;
+        the sweep that does, ``sweep_specs``, must give the in-process
+        rows on local worker processes: values, types and key order."""
+        # a 1-CPU host would clamp workers to 1 and start no process
+        monkeypatch.setattr(sweep_mod, "default_workers", lambda: 2)
+        points = [{"scheme": s} for s in ("never-migrate", "always-migrate",
+                                          "history", "costaware")]
+        assert len(points) >= LOCAL_MIN_POINTS
+        serial = sweep_specs(_base_spec(), points, workers=1)
+        assert repr(sweep_specs(_base_spec(), points, workers=4)) == repr(serial)
 
 
 def _base_spec() -> ExperimentSpec:

@@ -4,7 +4,6 @@
   optimum (the paper's "future research" question, §5);
 * guest-context count: evictions appear under context pressure;
 * NoC fidelity: analytical vs contention timing;
-* eviction policy: LRU vs newest-first victims;
 * dynamic vs static placement (epoch re-homing).
 """
 
@@ -125,34 +124,6 @@ def test_noc_contention_fidelity(benchmark):
         ),
     )
     assert out[True] >= out[False] - 1e-9
-
-
-def test_eviction_policy(benchmark):
-    """LRU vs newest-first guest eviction under convergence."""
-    trace = cached_workload(
-        "hotspot", num_threads=16, accesses_per_thread=64, hot_fraction=0.6, burst=2,
-        seed=3,
-    )
-
-    def run_both():
-        rows = []
-        for policy in ("lru", "newest"):
-            cfg = small_test_config(num_cores=16, guest_contexts=2)
-            pl = first_touch(trace, 16)
-            m = EM2Machine(trace, pl, cfg)
-            for ctx in m.contexts:
-                ctx.eviction_policy = policy
-            m.run()
-            r = m.results()
-            rows.append(
-                {"policy": policy, "evictions": r["evictions"],
-                 "completion": r["completion_time"]}
-            )
-        return rows
-
-    rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    emit("ablation: guest eviction policy (hotspot, EM2)", format_table(rows))
-    assert all(r["evictions"] > 0 for r in rows)
 
 
 def test_topology_mesh_vs_torus(benchmark):

@@ -6,8 +6,13 @@ box: ``repro worker --listen HOST:PORT`` processes
 built here shards the grid across them. Everything is stdlib
 (``socket``/``struct``/``threading``) — the serialization substrate
 already exists, because sweep points are canonical
-:class:`~repro.spec.ExperimentSpec` dicts and workloads are addressed
-by ``WorkloadSpec.cache_key`` digests.
+:class:`~repro.spec.ExperimentSpec` dicts and traces are addressed by
+digest: a generated workload by its ``WorkloadSpec.cache_key``, a trace
+file by its content (:meth:`~repro.trace.events.MultiTrace.digest`),
+since a path says nothing about the bytes behind it. ``TRACE_QUERY``'s
+``files`` maps each trace file's cache key to that digest, so a worker
+evaluates this session's bytes even when it holds another version's
+under the same path, or cannot open the path at all.
 
 Wire format (RPFM v2): every frame is a fixed header ``!4sBBxxI`` —
 magic ``b"RPFM"``, protocol version, message kind, body length —
@@ -39,8 +44,9 @@ Session, coordinator's view of one worker::
     <- AUTH_CHALLENGE            {"nonce"}              (token-gated workers)
     -> AUTH_RESPONSE             {"mac"}
     <- HELLO_ACK                 {"pid", "cpu_count", ["auth"], ...}
-    -> TRACE_QUERY               {"digests": [cache_key, ...]}
-    <- TRACE_HAVE                {"have": [cache_key, ...]}
+    -> TRACE_QUERY               {"digests": [digest, ...],
+                                  "files": {cache_key: digest, ...}}
+    <- TRACE_HAVE                {"have": [digest, ...]}
     -> TRACE_PUT (pickle)        one per digest the worker lacks
     <- TRACE_OK                  per TRACE_PUT
     -> BEGIN
@@ -473,13 +479,10 @@ class FarmCoordinator:
         # socket workers are offered every trace by digest; local
         # processes build (or inherit) their own
         self._workload_by_key: dict[str, dict] = {}
+        self._files: dict[str, str] = {}  # trace file cache key -> digest
         for spec in self.spec_dicts if self.farm else ():
-            wdict = spec.get("workload")
-            if wdict is not None:
-                from repro.spec import WorkloadSpec
-
-                key = WorkloadSpec.from_dict(wdict).cache_key()
-                self._workload_by_key.setdefault(key, wdict)
+            if spec.get("workload") is not None:
+                self._offer(spec)
         self.stats: dict = {
             "points": n,
             "workers": {},
@@ -724,6 +727,34 @@ class FarmCoordinator:
                     f"worker {link.addr} failed to prove the shared secret"
                 )
 
+    def _offer(self, spec: dict) -> None:
+        """Offer ``spec``'s trace to socket workers: a generated
+        workload under its cache key, a trace file under the digest of
+        the bytes it holds now (read once, and pushed as read). A trace
+        file this process cannot read fails its point here, as the
+        serial loop would, rather than on a worker that reads another
+        file at that path."""
+        from repro.spec import WorkloadSpec
+
+        wdict = spec["workload"]
+        wspec = WorkloadSpec.from_dict(wdict)
+        key = wspec.cache_key()
+        if wspec.trace_path is None:
+            self._workload_by_key.setdefault(key, wdict)
+        elif key not in self._files:
+            from repro.runner import build_workload
+            from repro.util.errors import TraceFormatError
+
+            try:
+                trace = build_workload(wspec)
+            except (OSError, TraceFormatError) as exc:
+                raise point_failed(
+                    spec, "in this process", f"{type(exc).__name__}: {exc}"
+                ) from exc
+            digest = self._files[key] = trace.digest()
+            self._workload_by_key[digest] = wdict
+            self._trace_cache[digest] = (trace, wdict)
+
     def _negotiate_traces(self, link: _WorkerLink) -> None:
         """Trace-by-reference: digests first, bodies only where needed.
 
@@ -733,7 +764,7 @@ class FarmCoordinator:
         keys = sorted(self._workload_by_key)
         if not keys:
             return
-        send_frame(link.sock, TRACE_QUERY, {"digests": keys})
+        send_frame(link.sock, TRACE_QUERY, {"digests": keys, "files": self._files})
         kind, msg = recv_frame(link.sock)
         if kind != TRACE_HAVE:
             raise FarmError(

@@ -78,9 +78,6 @@ def _cache_array_bytes(arr, seen: set[int]) -> int:
             total += base.nbytes
         total += sys.getsizeof(col) - (col.nbytes if col.base is None else 0)
     total += _container_bytes(arr._index, seen)
-    if arr._policies is not None:
-        total += _container_bytes(arr._policies, seen)
-        total += sum(_sizeof(p) for p in arr._policies)
     return total
 
 

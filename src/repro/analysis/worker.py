@@ -9,15 +9,18 @@ thread so the connection loop keeps answering heartbeat PINGs while a
 long point runs; the coordinator distinguishes "slow but alive" from
 "dead" by exactly those PONGs.
 
-Traces arrive by reference: the coordinator sends
-``WorkloadSpec.cache_key`` digests, the worker answers with what its
-local :class:`~repro.trace.store.TraceStore` already holds, and only
-the missing traces are pushed — each installed once into the store
+Traces arrive by reference: the coordinator sends digests
+(``WorkloadSpec.cache_key`` for a generated workload, the content
+digest for a trace file), the worker answers with what its local
+:class:`~repro.trace.store.TraceStore` already holds, and only the
+missing traces are pushed — each installed once into the store
 (persistent across connections *and reconnects*, so a coordinator that
 redials after a socket reset pushes nothing) and seeded into the
-per-process build memo. Workloads the coordinator never pushed are
-simply regenerated from their spec, which is always correct because
-specs are deterministic.
+per-process build memo. A trace-file point is evaluated on the store
+copy the session's digest names, never on whatever this host has at
+that path. Workloads the coordinator never pushed are simply
+regenerated from their spec, which is always correct because specs
+are deterministic.
 
 Untrusted networks: start the worker with an auth token and every
 connection must pass an HMAC-SHA256 challenge-response before any
@@ -238,6 +241,7 @@ class WorkerServer:
                 pass
 
     def _session(self, conn: socket.socket, chunks_on_conn: int, authed: bool) -> None:
+        files: dict[str, str] = {}  # this session's trace files: cache key -> digest
         while True:
             try:
                 kind, msg = recv_frame(conn)
@@ -274,6 +278,7 @@ class WorkerServer:
             elif kind == PING:
                 send_frame(conn, PONG, {})
             elif kind == TRACE_QUERY:
+                files = dict(msg.get("files", {}))
                 have = [
                     k
                     for k in msg.get("digests", [])
@@ -292,7 +297,7 @@ class WorkerServer:
                 ):
                     self._log("test hook: dropping connection mid-chunk")
                     return  # simulated crash: no RESULT ever comes
-                if not self._serve_chunk(conn, msg):
+                if not self._serve_chunk(conn, msg, files):
                     return
             elif kind == DONE:
                 return
@@ -360,11 +365,14 @@ class WorkerServer:
             self.traces_installed += 1
         from repro.runner import seed_workload_memo
 
-        seed_workload_memo(msg["workload"], trace)
+        wdict = msg["workload"]
+        if wdict.get("trace_path") is not None:
+            wdict = self._stored_file(wdict, key)
+        seed_workload_memo(wdict, trace)
         send_frame(conn, TRACE_OK, {"key": key})
         self._log(f"installed trace {key[:12]}")
 
-    def _serve_chunk(self, conn: socket.socket, msg: dict) -> bool:
+    def _serve_chunk(self, conn: socket.socket, msg: dict, files: dict) -> bool:
         """Evaluate one chunk; keep answering PINGs meanwhile.
 
         The connection loop waits on the socket and on a self-pipe the
@@ -381,7 +389,7 @@ class WorkerServer:
         box: dict = {}
         done_r, done_w = socket.socketpair()
         th = threading.Thread(
-            target=self._eval_chunk, args=(msg, box, done_w), daemon=True
+            target=self._eval_chunk, args=(msg, box, done_w, files), daemon=True
         )
         th.start()
         sel = selectors.DefaultSelector()
@@ -422,15 +430,16 @@ class WorkerServer:
         send_frame(conn, NEXT, {})
         return True
 
-    def _eval_chunk(self, msg: dict, box: dict, done_w) -> None:
+    def _eval_chunk(self, msg: dict, box: dict, done_w, files: dict) -> None:
         t0 = time.perf_counter()
         try:
-            specs = msg.get("specs", [])
-            for spec in specs:
+            specs = []
+            for spec in msg.get("specs", []):
                 try:
-                    self._ensure_trace(spec)
+                    spec = self._local_spec(spec, files)
                 except ReproError:
                     pass  # evaluating the spec reports it, naming its point
+                specs.append(spec)
             rows, exc = eval_specs(specs)
             box["rows"] = rows
             if exc is not None:
@@ -443,26 +452,32 @@ class WorkerServer:
             except OSError:
                 pass
 
-    def _ensure_trace(self, spec_dict: dict) -> None:
-        """Seed the build memo from the worker-local store if needed.
-
-        ``trace_path`` workloads name files that exist on the
-        coordinator's disk, not this host's — the pushed copy in the
-        local store is the only way to build them here.
-        """
+    def _local_spec(self, spec_dict: dict, files: dict) -> dict:
+        """``spec_dict`` as this worker evaluates it: a generated
+        workload seeded into the build memo from the local store, a
+        trace file in the session's ``files`` pointed at the store copy
+        of the coordinator's bytes (only rows travel back)."""
         wdict = spec_dict.get("workload")
         if wdict is None:
-            return
+            return spec_dict
         from repro.runner import memoized_workload, seed_workload_memo
         from repro.spec import WorkloadSpec
 
         wspec = WorkloadSpec.from_dict(wdict)
         key = wspec.cache_key()
-        if memoized_workload(key) is not None:
-            return
-        trace = self.store.get(key)
-        if trace is not None:
-            seed_workload_memo(wspec, trace)
+        if wspec.trace_path is not None:
+            if key not in files:  # a coordinator that sent no ``files``
+                return spec_dict
+            return {**spec_dict, "workload": self._stored_file(wdict, files[key])}
+        if memoized_workload(key) is None:
+            trace = self.store.get(key)
+            if trace is not None:
+                seed_workload_memo(wspec, trace)
+        return spec_dict
+
+    def _stored_file(self, wdict: dict, digest: str) -> dict:
+        """``wdict`` naming the store's copy of trace file ``digest``."""
+        return {**wdict, "trace_path": str(self.store.path_for(digest))}
 
 
 def main(args) -> int:

@@ -6,7 +6,6 @@ coherence-state field. The paper's configuration is 16 KB L1 +
 64 KB L2 data caches per core (Figure 2 caption).
 """
 
-from repro.arch.cache.replacement import LRUPolicy, PseudoLRUPolicy, RandomPolicy
 from repro.arch.cache.sram import CacheArray, EvictedLine, TileCacheStore
 from repro.arch.cache.hierarchy import CacheHierarchy, AccessResult
 
@@ -16,7 +15,4 @@ __all__ = [
     "TileCacheStore",
     "CacheHierarchy",
     "AccessResult",
-    "LRUPolicy",
-    "PseudoLRUPolicy",
-    "RandomPolicy",
 ]

@@ -87,12 +87,12 @@ def frozen_service_prefix(hier, lines: np.ndarray, writes: np.ndarray):
 
     Extends :func:`frozen_hit_prefix` across deterministic L2 hits: an
     L1 miss is still *pure* when the line is L2-resident and the L1
-    slot it fills is free or holds a clean victim under true LRU — then
+    slot it fills is free or holds a clean LRU victim — then
     ``access_no_mem`` drops the victim instead of spilling it, so L2
     presence stays frozen for the rest of the prefix and the whole
     classification remains exact against today's state. The first
     access that would fill from DRAM or evict a dirty L1 line ends the
-    prefix. Requires true-LRU L1 replacement (the caller gates on it).
+    prefix.
 
     Presence, dirtiness, and recency are evolved in a lazy tag-level
     model per touched set, seeded from the live columns; L2 is only
@@ -143,7 +143,7 @@ def frozen_service_prefix(hier, lines: np.ndarray, writes: np.ndarray):
             model = models[si] = [pres, order, ways - len(pres)]
         pres, order, free = model
         if tag in pres:
-            if order[-1] != tag:  # LRUPolicy.touch, tag-level
+            if order[-1] != tag:  # a touch makes the tag MRU
                 order.remove(tag)
                 order.append(tag)
             if wflags[j]:
@@ -205,16 +205,12 @@ def apply_hit_prefix(arr: CacheArray, lines: np.ndarray, writes: np.ndarray | No
     index = arr._index
     stamps = arr.stamps
     dirty = arr.dirty
-    policies = arr._policies
-    ways = arr.ways
     clock = arr._clock
     last = None
     for la, f in ordered.items():
         slot = index[la]
         clock += 1
         stamps[slot] = clock
-        if policies is not None:
-            policies[slot // ways].touch(slot % ways)
         last = slot
         if f:
             dirty[slot] = True
@@ -236,9 +232,8 @@ def apply_hit_windows(store: TileCacheStore, jobs: list) -> list:
     into one fancy-indexed scatter over the pooled
     :class:`~repro.arch.cache.sram.TileCacheStore` stamp matrix: one
     kernel invocation per window instead of one numpy scalar store per
-    distinct line per core. Requires store-backed true-LRU arrays (no
-    per-set policy objects); callers gate on that. Returns the slot of
-    each job's final access, for per-core same-line memos.
+    distinct line per core. Requires store-backed arrays. Returns the
+    slot of each job's final access, for per-core same-line memos.
     """
     # the store matrices are C-contiguous, so the flattened stamps are
     # a writable view and arr._flat_base + slot addresses core rows

@@ -46,7 +46,6 @@ class CacheHierarchy:
         self,
         l1: CacheConfig,
         l2: CacheConfig,
-        policy: str = "lru",
         l1_store: TileCacheStore | None = None,
         l2_store: TileCacheStore | None = None,
         core: int = 0,
@@ -58,8 +57,8 @@ class CacheHierarchy:
                 f"L1 line size {l1.line_bytes} != L2 line size {l2.line_bytes}; "
                 "mixed line sizes are not modeled"
             )
-        self.l1 = CacheArray(l1, policy=policy, store=l1_store, core=core)
-        self.l2 = CacheArray(l2, policy=policy, store=l2_store, core=core)
+        self.l1 = CacheArray(l1, store=l1_store, core=core)
+        self.l2 = CacheArray(l2, store=l2_store, core=core)
         self._l1_cfg = l1
         self._l2_cfg = l2
         self.memory_fills = 0
@@ -72,11 +71,10 @@ class CacheHierarchy:
         )
         # same-line memo: the L1 slot the previous access hit. A repeat
         # of that line skips the index probe and the recency update —
-        # safe because a repeated touch of the just-touched slot is
-        # idempotent for every policy (the stamp stays maximal, LRU
-        # early-returns, PLRU rewrites the same bits, random is a
-        # no-op). Reset on every L1 miss (the only path that can evict
-        # the memoized line) and on invalidate().
+        # safe because the just-touched slot's stamp is already the
+        # array's maximum, so re-touching it leaves the LRU order as it
+        # is. Reset on every L1 miss (the only path that can evict the
+        # memoized line) and on invalidate().
         self._last_la = -1
         self._last_slot = 0
 
@@ -99,8 +97,6 @@ class CacheHierarchy:
             l1.hits += 1
             l1._clock += 1
             l1.stamps[slot] = l1._clock
-            if l1._policies is not None:
-                l1._policies[slot // l1.ways].touch(slot % l1.ways)
             self._last_la = line_addr
             self._last_slot = slot
             if write:
@@ -161,8 +157,6 @@ class CacheHierarchy:
             l1.hits += 1
             l1._clock += 1
             l1.stamps[slot] = l1._clock
-            if l1._policies is not None:
-                l1._policies[slot // l1.ways].touch(slot % l1.ways)
             self._last_la = line_addr
             self._last_slot = slot
             if write:

@@ -11,14 +11,14 @@ state, last-touch stamp) indexed by ``slot = set * ways + way``, plus a
 allocates the columns once through :class:`TileCacheStore` — shared
 ``(core, set * ways)`` matrices of which each core's array holds row
 views — so per-tile cache state costs tens of bytes per line instead
-of a ``CacheLine`` object, per-set dicts, and a policy list per set.
+of a ``CacheLine`` object and per-set dicts.
 
-Replacement: true LRU keeps no policy objects at all — the victim is
-the valid way with the smallest stamp, which is exactly the way an LRU
-order list fronts (stamps come from one monotone per-array clock, so
-ties cannot occur, and the victim is only consulted when the set is
-full, i.e. after every way was touched at least once at its fill).
-Non-LRU policies keep the per-set policy objects of the scalar design.
+Replacement is true LRU and keeps no per-set state beyond the stamp
+column: the victim is the valid way with the smallest stamp, which is
+exactly the way an LRU order list fronts (stamps come from one
+monotone per-array clock, so ties cannot occur, and the victim is only
+consulted when the set is full, i.e. after every way was touched at
+least once at its fill).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.arch.config import CacheConfig
-from repro.arch.cache.replacement import ReplacementPolicy, make_policy
 
 
 class EvictedLine(NamedTuple):
@@ -49,7 +48,7 @@ class TileCacheStore:
     One ``(num_cores, num_sets * ways)`` matrix per metadata column;
     :class:`CacheArray` instances built against a store hold row views,
     so a 4096-core machine's tag state is four matrices instead of
-    4096 * num_sets Python dicts, line objects, and policy lists.
+    4096 * num_sets Python dicts and line objects.
     """
 
     def __init__(self, num_cores: int, config: CacheConfig) -> None:
@@ -75,7 +74,6 @@ class CacheArray:
     def __init__(
         self,
         config: CacheConfig,
-        policy: str = "lru",
         store: TileCacheStore | None = None,
         core: int = 0,
     ) -> None:
@@ -104,13 +102,6 @@ class CacheArray:
         self._clock = 0
         # line_addr -> slot (= set * ways + way) for O(1) presence
         self._index: dict[int, int] = {}
-        # True-LRU replacement is driven entirely by the stamp column;
-        # other policies keep per-set policy objects (see module doc).
-        self._policies: list[ReplacementPolicy] | None = (
-            None
-            if policy == "lru"
-            else [make_policy(policy, self.ways) for _ in range(self.num_sets)]
-        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -128,10 +119,8 @@ class CacheArray:
     def _touch(self, slot: int) -> None:
         self._clock += 1
         self.stamps[slot] = self._clock
-        if self._policies is not None:
-            self._policies[slot // self.ways].touch(slot % self.ways)
 
-    def lookup(self, addr: int, touch: bool = True) -> int | None:
+    def lookup(self, addr: int) -> int | None:
         """Return the resident line's slot (updating recency), or None.
 
         Updates hit/miss counters; use :meth:`probe` for a side-effect-
@@ -143,8 +132,7 @@ class CacheArray:
             self.misses += 1
             return None
         self.hits += 1
-        if touch:
-            self._touch(slot)
+        self._touch(slot)
         return slot
 
     def probe(self, addr: int) -> int | None:
@@ -172,15 +160,12 @@ class CacheArray:
             if tags[s] == -1:
                 free = s
                 break
-        if free < 0:
-            if self._policies is None:
-                stamps = self.stamps
-                free = base
-                for s in range(base + 1, base + self.ways):
-                    if stamps[s] < stamps[free]:
-                        free = s
-            else:
-                free = base + self._policies[si].victim()
+        if free < 0:  # set full: the least-recently-touched way goes
+            stamps = self.stamps
+            free = base
+            for s in range(base + 1, base + self.ways):
+                if stamps[s] < stamps[free]:
+                    free = s
             vtag = int(tags[free])
             victim = EvictedLine(vtag, bool(self.dirty[free]), int(self.state[free]))
             del self._index[vtag * self.num_sets + si]

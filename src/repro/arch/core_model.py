@@ -7,9 +7,12 @@ one resident guest, which travels back to its dedicated native context
 on a separate virtual network — the native context is always available,
 which is the root of the deadlock-freedom argument [10].
 
-:class:`ContextFile` models exactly this occupancy discipline and
-raises :class:`~repro.util.errors.ProtocolError` on violations (e.g. a
-thread arriving as a guest at its own native core).
+:class:`ContextFile` holds one core's slots and raises
+:class:`~repro.util.errors.ProtocolError` on native-context violations
+(e.g. a thread loaded into a native context it does not own). Guest
+admission and victim choice live in
+:meth:`~repro.core.machine.MigrationMachineBase._try_admit`, the only
+code that knows which guests are evictable.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ class ContextFile:
     core: int
     native_threads: tuple[int, ...]  # threads whose native context lives here
     guest_slots: int
-    eviction_policy: str = "lru"  # "lru" | "fifo" (same here) | "newest"
     _guests: list[ContextSlot] = field(default_factory=list)
     _native_home: dict[int, ContextSlot] = field(default_factory=dict)
 
@@ -70,61 +72,9 @@ class ContextFile:
         slot.thread = thread
         slot.since = now
 
-    def admit_guest(self, thread: int, now: float) -> int | None:
-        """Load ``thread`` into a guest context.
-
-        Returns the thread id evicted to make room, or None when a
-        free slot existed. Natives must use :meth:`admit_native`.
-        """
-        self._check_admissible(thread)
-        for slot in self._guests:
-            if slot.thread is None:
-                slot.thread = thread
-                slot.since = now
-                return None
-        victim_slot = self._pick_victim()
-        evicted = victim_slot.thread
-        victim_slot.thread = thread
-        victim_slot.since = now
-        return evicted
-
-    def _check_admissible(self, thread: int) -> None:
-        if self.is_native(thread):
-            raise ProtocolError(
-                f"thread {thread} is native to core {self.core}; use admit_native"
-            )
-        if self.resident(thread):
-            raise ProtocolError(f"thread {thread} already resident at core {self.core}")
-
-    def has_free_guest_slot(self) -> bool:
-        return any(s.thread is None for s in self._guests)
-
-    def replace_guest(self, victim: int, newcomer: int, now: float) -> None:
-        """Displace ``victim``'s context with ``newcomer``'s.
-
-        Used when the machine selects the eviction victim itself (e.g.
-        only *evictable* guests may be displaced — a guest awaiting a
-        remote-access reply cannot leave mid-transaction).
-        """
-        self._check_admissible(newcomer)
-        for slot in self._guests:
-            if slot.thread == victim:
-                slot.thread = newcomer
-                slot.since = now
-                return
-        raise ProtocolError(f"victim {victim} not a guest at core {self.core}")
-
     def guest_slots_info(self) -> list[tuple[int, float]]:
         """(thread, occupancy-start) for each occupied guest slot."""
         return [(s.thread, s.since) for s in self._guests if s.thread is not None]
-
-    def _pick_victim(self) -> ContextSlot:
-        occupied = [s for s in self._guests if s.thread is not None]
-        if self.eviction_policy in ("lru", "fifo"):
-            return min(occupied, key=lambda s: s.since)
-        if self.eviction_policy == "newest":
-            return max(occupied, key=lambda s: s.since)
-        raise ProtocolError(f"unknown eviction policy {self.eviction_policy!r}")
 
     def release(self, thread: int) -> None:
         """Unload ``thread`` (it is migrating away or finished)."""
@@ -145,7 +95,6 @@ def build_context_files(
     num_cores: int,
     thread_native_core: list[int],
     guest_slots: int,
-    eviction_policy: str = "lru",
 ) -> list[ContextFile]:
     """One :class:`ContextFile` per core given each thread's native core."""
     natives: list[list[int]] = [[] for _ in range(num_cores)]
@@ -158,7 +107,6 @@ def build_context_files(
             core=c,
             native_threads=tuple(natives[c]),
             guest_slots=guest_slots,
-            eviction_policy=eviction_policy,
         )
         for c in range(num_cores)
     ]

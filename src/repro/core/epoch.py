@@ -80,19 +80,10 @@ class EpochStepper:
         self._l1_shift = l1.line_bytes.bit_length() - 1
         self.hit_lat = float(l1.hit_latency)
         self.l2_lat = float(l1.hit_latency + machine.config.l2.hit_latency)
-        # the widened (L2-service) streak classifier mirrors L1 victim
-        # choice tag-by-tag, which is only exact under true LRU; PLRU
-        # and random arrays (non-None _policies) keep the plain
-        # hit-prefix batching
-        self._widen = all(h.l1._policies is None for h in machine.caches)
         # cross-core window kernel: all per-core hit segments of one
         # merged jump scatter through the machine-wide L1 store in a
-        # single call; needs store-backed true-LRU arrays (PLRU/random
-        # machines keep per-core apply_hit_prefix)
-        l1_0 = machine.caches[0].l1
-        self._xstore = (
-            l1_0._store if (self._widen and l1_0._store is not None) else None
-        )
+        # single call
+        self._xstore = machine.l1_store
         # per-thread numpy columns for the vectorized runs (the plain
         # list columns stay on ThreadState for the scalar walk)
         self.lines_np = [
@@ -332,7 +323,7 @@ class EpochStepper:
         lines = self.lines_np[t][i : i + nh]
         run = frozen_hit_prefix(hier.l1, lines)
         fills: list[int] = []
-        if self._widen and run < nh:
+        if run < nh:
             # the hit streak ends inside the chunk: try to extend it
             # across deterministic L2 hits (clean-victim fills only)
             srun, sfills = frozen_service_prefix(
@@ -595,10 +586,7 @@ class EpochStepper:
                 else:
                     out.append(e)
         if jobs:
-            if self._xstore is not None:
-                lasts = apply_hit_windows(self._xstore, jobs)
-            else:
-                lasts = [apply_hit_prefix(a, lines, w) for a, lines, w in jobs]
+            lasts = apply_hit_windows(self._xstore, jobs)
             for hier, (_a, lines, _w), last_slot in zip(job_hiers, jobs, lasts):
                 hier._last_la = int(lines[-1])
                 hier._last_slot = last_slot
@@ -709,11 +697,6 @@ def run_cc_fast(sim):
     shift = sim._line_shift
     nsets = caches[0].num_sets
     ways = caches[0].ways
-    # the inlined fill below victimizes by the stamp column (true LRU);
-    # the simulator always builds its arrays policy="lru", so this only
-    # guards against future drift
-    if caches[0]._policies is not None:  # pragma: no cover
-        raise ProtocolError("run_cc_fast requires true-LRU cache arrays")
 
     trace = sim.trace
     T = trace.num_threads

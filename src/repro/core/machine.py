@@ -537,7 +537,10 @@ class MigrationMachineBase:
         *evictable* guest — a guest awaiting a remote-access reply
         cannot leave mid-transaction, so if every guest is pinned the
         arrival stalls in the network (backpressure) until a slot
-        frees or a resident becomes evictable.
+        frees or a resident becomes evictable. This and
+        :meth:`_pick_evictable_victim` are the only guest admission and
+        victim rule; :class:`~repro.arch.core_model.ContextFile` only
+        holds the slots.
         """
         ctx = self.contexts[dest]
         now = self.engine.now
@@ -550,7 +553,7 @@ class MigrationMachineBase:
             slot.thread = tid
             slot.since = now
         else:
-            for slot in ctx._guests:  # inlined admit_guest free-slot scan
+            for slot in ctx._guests:
                 if slot.thread is None:
                     slot.thread = tid
                     slot.since = now
@@ -562,7 +565,7 @@ class MigrationMachineBase:
                     self._stall_in[dest] += 1
                     self._waiting[dest].append(th)
                     return
-                for slot in ctx._guests:  # inlined replace_guest
+                for slot in ctx._guests:
                     if slot.thread == victim:
                         slot.thread = tid
                         slot.since = now
@@ -609,7 +612,7 @@ class MigrationMachineBase:
         """Send a displaced guest back to its native context (Fig 1).
 
         The victim has already been removed from the context file by
-        ``admit_guest`` (its slot now holds the newcomer); here we
+        :meth:`_try_admit` (its slot now holds the newcomer); here we
         cancel its pending work and put its context on the eviction
         virtual network.
         """

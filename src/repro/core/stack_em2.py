@@ -165,7 +165,16 @@ class StackEM2Machine(MigrationMachineBase):
             )
         if window < 1:
             raise ConfigError("window must be >= 1")
-        super().__init__(trace, placement, config, topology, cache_detail)
+        if config.multiplex_contexts:
+            raise ConfigError(
+                "StackEM2Machine does not model context multiplexing; "
+                "use multiplex_contexts=False"
+            )
+        # the stack step below is this machine's only step: the epoch
+        # stepper batches the register-file walk, so it is never built
+        super().__init__(
+            trace, placement, config, topology, cache_detail, fast_path=False
+        )
         self.depth_scheme = depth_scheme
         self.window = window
         # per-thread resident guest depth; meaningless while at native
@@ -180,7 +189,7 @@ class StackEM2Machine(MigrationMachineBase):
     def _stack_bits(self, depth: int) -> int:
         return self.config.context.stack_context_bits(depth)
 
-    def _step(self, th: ThreadState) -> None:  # overrides the base walk
+    def _step_slow(self, th: ThreadState) -> None:  # overrides the base walk
         th.pending = None
         tid = th.tid
         idx = th.idx
@@ -295,7 +304,7 @@ class StackEM2Machine(MigrationMachineBase):
         )
 
     def _handle_nonlocal(self, th, addr, write, home, delay):  # pragma: no cover
-        raise NotImplementedError("StackEM2Machine overrides _step directly")
+        raise NotImplementedError("StackEM2Machine overrides _step_slow directly")
 
     def results(self) -> dict:
         out = super().results()

@@ -21,13 +21,15 @@ component names through :mod:`repro.registry` *here* and nowhere else.
 Workload generation and placement construction are memoized per
 process (specs are deterministic, so rebuilding is pure waste when a
 sweep evaluates ten schemes on one trace). The memo is keyed by the
-canonical spec dict and bounded; traces and placements are treated as
-immutable by every machine, which the golden-fixture parity tests
-enforce.
+canonical spec dict — plus, for a trace file, the file's size and
+modification time, so a file rewritten in place is read again — and
+bounded; traces and placements are treated as immutable by every
+machine, which the golden-fixture parity tests enforce.
 """
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
@@ -77,6 +79,21 @@ def clear_build_memo() -> None:
     _placement_memo.clear()
 
 
+def _memo_key(workload: WorkloadSpec) -> str:
+    """The build-memo key of ``workload``: its cache key, plus the
+    file's size and ``mtime_ns`` when it names a trace file, so every
+    memoized copy follows the file's content. A file this process
+    cannot stat keys by path alone: only a seeded copy can serve it."""
+    key = workload.cache_key()
+    if workload.trace_path is None:
+        return key
+    try:
+        st = os.stat(workload.trace_path)
+    except OSError:
+        return key
+    return f"{key}:{st.st_size}:{st.st_mtime_ns}"
+
+
 # ---------------------------------------------------------------- builders
 def build_system_config(machine: MachineSpec) -> SystemConfig:
     """The :class:`SystemConfig` a machine spec describes, via the
@@ -93,9 +110,10 @@ def build_workload(workload: WorkloadSpec):
     generator. Freshly generated traces are written back to the store
     so every later process on this machine skips generation entirely.
     Traces named by ``trace_path`` are already on disk and bypass the
-    store (caching a file as a file would just duplicate it).
+    store (caching a file as a file would just duplicate it); the memo
+    re-reads such a file once its size or modification time changes.
     """
-    key = workload.cache_key()
+    key = _memo_key(workload)
     trace = _memo_get(_workload_memo, key)
     if trace is not None:
         return trace
@@ -127,7 +145,7 @@ def seed_workload_memo(workload: WorkloadSpec | Mapping, trace) -> None:
     """
     if not isinstance(workload, WorkloadSpec):
         workload = WorkloadSpec.from_dict(workload)
-    _memo_put(_workload_memo, workload.cache_key(), trace)
+    _memo_put(_workload_memo, _memo_key(workload), trace)
 
 
 def memoized_workload(workload_key: str):
@@ -189,15 +207,10 @@ class BuiltExperiment:
 
 def build(spec: ExperimentSpec) -> BuiltExperiment:
     """Construct every component the spec names, via the registries."""
-    from repro.analysis.cache import stable_key
-
     config = build_system_config(spec.machine)
     trace = build_workload(spec.workload)
     placement = build_placement(
-        spec.placement,
-        trace,
-        config.num_cores,
-        memo_key=stable_key(spec.workload.to_dict()),
+        spec.placement, trace, config.num_cores, memo_key=_memo_key(spec.workload)
     )
     topology = build_topology(spec.topology, config)
     cost = CostModel(config, topology)

@@ -90,8 +90,8 @@ class WorkloadSpec:
     def cache_key(self) -> str:
         """Deterministic SHA-256 over the canonical workload dict — the
         content address of this spec's trace in the on-disk trace store
-        (:mod:`repro.trace.store`) and the digest the farm ships traces
-        by."""
+        (:mod:`repro.trace.store`) and the digest the farm ships a
+        generated trace by (a trace file goes by its content digest)."""
         from repro.analysis.cache import stable_key
 
         return stable_key(self.to_dict())

@@ -10,6 +10,9 @@ streamed results), just without a second machine. Contracts:
   the sweep still completes exactly;
 * each trace digest is pushed to a given worker at most once, and a
   second sweep against a warm worker pushes nothing;
+* a trace file travels by content, so a worker evaluates the
+  coordinator's bytes of it even when it cannot open the path, and
+  again after the file is rewritten;
 * zero reachable workers degrades to local evaluation with a warning;
 * a worker-side evaluation error surfaces as the same
   :class:`~repro.analysis.sweep.SweepPointError` a local sweep raises,
@@ -20,11 +23,16 @@ streamed results), just without a second machine. Contracts:
   its last row lands.
 """
 
+import os
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import runner
 from repro.analysis import farm as farm_mod
 from repro.analysis.cache import canonical_rows
@@ -33,6 +41,7 @@ from repro.analysis.sweep import SweepPointError, sweep_specs
 from repro.analysis.worker import WorkerServer
 from repro.runner import clear_build_memo, merge_spec
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
+from repro.trace.io import save_multitrace
 
 
 def _base():
@@ -170,6 +179,62 @@ def test_trace_pushed_at_most_once_per_worker(workers):
     stats2: dict = {}
     farm_sweep(spec_dicts, _addrs(workers), stats_out=stats2)
     assert all(n == 0 for n in stats2["trace_pushes"].values())
+
+
+def test_rewritten_trace_file_reaches_a_worker_that_cannot_open_it(
+    tmp_path, monkeypatch
+):
+    """A ``repro worker`` started in another directory cannot open a
+    relative trace path. It evaluates the coordinator's bytes of the
+    file, and after the file is rewritten in place it evaluates the new
+    bytes, not the copy its store took from the first sweep."""
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0"],
+        cwd=elsewhere, env=env, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        line = proc.stdout.readline().strip()
+        assert line.startswith("repro worker listening on "), line
+        addr = line.rsplit(" ", 1)[-1]
+        base = _base().replace(
+            workload=WorkloadSpec(name="trace-file", trace_path="t.npz")
+        )
+        seen = []
+        # the second trace is longer, so the rewrite changes the file's
+        # size as well as its mtime
+        for seed, accesses in ((1, 32), (2, 48)):
+            trace = runner.build_workload(WorkloadSpec(
+                name="uniform",
+                params={"num_threads": 4, "accesses_per_thread": accesses,
+                        "seed": seed},
+            ))
+            save_multitrace(trace, tmp_path / "t.npz")
+            serial = canonical_rows(sweep_specs(base, _points()))
+            assert sweep_specs(base, _points(), farm=[addr]) == serial
+            seen.append(serial)
+        assert seen[0] != seen[1]
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+def test_unreadable_trace_file_fails_its_point_before_dispatch(workers, tmp_path):
+    """A trace file the coordinator cannot read fails its first point
+    with the error the serial loop gives, before any worker is asked,
+    so no worker evaluates some other file at that path."""
+    base = _base().replace(workload=WorkloadSpec(
+        name="trace-file", trace_path=str(tmp_path / "missing.npz")
+    ))
+    spec_dicts = [merge_spec(base, p).to_dict() for p in _points()]
+    with pytest.raises(SweepPointError, match="in this process") as err:
+        farm_sweep(spec_dicts, _addrs(workers))
+    assert err.value.point == spec_dicts[0]
+    assert all(s.chunks_served == 0 for s in workers)
 
 
 # ------------------------------------------------------------- degradation

@@ -20,7 +20,9 @@ import pytest
 
 from repro.arch.config import small_test_config
 from repro.arch.noc.packet import VirtualNetwork
+from repro.core.decision.base import Decision, DecisionScheme
 from repro.core.em2 import EM2Machine
+from repro.core.em2ra import EM2RAMachine
 from repro.placement import striped
 from repro.trace.events import MultiTrace, make_trace
 
@@ -103,6 +105,85 @@ class TestBranch3_Eviction:
         # thread 0 never migrated nor was evicted
         assert m.network.message_count(VirtualNetwork.EVICTION) >= 0
         assert m.threads[0].core == 0
+
+
+def _converging(first_delays, accesses):
+    """One trace per thread (native cores 1, 2, ...), each hitting
+    core 0's block ``accesses`` times after a first-access delay."""
+    threads = []
+    for delay in first_delays:
+        icounts = np.ones(accesses)
+        icounts[0] = delay
+        threads.append(make_trace([0] * accesses, icounts=icounts))
+    return MultiTrace(
+        threads=threads, thread_native_core=list(range(1, len(threads) + 1))
+    )
+
+
+def _record_picks(m):
+    """Wrap the machine's victim choice: each call's guest slots as
+    (thread, admitted at, awaiting a reply) and the victim it chose."""
+    picks = []
+    pick = m._pick_evictable_victim
+
+    def recorded(core):
+        guests = [
+            (tid, since, m.threads[tid].pending is None)
+            for tid, since in m.contexts[core].guest_slots_info()
+        ]
+        victim = pick(core)
+        picks.append((guests, victim))
+        return victim
+
+    m._pick_evictable_victim = recorded
+    return picks
+
+
+class TestGuestVictimChoice:
+    """Branch 3's victim: the earliest-admitted guest that can leave.
+    ``MigrationMachineBase._try_admit`` is the only admission rule."""
+
+    def test_full_core_displaces_earliest_admitted_guest(self):
+        # threads 0, 1, 2 reach core 0 (2 guest slots) in the order
+        # 2, 0, 1; each evicted thread comes straight back
+        cfg = small_test_config(num_cores=4, guest_contexts=2)
+        m = EM2Machine(_converging([40, 80, 1], 40), striped(4, block_words=16), cfg)
+        picks = _record_picks(m)
+        m.run()
+        assert [victim for _, victim in picks] == [2, 0, 1, 2]
+        for guests, victim in picks:
+            assert victim == min(guests, key=lambda g: g[1])[0]
+        # the second victim sat in the second slot: admission order, not
+        # slot order, picks it
+        assert [g[0] for g in picks[1][0]] == [1, 0]
+        assert m.results()["evictions"] == 4
+        assert all(th.done for th in m.threads)
+
+    def test_arrival_stalls_rather_than_displace_guest_awaiting_reply(self):
+        """Thread 0 migrates to core 0 (1 guest slot), then reads core
+        2's data remotely; thread 1 arrives during that round trip. The
+        arrival stalls, and displaces thread 0 only once the reply has
+        landed."""
+
+        class MigrateToCore0(DecisionScheme):
+            def decide(self, current, home, addr, write):
+                return Decision.MIGRATE if home == 0 else Decision.REMOTE
+
+        cfg = small_test_config(num_cores=4, guest_contexts=1)
+        remote = make_trace([0] + [32] * 20 + [0], icounts=1)
+        late = make_trace([0, 0, 0], icounts=[150, 1, 1])
+        mt = MultiTrace(threads=[remote, late], thread_native_core=[1, 3])
+        m = EM2RAMachine(mt, striped(4, block_words=16), cfg, MigrateToCore0())
+        picks = _record_picks(m)
+        m.run()
+        (stall_guests, stall_victim), (evict_guests, evict_victim) = picks
+        assert [(g[0], g[2]) for g in stall_guests] == [(0, True)]
+        assert stall_victim is None
+        assert [(g[0], g[2]) for g in evict_guests] == [(0, False)]
+        assert evict_victim == 0
+        assert m.stats.counters["admission_stalls"] == 1
+        assert m.results()["evictions"] == 1
+        assert all(th.done for th in m.threads)
 
 
 class TestGlobalInvariants:

@@ -1,10 +1,12 @@
 """Property-based tests: engine, topology, caches, stack cache."""
 
+from collections import OrderedDict
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.arch.cache.sram import CacheArray
+from repro.arch.cache.sram import CacheArray, EvictedLine, TileCacheStore
 from repro.arch.config import CacheConfig
 from repro.arch.topology import Mesh2D, TorusTopology
 from repro.sim.engine import Engine
@@ -99,6 +101,70 @@ def test_cache_never_exceeds_capacity_and_tracks_residency(ops):
                 resident[vline] = False
         assert cache.occupancy() <= cfg.num_lines
     assert cache.occupancy() == sum(resident.values())
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["lookup", "read_fill", "write_fill", "invalidate"]),
+            st.integers(0, 1023),  # 16 lines: 4 per set compete for 2 ways
+            st.integers(0, 3),
+        ),
+        max_size=300,
+    )
+)
+# a read refill keeps a dirty line dirty; a full set evicts the LRU line
+@example([("write_fill", 0, 1), ("read_fill", 0, 2), ("invalidate", 0, 0)])
+@example([("read_fill", 0, 0), ("read_fill", 256, 0), ("lookup", 0, 0),
+          ("write_fill", 512, 1), ("read_fill", 768, 0)])
+def test_store_backed_array_is_true_lru(ops):
+    """A store-backed array (a row view of the pooled columns, as the
+    machines build it) against a per-set ``OrderedDict`` LRU: every
+    hit, every filled and evicted line's tag, dirty bit and state, and
+    the counters agree. Invalidates leave holes that later fills take."""
+    cfg = CacheConfig(size_bytes=512, line_bytes=64, associativity=2)
+    store = TileCacheStore(2, cfg)
+    cache = CacheArray(cfg, store=store, core=1)
+    sets = [OrderedDict() for _ in range(cfg.num_sets)]  # tag -> (dirty, state)
+    hits = misses = evictions = writebacks = 0
+    for op, addr, state in ops:
+        line = addr // 64
+        ref = sets[line % cfg.num_sets]
+        tag = line // cfg.num_sets
+        if op == "lookup":
+            hit = tag in ref
+            assert (cache.lookup(addr) is not None) == hit
+            if hit:
+                ref.move_to_end(tag)
+                hits += 1
+            else:
+                misses += 1
+        elif op == "invalidate":
+            want = EvictedLine(tag, *ref.pop(tag)) if tag in ref else None
+            assert cache.invalidate(addr) == want
+        else:
+            write = op == "write_fill"
+            dirty = write
+            expect = None
+            if tag in ref:  # refill in place: dirty is sticky
+                dirty = write or ref[tag][0]
+            elif len(ref) == cfg.associativity:
+                vtag, (vdirty, vstate) = ref.popitem(last=False)
+                expect = EvictedLine(vtag, vdirty, vstate)
+                evictions += 1
+                writebacks += vdirty
+            assert cache.fill(addr, dirty=write, state=state) == expect
+            ref[tag] = (dirty, state)
+            ref.move_to_end(tag)
+            slot = cache.probe(addr)
+            assert (bool(cache.dirty[slot]), int(cache.state[slot])) == ref[tag]
+    assert (cache.hits, cache.misses) == (hits, misses)
+    assert (cache.evictions, cache.writebacks) == (evictions, writebacks)
+    assert sorted(cache.resident_addrs()) == sorted(
+        (tag * cfg.num_sets + si) * 64 for si, ref in enumerate(sets) for tag in ref
+    )
+    assert (store.tags[0] == -1).all()  # the other core's row is untouched
 
 
 @settings(max_examples=40)

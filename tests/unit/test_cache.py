@@ -1,78 +1,57 @@
-"""Unit tests for replacement policies, cache arrays, and the hierarchy."""
+"""Unit tests for cache arrays (true-LRU replacement) and the hierarchy."""
 
 import pytest
 
 from repro.arch.cache.hierarchy import CacheHierarchy, ServiceLevel
-from repro.arch.cache.replacement import (
-    LRUPolicy,
-    PseudoLRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
 from repro.arch.cache.sram import CacheArray
 from repro.arch.config import CacheConfig
 from repro.util.errors import ConfigError
-
-
-class TestLRU:
-    def test_untouched_is_victim(self):
-        p = LRUPolicy(4)
-        for w in (1, 2, 3):
-            p.touch(w)
-        assert p.victim() == 0
-
-    def test_touch_order_drives_victim(self):
-        p = LRUPolicy(3)
-        p.touch(0)
-        p.touch(1)
-        p.touch(2)
-        p.touch(0)
-        assert p.victim() == 1
-
-    def test_victim_does_not_mutate(self):
-        p = LRUPolicy(2)
-        p.touch(1)
-        assert p.victim() == p.victim() == 0
-
-
-class TestPseudoLRU:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            PseudoLRUPolicy(3)
-
-    def test_victim_avoids_most_recent(self):
-        p = PseudoLRUPolicy(4)
-        for w in range(4):
-            p.touch(w)
-        assert p.victim() != 3
-
-    def test_two_way_behaves_like_lru(self):
-        plru, lru = PseudoLRUPolicy(2), LRUPolicy(2)
-        for w in (0, 1, 0, 1, 1):
-            plru.touch(w)
-            lru.touch(w)
-            assert plru.victim() == lru.victim()
-
-
-class TestRandom:
-    def test_deterministic_given_seed(self):
-        a, b = RandomPolicy(8, seed=7), RandomPolicy(8, seed=7)
-        assert [a.victim() for _ in range(10)] == [b.victim() for _ in range(10)]
-
-    def test_victims_in_range(self):
-        p = RandomPolicy(4, seed=1)
-        assert all(0 <= p.victim() < 4 for _ in range(50))
-
-
-def test_make_policy_unknown_name():
-    with pytest.raises(ValueError, match="unknown replacement"):
-        make_policy("mru", 4)
 
 
 def _small_cache(**kw):
     defaults = dict(size_bytes=512, line_bytes=64, associativity=2)
     defaults.update(kw)
     return CacheArray(CacheConfig(**defaults))
+
+
+class TestLRU:
+    """The one replacement rule: a full set evicts the line touched
+    longest ago (fills and lookups touch; probes do not)."""
+
+    def _set_lines(self, ways):
+        """A 4-set array of ``ways`` ways and ways + 1 lines of set 0."""
+        c = _small_cache(size_bytes=64 * 4 * ways, associativity=ways)
+        stride = 0x40 * c.num_sets
+        return c, [i * stride for i in range(ways + 1)]
+
+    def test_untouched_is_victim(self):
+        c, lines = self._set_lines(4)
+        for a in lines[:4]:
+            c.fill(a)
+        for a in lines[1:4]:
+            c.lookup(a)
+        assert c.fill(lines[4]).tag == c.line_addr(lines[0]) // c.num_sets
+        assert c.probe(lines[0]) is None
+
+    def test_touch_order_drives_victim(self):
+        c, lines = self._set_lines(3)
+        for a in lines[:3]:
+            c.fill(a)
+        c.lookup(lines[0])
+        c.fill(lines[3])
+        assert c.probe(lines[1]) is None
+        assert all(c.probe(a) is not None for a in (lines[0], lines[2], lines[3]))
+
+    def test_victim_does_not_mutate(self):
+        """Looking at a line (``probe``) leaves the recency order, and
+        so the next victim, as it was."""
+        c, lines = self._set_lines(2)
+        c.fill(lines[0])
+        c.fill(lines[1])
+        c.probe(lines[0])
+        c.fill(lines[2])
+        assert c.probe(lines[0]) is None
+        assert c.probe(lines[1]) is not None
 
 
 class TestCacheArray:

@@ -331,7 +331,6 @@ class TestTraceFileRows:
         old_out, _ = self._evaluate(capsys, path, *store)
         self._evaluate(capsys, path, *store)
         save_multitrace(self._trace(2, like=first), path)
-        runner.clear_build_memo()  # the memo holds trace files by path
         fresh_out, _ = self._evaluate(capsys, path)
         assert fresh_out != old_out  # the rewrite changes the results
         cached_out, stats = self._evaluate(capsys, path, *store)

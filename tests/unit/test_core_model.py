@@ -2,12 +2,44 @@
 
 import pytest
 
+from repro.arch.config import small_test_config
 from repro.arch.core_model import ContextFile, build_context_files
+from repro.core.em2 import EM2Machine
+from repro.placement import striped
+from repro.trace.events import MultiTrace, make_trace
 from repro.util.errors import ProtocolError
 
 
 def _ctx(guests=2):
     return ContextFile(core=0, native_threads=(0, 1), guest_slots=guests)
+
+
+def _seat_guest(c, thread, now):
+    """Seat ``thread`` in the first free guest slot, as
+    ``MigrationMachineBase._try_admit`` does (victim choice, when no
+    slot is free, is the machine's; see test_fig1_protocol)."""
+    slot = next(s for s in c._guests if s.thread is None)
+    slot.thread = thread
+    slot.since = now
+
+
+def _guest_machine(guests, threads):
+    """An unstarted EM² machine: 4 cores, ``guests`` guest slots each,
+    ``threads`` threads native to cores 1, 2, ... (none to core 0)."""
+    cfg = small_test_config(num_cores=4, guest_contexts=guests)
+    mt = MultiTrace(
+        threads=[make_trace([0], icounts=1) for _ in range(threads)],
+        thread_native_core=[1 + t % 3 for t in range(threads)],
+    )
+    return EM2Machine(mt, striped(4, block_words=16), cfg)
+
+
+def _arrive_at_core0(m, tid, now):
+    """Thread ``tid`` lands at core 0 at ``now`` through the machine's
+    admission rule (``_try_admit``, the only one)."""
+    m.engine.now = now
+    m.threads[tid].in_transit = True
+    m._try_admit(m.threads[tid], 0)
 
 
 class TestContextFile:
@@ -23,34 +55,29 @@ class TestContextFile:
             c.admit_native(5, now=0.0)  # thread 5 is not native here
 
     def test_guest_admission_until_full(self):
-        c = _ctx(guests=2)
-        assert c.admit_guest(10, now=0.0) is None
-        assert c.admit_guest(11, now=1.0) is None
-        evicted = c.admit_guest(12, now=2.0)
-        assert evicted == 10  # LRU guest evicted
+        m = _guest_machine(guests=2, threads=3)
+        _arrive_at_core0(m, 0, now=0.0)
+        _arrive_at_core0(m, 1, now=1.0)
+        assert m.contexts[0].guest_threads() == [0, 1]
+        assert not any(th.in_transit for th in m.threads[:2])
+        _arrive_at_core0(m, 2, now=2.0)
+        # the earliest-admitted guest is sent home
+        assert m.threads[0].in_transit and not m.contexts[0].resident(0)
+        assert m.contexts[0].resident(1) and m.contexts[0].resident(2)
 
     def test_lru_eviction_uses_admission_time(self):
-        c = _ctx(guests=2)
-        c.admit_guest(10, now=5.0)
-        c.admit_guest(11, now=1.0)
-        assert c.admit_guest(12, now=9.0) == 11
-
-    def test_newest_eviction_policy(self):
-        c = ContextFile(core=0, native_threads=(), guest_slots=2, eviction_policy="newest")
-        c.admit_guest(10, now=1.0)
-        c.admit_guest(11, now=2.0)
-        assert c.admit_guest(12, now=3.0) == 11
-
-    def test_native_thread_cannot_be_guest(self):
-        c = _ctx()
-        with pytest.raises(ProtocolError):
-            c.admit_guest(0, now=0.0)
+        m = _guest_machine(guests=2, threads=4)
+        _arrive_at_core0(m, 0, now=1.0)
+        _arrive_at_core0(m, 1, now=2.0)
+        _arrive_at_core0(m, 2, now=3.0)  # displaces 0 from slot 0
+        assert m.contexts[0].guest_slots_info() == [(2, 3.0), (1, 2.0)]
+        # slot 1's guest was admitted first: it goes, not slot 0's
+        _arrive_at_core0(m, 3, now=4.0)
+        assert m.threads[1].in_transit
+        assert m.contexts[0].guest_slots_info() == [(2, 3.0), (3, 4.0)]
 
     def test_double_admission_rejected(self):
         c = _ctx()
-        c.admit_guest(10, now=0.0)
-        with pytest.raises(ProtocolError):
-            c.admit_guest(10, now=1.0)
         c.admit_native(0, now=0.0)
         with pytest.raises(ProtocolError):
             c.admit_native(0, now=1.0)
@@ -58,7 +85,7 @@ class TestContextFile:
     def test_release_guest_and_native(self):
         c = _ctx()
         c.admit_native(0, now=0.0)
-        c.admit_guest(10, now=0.0)
+        _seat_guest(c, 10, now=0.0)
         c.release(0)
         c.release(10)
         assert not c.resident(0) and not c.resident(10)
@@ -70,14 +97,26 @@ class TestContextFile:
     def test_occupancy_counts_both_kinds(self):
         c = _ctx()
         c.admit_native(0, now=0.0)
-        c.admit_guest(10, now=0.0)
+        _seat_guest(c, 10, now=0.0)
         assert c.occupancy() == 2
 
-    def test_evicted_guest_slot_reused(self):
-        c = _ctx(guests=1)
-        c.admit_guest(10, now=0.0)
-        assert c.admit_guest(11, now=1.0) == 10
+    def test_guest_slots_info_lists_occupied_guests(self):
+        """(thread, admission time) per occupied guest slot, in slot
+        order: what the machine's victim choice reads."""
+        c = _ctx(guests=3)
+        _seat_guest(c, 10, now=5.0)
+        _seat_guest(c, 11, now=1.0)
+        assert c.guest_slots_info() == [(10, 5.0), (11, 1.0)]
+        c.release(10)
+        assert c.guest_slots_info() == [(11, 1.0)]
         assert c.guest_threads() == [11]
+
+    def test_evicted_guest_slot_reused(self):
+        m = _guest_machine(guests=1, threads=2)
+        _arrive_at_core0(m, 0, now=0.0)
+        _arrive_at_core0(m, 1, now=1.0)
+        assert m.threads[0].in_transit
+        assert m.contexts[0].guest_slots_info() == [(1, 1.0)]
 
     def test_zero_guest_slots_rejected(self):
         with pytest.raises(ProtocolError):

@@ -199,23 +199,8 @@ def test_l2_streak_widening_engages():
     m = _stream_machine(writes_on=False)
     m.run()
     s = m._stepper
-    assert s._widen
     assert s.l2_fills_batched > 50
     assert s.batched_accesses > 0
-
-
-def test_l2_widening_requires_true_lru():
-    """Non-LRU L1 replacement must disable the widened classifier (its
-    tag-level victim model is only exact under true LRU); the plain
-    hit-prefix batching stays available."""
-    from repro.arch.cache.replacement import PseudoLRUPolicy
-    from repro.core.epoch import EpochStepper
-
-    m = _stream_machine()
-    arr = m.caches[0].l1
-    arr._policies = [PseudoLRUPolicy(arr.ways) for _ in range(arr.num_sets)]
-    s = EpochStepper(m)
-    assert not s._widen
 
 
 # ---------------------------------------------------------------- fault plane

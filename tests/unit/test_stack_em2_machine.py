@@ -61,6 +61,36 @@ class TestBasics:
             StackEM2Machine(mt, striped(4), cfg, FixedDepth(2), window=0)
 
 
+class TestStepDispatch:
+    """The stack step is the machine's only step, whatever the config."""
+
+    def _run(self, cfg, **kwargs):
+        # out to core 1 and back home: two migrations carrying 2 words
+        mt = _stack_mt(([0, 16, 17, 0], [0, 0, 0, 0], [0, 0, 0, 0]))
+        m = StackEM2Machine(mt, striped(4, block_words=16), cfg, FixedDepth(2), **kwargs)
+        m.run()
+        return m
+
+    def test_no_epoch_stepper_is_built(self, cfg):
+        m = self._run(cfg)
+        assert m._stepper is None
+        assert m.results()["fast_path"]["engaged"] is False
+
+    def test_cache_detail_off_runs_the_stack_protocol(self, cfg):
+        r = self._run(cfg, cache_detail=False).results()
+        assert (r["migrations"], r["migrated_stack_words"]) == (2, 4)
+        detailed = self._run(cfg).results()
+        for key in ("migrations", "migrated_stack_words", "local_accesses",
+                    "evictions", "flushes", "carry_clamped"):
+            assert r[key] == detailed[key], key
+
+    def test_context_multiplexing_rejected_at_construction(self):
+        cfg = small_test_config(num_cores=4, multiplex_contexts=True)
+        mt = _stack_mt(([0, 16], [0, 0], [0, 0]))
+        with pytest.raises(ConfigError, match="multiplex"):
+            StackEM2Machine(mt, striped(4, block_words=16), cfg, FixedDepth(2))
+
+
 class TestForcedReturns:
     def test_underflow_bounces_home(self, cfg):
         # access 0: migrate out carrying 0; access 1: segment pops 3 -> underflow

@@ -14,7 +14,7 @@ from repro.analysis.sweep import (
     sweep,
     sweep_specs,
 )
-from repro.runner import build_workload, clear_build_memo
+from repro.runner import build_workload
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
 from repro.trace.io import save_multitrace
 from repro.util.errors import ConfigError
@@ -124,11 +124,33 @@ class TestSweepSpecs:
         hits = []
         for seed in (1, 2, 1):
             save_multitrace(trace(seed), path)
-            clear_build_memo()  # the memo holds trace files by path
             with ResultCache(tmp_path / "results.rpjl") as store:
                 sweep_specs(base, self.POINTS[:1], cache=store)
             hits.append(store.hits)
         assert hits == [0, 0, 1]
+
+    def test_rewritten_trace_file_is_read_again(self, tmp_path):
+        """The build memo follows a trace file's content: a file
+        rewritten in place is evaluated afresh by the next sweep in the
+        same process, with no memo reset, and gives the rows of the
+        generated workload it now holds."""
+        path = tmp_path / "t.npz"
+        file_base = _base_spec().replace(
+            workload=WorkloadSpec(name="trace-file", trace_path=str(path))
+        )
+        seen = []
+        # the second trace is longer, so the rewrite changes the file's
+        # size as well as its mtime
+        for seed, accesses in ((1, 32), (2, 48)):
+            generated = WorkloadSpec(
+                name="uniform",
+                params={"num_threads": 4, "accesses_per_thread": accesses, "seed": seed},
+            )
+            save_multitrace(build_workload(generated), path)
+            rows = sweep_specs(file_base, self.POINTS)
+            assert rows == sweep_specs(_base_spec().replace(workload=generated), self.POINTS)
+            seen.append(rows)
+        assert seen[0] != seen[1]
 
     def test_unknown_point_key_rejected(self):
         with pytest.raises(ConfigError, match="sweep-spec key"):

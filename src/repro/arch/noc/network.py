@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from heapq import heappush
 from typing import Callable
 
 from repro.arch.config import NocConfig
 from repro.arch.noc.packet import Message, VirtualNetwork
 from repro.arch.topology import Topology
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 from repro.sim.stats import StatSet
 
 
@@ -155,13 +156,17 @@ class Network:
         The classic path allocates one ``_deliver`` closure per message;
         on migration-heavy 1024+-core runs that allocation (plus the
         untaken injector/contention branches) dominated the transport
-        profile. This variant schedules the bound
-        :meth:`_finish_delivery` with the message as an event argument
-        instead. Callers bind it only when ``config.contention`` is off
-        and no fault injector is attached; arrival times, counters, and
-        delivery statistics are bit-identical to :meth:`send`.
+        profile. This variant pushes the bound :meth:`_finish_delivery`
+        with the message as an event argument instead, straight onto the
+        engine heap at ``arrival`` (times are whole numbers, so the
+        event gets the same time and sequence number ``schedule_at``
+        would give it). Callers bind it only when ``config.contention``
+        is off and no fault injector is attached; arrival times,
+        counters, and delivery statistics are bit-identical to
+        :meth:`send`.
         """
-        now = self.engine.now
+        eng = self.engine
+        now = eng.now
         msg.inject_time = now
         flits = self.config.message_flits(msg.payload_bits)
         msg_cell, flit_cell = self._vnet_cells[msg.vnet]
@@ -180,7 +185,11 @@ class Network:
             delivery = self._delivery_stats[msg.vnet] = self.stats.latency(
                 f"delivery.{msg.vnet.name}"
             )
-        self.engine.schedule_at(arrival, self._finish_delivery, msg, delivery, on_deliver)
+        seq = eng._seq
+        ev = Event(arrival, seq, self._finish_delivery, (msg, delivery, on_deliver), eng)
+        eng._seq = seq + 1
+        eng._live += 1
+        heappush(eng._queue, (arrival, seq, ev))
         return msg
 
     def _finish_delivery(self, msg: Message, delivery, on_deliver) -> None:

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-_msg_ids = itertools.count()
 
 
 class VirtualNetwork(enum.IntEnum):
@@ -38,7 +35,6 @@ class Message:
     vnet: VirtualNetwork
     kind: str = "generic"
     body: Any = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
     inject_time: float = float("nan")
     deliver_time: float = float("nan")
 

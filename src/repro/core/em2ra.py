@@ -54,12 +54,17 @@ class EM2RAMachine(MigrationMachineBase):
         for s in self._schemes:
             s.reset()
         self._c_remote = self.stats.counters.cell("remote_accesses")
+        # index-addressed replay (DP plans) is a property of the scheme's
+        # type, so it is tested once here rather than per access
+        self._replay = hasattr(scheme, "decision_for")
+        self._ra_fixed = config.cost.remote_access_fixed
+        self._word_bits = config.word_bits
 
     def _handle_nonlocal(
         self, th: ThreadState, addr: int, write: bool, home: int, delay: float
     ) -> None:
         scheme = self._schemes[th.tid]
-        if hasattr(scheme, "decision_for"):  # index-addressed replay (DP plans)
+        if self._replay:
             decision = scheme.decision_for(th.tid, th.idx)
         else:
             decision = scheme.decide(th.core, home, addr, write)
@@ -70,53 +75,51 @@ class EM2RAMachine(MigrationMachineBase):
         self._remote_access(th, addr, write, home, delay)
 
     # -- remote access round trip ----------------------------------------
+    # Each leg is one message and one departure event (see
+    # MigrationMachineBase._depart). Fault-free runs rewrite the
+    # thread's recycled request and reply messages: a thread has at most
+    # one remote access in flight, and its request is delivered before
+    # the reply is built.
     def _remote_access(
         self, th: ThreadState, addr: int, write: bool, home: int, delay: float
     ) -> None:
         self._c_remote.n += 1
-        req_bits = 64 + 8 + (self.config.word_bits if write else 0)
-        msg = Message(
-            src=th.core,
-            dst=home,
-            payload_bits=req_bits,
-            vnet=VirtualNetwork.RA_REQUEST,
-            kind="ra-request",
-            body=(th, addr, write),
-        )
-        fixed = self.config.cost.remote_access_fixed
-        self.engine.schedule(
-            delay + fixed,
-            lambda: self._send_reliable(
-                msg, self._ra_at_home, f"ra-request tid={th.tid} {th.core}->{home}"
-            ),
-        )
+        req_bits = 64 + 8 + (self._word_bits if write else 0)
+        msg = th._req_msg
+        if msg is None or self._net_send is None:
+            msg = th._req_msg = Message(
+                src=th.core, dst=home, payload_bits=req_bits,
+                vnet=VirtualNetwork.RA_REQUEST, kind="ra-request", body=(th, addr, write),
+            )
+        else:
+            msg.src = th.core
+            msg.dst = home
+            msg.payload_bits = req_bits
+            msg.body = (th, addr, write)
+        self._depart(th, delay + self._ra_fixed, msg, self._ra_at_home)
 
     def _ra_at_home(self, msg: Message) -> None:
         th, addr, write = msg.body
         home = msg.dst
         # the home core performs the access against its own caches
         lat = self._access_latency(home, addr, write)
-        reply_bits = 8 if write else self.config.word_bits
-        reply = Message(
-            src=home,
-            dst=msg.src,
-            payload_bits=reply_bits,
-            vnet=VirtualNetwork.RA_REPLY,
-            kind="ra-reply",
-            body=th,
-        )
-        self.engine.schedule(
-            lat,
-            lambda: self._send_reliable(
-                reply, self._ra_done, f"ra-reply tid={th.tid} {home}->{msg.src}"
-            ),
-        )
+        reply_bits = 8 if write else self._word_bits
+        reply = th._rep_msg
+        if reply is None or self._net_send is None:
+            reply = th._rep_msg = Message(
+                src=home, dst=msg.src, payload_bits=reply_bits,
+                vnet=VirtualNetwork.RA_REPLY, kind="ra-reply", body=th,
+            )
+        else:
+            reply.src = home
+            reply.dst = msg.src
+            reply.payload_bits = reply_bits
+        self._depart(th, lat, reply, self._ra_done)
 
     def _ra_done(self, msg: Message) -> None:
         th: ThreadState = msg.body
-        fixed = self.config.cost.remote_access_fixed
         th.idx += 1  # the access completed remotely
-        th.pending = self.engine.schedule(fixed, self._step_cb, th)
+        self._push_step(th, self._ra_fixed)
         # the thread is evictable again: a migrant stalled behind this
         # core's pinned guests may now displace it
         if not self.contexts[th.core].is_native(th.tid):

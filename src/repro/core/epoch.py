@@ -180,7 +180,7 @@ class EpochStepper:
             recent = self.batched_accesses - self._probe_mark
             self._probe_mark = self.batched_accesses
             if recent < 64 * self.MIN_YIELD:
-                self.disabled = True
+                self._latch_off()
         th.pending = None
         heap = [(now, -1, th)]
         if steps:
@@ -195,6 +195,28 @@ class EpochStepper:
             if len(heap) > 1:
                 heapq.heapify(heap)
         return self._walk(heap, horizon)
+
+    def _latch_off(self) -> None:
+        """Turn the stepper off for good and leave the step dispatch.
+
+        Once disabled, :meth:`try_window` would return False on every
+        call, so every step event is rebound straight to the slow step:
+        the machine's step callback (read by every later step
+        scheduling, including this window's :meth:`_reify`), every live
+        step event in the queue, and every thread's recycled step event.
+        Event times and sequence numbers are untouched, so results are
+        bit-identical; the window that latched off still runs.
+        """
+        self.disabled = True
+        m = self.m
+        dispatch = m._step_cb
+        slow = m._step_cb = m._step_slow
+        for _w, _s, ev in self.eng._queue:
+            if ev.callback is dispatch:
+                ev.callback = slow
+        for t in m.threads:
+            if t._ev is not None:
+                t._ev.callback = slow
 
     # ------------------------------------------------------------------
     def _note(self, batched: int) -> None:

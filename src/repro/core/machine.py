@@ -69,16 +69,21 @@ class ThreadState:
     # place instead of allocating a new Event per access. A cancelled
     # event may still sit in the heap (lazy deletion) and is abandoned.
     _ev: Event | None = None
-    # recycled transport containers (fault-free runs only): a thread's
-    # previous departure event always fired, and its previous
-    # migration/eviction message was always delivered, before the next
-    # one is needed (departure precedes delivery precedes admission
-    # precedes the step that migrates again), so all three are rewritten
-    # in place instead of allocated per migration. The fault plane keeps
-    # fresh messages — dup-delivery closures hold them past delivery.
+    # recycled transport containers (fault-free runs only): a thread has
+    # one transfer in flight at a time — a migration, an eviction, or
+    # one leg of a remote access — and its previous departure event
+    # always fired, and its previous message of each kind was always
+    # delivered, before the next one is needed (departure precedes
+    # delivery precedes the admission or reply that lets the thread
+    # step again; a thread awaiting a reply cannot be evicted), so all
+    # are rewritten in place instead of allocated per transfer. The
+    # fault plane keeps fresh messages — dup-delivery closures hold
+    # them past delivery.
     _dep_ev: Event | None = None
     _mig_msg: Message | None = None
     _evt_msg: Message | None = None
+    _req_msg: Message | None = None
+    _rep_msg: Message | None = None
 
 
 class MigrationMachineBase:
@@ -191,7 +196,8 @@ class MigrationMachineBase:
         # fault-free transport: contention-free runs bind
         # Network.send_fast (no per-send delivery closure, no untaken
         # injector/contention branches); contended fault-free runs keep
-        # Network.send. Fault runs go through _send_reliable instead.
+        # Network.send. Every fault-free departure event calls it
+        # directly (see _depart); fault runs go through _send_reliable.
         if faults is None:
             self._net_send = (
                 self.network.send if config.noc.contention else self.network.send_fast
@@ -399,26 +405,55 @@ class MigrationMachineBase:
         self.contexts[th.core].release(th.tid)
         self._admit_waiter_if_any(th.core)
 
-    # -- reliable transfer (fault-plane recovery) ------------------------
-    def _send_reliable(self, msg: Message, on_deliver, desc: str) -> None:
-        """Send ``msg``, surviving injected drops and duplicates.
+    # -- transport ------------------------------------------------------
+    def _depart(
+        self, th: ThreadState, delay: float, msg: Message, on_deliver
+    ) -> None:
+        """Put ``msg`` on the network ``delay`` cycles from now.
 
-        Fault-free machines fall straight through to ``Network.send``.
-        With an injector, each transfer gets (a) *duplicate
-        suppression* — the first delivery wins, later copies only bump
-        ``dup_ignored`` — and (b) *timeout/retry*: a dropped copy is
-        detected (ideal failure detector, see ``Network.send``) and a
-        fresh copy departs after ``retry_timeout * backoff**attempt``
-        cycles, charged to ``recovery_stall``. After ``retry_cap``
-        consecutive losses the protocol gives up with
-        :class:`RetryExhaustedError` naming the transfer. With
-        ``retries=False`` a loss strands the transfer, and the run ends
-        in a quiescence :class:`ProtocolError` — the behaviour the
-        liveness audit exists to rule out.
+        Every transfer of ``th`` — migration, eviction, remote-access
+        request or reply — departs here. Fault-free runs rewrite and
+        push the thread's recycled departure event (see
+        ``ThreadState._dep_ev``): a thread's previous departure always
+        fired before its next transfer starts, and departures are never
+        cancelled. Its callback is the bound network send and its
+        arguments are the message and ``on_deliver``, so a leg costs no
+        closure. Fault runs schedule :meth:`_send_reliable` instead.
         """
-        if self.faults is None:
-            self.network.send(msg, on_deliver)
+        eng = self.engine
+        send = self._net_send
+        if send is None:
+            eng.schedule(delay, self._send_reliable, msg, on_deliver, th.tid)
             return
+        when = eng.now + delay
+        seq = eng._seq
+        ev = th._dep_ev
+        if ev is None:
+            ev = th._dep_ev = Event(when, seq, send, (msg, on_deliver), eng)
+        else:
+            ev.time = when
+            ev.seq = seq
+            ev.args = (msg, on_deliver)
+            ev._engine = eng
+        eng._seq = seq + 1
+        eng._live += 1
+        heappush(eng._queue, (when, seq, ev))
+
+    def _send_reliable(self, msg: Message, on_deliver, tid: int) -> None:
+        """Send ``msg`` for thread ``tid``, surviving injected drops and
+        duplicates (fault runs only; see :meth:`_depart`).
+
+        Each transfer gets (a) *duplicate suppression* — the first
+        delivery wins, later copies only bump ``dup_ignored`` — and (b)
+        *timeout/retry*: a dropped copy is detected (ideal failure
+        detector, see ``Network.send``) and a fresh copy departs after
+        ``retry_timeout * backoff**attempt`` cycles, charged to
+        ``recovery_stall``. After ``retry_cap`` consecutive losses the
+        protocol gives up with :class:`RetryExhaustedError` naming the
+        transfer. With ``retries=False`` a loss strands the transfer,
+        and the run ends in a quiescence :class:`ProtocolError` — the
+        behaviour the liveness audit exists to rule out.
+        """
         self._open_transfers += 1
         state = [0, False]  # [resend count, completed]
 
@@ -438,7 +473,8 @@ class MigrationMachineBase:
                 return  # stranded: quiescence check reports the hang
             if attempt >= self._retry_cap:
                 raise RetryExhaustedError(
-                    f"{desc}: all {attempt + 1} copies lost, retry cap "
+                    f"{msg.kind} tid={tid} {msg.src}->{msg.dst}: all "
+                    f"{attempt + 1} copies lost, retry cap "
                     f"{self._retry_cap} exhausted"
                 )
             state[0] = attempt + 1
@@ -461,70 +497,17 @@ class MigrationMachineBase:
             self._admit_waiter_if_any(src)
         self._c_migrations.n += 1
         self._mig_in[dest] += 1
-        if self._net_send is not None:
-            msg = th._mig_msg
-            if msg is None:
-                msg = th._mig_msg = Message(
-                    src=src,
-                    dst=dest,
-                    payload_bits=self._ctx_bits,
-                    vnet=VirtualNetwork.MIGRATION,
-                    kind="migration",
-                    body=th,
-                )
-            else:
-                msg.src = src
-                msg.dst = dest
-            # after_delay models the remaining local work before departure
-            self._push_departure(
-                th, after_delay + self._mig_fixed, self._depart_migration, msg
+        msg = th._mig_msg
+        if msg is None or self._net_send is None:
+            msg = th._mig_msg = Message(
+                src=src, dst=dest, payload_bits=self._ctx_bits,
+                vnet=VirtualNetwork.MIGRATION, kind="migration", body=th,
             )
-            return
-        msg = Message(
-            src=src,
-            dst=dest,
-            payload_bits=self._ctx_bits,
-            vnet=VirtualNetwork.MIGRATION,
-            kind="migration",
-            body=th,
-        )
-        self.engine.schedule(
-            after_delay + self._mig_fixed,
-            lambda: self._send_reliable(
-                msg, self._arrive, f"migration tid={th.tid} {src}->{dest}"
-            ),
-        )
-
-    def _push_departure(
-        self, th: ThreadState, delay: float, callback, msg: Message
-    ) -> None:
-        """Schedule a context departure on the thread's recycled event.
-
-        Departure events are never cancelled and a thread's previous one
-        always fired before its next migration/eviction is initiated, so
-        the Event is rewritten in place (see ``ThreadState._dep_ev``).
-        """
-        eng = self.engine
-        when = eng.now + delay
-        seq = eng._seq
-        ev = th._dep_ev
-        if ev is None:
-            ev = th._dep_ev = Event(when, seq, callback, (msg,), eng)
         else:
-            ev.time = when
-            ev.seq = seq
-            ev.callback = callback
-            ev.args = (msg,)
-            ev._engine = eng
-        eng._seq = seq + 1
-        eng._live += 1
-        heappush(eng._queue, (when, seq, ev))
-
-    def _depart_migration(self, msg: Message) -> None:
-        self._net_send(msg, self._arrive)
-
-    def _depart_eviction(self, msg: Message) -> None:
-        self._net_send(msg, self._evict_arrive)
+            msg.src = src
+            msg.dst = dest
+        # after_delay models the remaining local work before departure
+        self._depart(th, after_delay + self._mig_fixed, msg, self._arrive)
 
     def _arrive(self, msg: Message) -> None:
         self._try_admit(msg.body, msg.dst)
@@ -573,21 +556,30 @@ class MigrationMachineBase:
                 self._evict(victim, dest)
         th.in_transit = False
         th.core = dest
-        # the access that triggered the migration executes here, on the
-        # thread's recycled step event (its previous step event fired
-        # before the migration; a cancelled one is abandoned in the heap)
+        # the access that triggered the migration executes here
+        self._push_step(th, 0.0)
+
+    def _push_step(self, th: ThreadState, delay: float) -> None:
+        """Schedule ``th``'s next step on its recycled step event.
+
+        For a thread that is not stepping right now: its previous step
+        event fired before the transfer that ends here began, so it is
+        out of the heap; a cancelled one is abandoned in the heap
+        (lazy deletion) and replaced.
+        """
         eng = self.engine
+        when = eng.now + delay
         seq = eng._seq
         ev = th._ev
         if ev is None or ev.cancelled:
-            ev = th._ev = Event(now, seq, self._step_cb, (th,), eng)
+            ev = th._ev = Event(when, seq, self._step_cb, (th,), eng)
         else:
-            ev.time = now
+            ev.time = when
             ev.seq = seq
             ev._engine = eng
         eng._seq = seq + 1
         eng._live += 1
-        heappush(eng._queue, (now, seq, ev))
+        heappush(eng._queue, (when, seq, ev))
         th.pending = ev
 
     def _pick_evictable_victim(self, core: int) -> int | None:
@@ -627,37 +619,15 @@ class MigrationMachineBase:
         victim.in_transit = True
         self._c_evictions.n += 1
         self._evict_out[core] += 1
-        if self._net_send is not None:
-            msg = victim._evt_msg
-            if msg is None:
-                msg = victim._evt_msg = Message(
-                    src=core,
-                    dst=victim.native,
-                    payload_bits=self._ctx_bits,
-                    vnet=VirtualNetwork.EVICTION,
-                    kind="eviction",
-                    body=victim,
-                )
-            else:
-                msg.src = core
-            self._push_departure(victim, self._evt_fixed, self._depart_eviction, msg)
-            return
-        msg = Message(
-            src=core,
-            dst=victim.native,
-            payload_bits=self._ctx_bits,
-            vnet=VirtualNetwork.EVICTION,
-            kind="eviction",
-            body=victim,
-        )
-        self.engine.schedule(
-            self._evt_fixed,
-            lambda: self._send_reliable(
-                msg,
-                self._evict_arrive,
-                f"eviction tid={victim_tid} {core}->{victim.native}",
-            ),
-        )
+        msg = victim._evt_msg
+        if msg is None or self._net_send is None:
+            msg = victim._evt_msg = Message(
+                src=core, dst=victim.native, payload_bits=self._ctx_bits,
+                vnet=VirtualNetwork.EVICTION, kind="eviction", body=victim,
+            )
+        else:
+            msg.src = core
+        self._depart(victim, self._evt_fixed, msg, self._evict_arrive)
 
     def _evict_arrive(self, msg: Message) -> None:
         victim: ThreadState = msg.body
@@ -665,7 +635,7 @@ class MigrationMachineBase:
         victim.core = victim.native
         self.contexts[victim.native].admit_native(victim.tid, self.engine.now)
         # the interrupted access restarts from the native core
-        victim.pending = self.engine.schedule(0.0, self._step_cb, victim)
+        self._push_step(victim, 0.0)
 
     # ------------------------------------------------------------------
     def _handle_nonlocal(

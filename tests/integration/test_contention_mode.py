@@ -7,10 +7,15 @@ changes timing) and can only slow things down.
 import pytest
 
 from repro.arch.config import NocConfig, small_test_config
+from repro.core.costs import CostModel
 from repro.core.decision import NeverMigrate
 from repro.core.em2 import EM2Machine
 from repro.core.em2ra import EM2RAMachine
+from repro.core.remote_access import RemoteAccessMachine
+from repro.faults.injector import FaultInjector
 from repro.placement import first_touch
+from repro.runner import build_scheme
+from repro.spec import FaultSpec, SchemeSpec
 from repro.trace.synthetic import make_workload
 from repro.verify import full_machine_audit
 
@@ -80,3 +85,42 @@ class TestContentionPreservesProtocol:
         m.run()
         # converging migrations on the hotspot must queue somewhere
         assert m.network.stats.latency("queueing").count > 0
+
+
+class TestContendedLegsMatchQuietFaultPlane:
+    """Fault-free contended runs send every leg — migration, eviction,
+    remote-access request and reply — from a departure event bound
+    straight to ``Network.send``; a fault plane at all-zero rates sends
+    the same legs through the retry protocol. Both must give the same
+    results, apart from the fault plane's own keys."""
+
+    FAULT_KEYS = ("retries", "drops_survived", "dup_ignored", "recovery_stall_cycles")
+
+    @pytest.mark.parametrize("machine", ["em2", "em2ra", "ra-only"])
+    def test_fault_free_equals_zero_rate_plane(self, hotspot, machine):
+        _, cfg = _cfgs()
+        pl = first_touch(hotspot, 8)
+
+        def results(faults):
+            kw = dict(faults=faults, fast_path=False)
+            if machine == "em2":
+                m = EM2Machine(hotspot, pl, cfg, **kw)
+            elif machine == "em2ra":
+                scheme = build_scheme(SchemeSpec(name="history"), CostModel(cfg))
+                m = EM2RAMachine(hotspot, pl, cfg, scheme, **kw)
+            else:
+                m = RemoteAccessMachine(hotspot, pl, cfg, **kw)
+            m.run()
+            assert m.network.stats.latency("queueing").count > 0
+            return m.results()
+
+        quiet = results(FaultInjector(FaultSpec(name="iid", params={}, seed=0)))
+        assert quiet["faults.total"] == 0 and quiet["retries"] == 0
+        quiet = {
+            k: v for k, v in quiet.items()
+            if k not in self.FAULT_KEYS and not k.startswith("faults.")
+        }
+        plain = results(None)
+        assert plain == quiet
+        legs = plain["remote_accesses"] if machine != "em2" else plain["migrations"]
+        assert legs > 0

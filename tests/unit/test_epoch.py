@@ -150,6 +150,95 @@ def test_stepper_disables_itself_on_boundary_dense_traces():
     assert s.windows >= 64  # it probed before giving up
 
 
+#: Results of tiny OCEAN (the perfbench self-test size: 16 threads on
+#: 16 cores, default preset) with the fast path on. The stepper
+#: latches off (``boundary_dense``) after 128 windows on both machines;
+#: leaving the step dispatch afterwards must change none of them,
+#: diagnostics included.
+OCEAN_TINY = {
+    "em2": {
+        "completion_time": 5579.0,
+        "dram_fills": 81,
+        "evictions": 6,
+        "fast_path": {
+            "batched_accesses": 1708,
+            "boundaries": {"dram": 3, "finish_wait": 0, "nonlocal": 49},
+            "cross_core_windows": 128,
+            "disabled_reason": "boundary_dense",
+            "engaged": False,
+            "epochs_batched": 128,
+            "max_window": 241,
+            "max_window_cores": 16,
+            "mean_window": 13.34375,
+        },
+        "flit_hops": 39312,
+        "local_accesses": 5683,
+        "messages.EVICTION": 6,
+        "messages.MIGRATION": 1861,
+        "migrations": 1861,
+        "remote_accesses": 0,
+    },
+    "em2ra": {
+        "completion_time": 3675.0,
+        "dram_fills": 81,
+        "evictions": 0,
+        "fast_path": {
+            "batched_accesses": 2318,
+            "boundaries": {"dram": 3, "finish_wait": 0, "nonlocal": 43},
+            "cross_core_windows": 128,
+            "disabled_reason": "boundary_dense",
+            "engaged": False,
+            "epochs_batched": 128,
+            "max_window": 241,
+            "max_window_cores": 16,
+            "mean_window": 18.109375,
+        },
+        "flit_hops": 7917,
+        "local_accesses": 6410,
+        "messages.MIGRATION": 28,
+        "messages.RA_REPLY": 1106,
+        "messages.RA_REQUEST": 1106,
+        "migrations": 28,
+        "remote_accesses": 1106,
+    },
+}
+
+
+@pytest.mark.parametrize("machine", sorted(OCEAN_TINY))
+def test_latched_off_stepper_leaves_the_step_dispatch(machine):
+    """After the stepper latches off, no step goes through the dispatch
+    wrapper: every step event calls the slow step directly."""
+    from repro.core.em2 import EM2Machine
+    from repro.core.em2ra import EM2RAMachine
+
+    base = EM2Machine if machine == "em2" else EM2RAMachine
+
+    class Probe(base):
+        after_latch = 0
+
+        def _step(self, th):
+            if self._stepper.disabled:
+                self.after_latch += 1
+            super()._step(th)
+
+    built = build(ExperimentSpec(
+        workload=WorkloadSpec(name="ocean", params={
+            "grid_n": 32, "iterations": 1, "num_threads": 16, "seed": 0}),
+        machine=MachineSpec(name=machine, cores=16, preset="default"),
+        scheme=SchemeSpec(name="history"),
+        placement=PlacementSpec(name="first-touch"),
+    ))
+    args = (built.trace, built.placement, built.config)
+    if machine == "em2ra":
+        args += (built.scheme,)
+    m = Probe(*args, topology=built.topology)
+    m.run()
+    assert m._stepper.disabled
+    assert m.after_latch == 0
+    assert m._step_cb == m._step_slow
+    assert m.results() == OCEAN_TINY[machine]
+
+
 def test_fast_path_off_means_no_stepper():
     m = _em2_machine("pingpong", dict(num_threads=4, rounds=4, run=8),
                      fast_path=False)

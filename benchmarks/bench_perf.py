@@ -87,26 +87,22 @@ THROUGHPUT_PARAMS = {
         "cc": dict(name="uniform", num_threads=16, accesses_per_thread=8192,
                    region_words=4096),
         "machine_fast": dict(name="pingpong", num_threads=16, rounds=120, run=256),
-        "cc_fast": dict(name="private", num_threads=16, accesses_per_thread=16384,
-                        working_set=192),
     },
     "smoke": {
         "machine": dict(name="pingpong", num_threads=8, rounds=250, run=8),
         "cc": dict(name="uniform", num_threads=8, accesses_per_thread=1024,
                    region_words=1024),
         "machine_fast": dict(name="pingpong", num_threads=8, rounds=60, run=256),
-        "cc_fast": dict(name="private", num_threads=8, accesses_per_thread=8192,
-                        working_set=192),
     },
 }
 
 # The ``machine``/``cc`` entries are boundary-dense (a migration or a
-# miss every handful of accesses) and measure the *event-driven* hot
-# path, so those runs pin ``fast_path=False`` for metric continuity.
-# The ``*_fast`` entries are the epoch-batched fast path's target
-# regime — long runs of local work punctuated by rare boundary events
-# (the regime the paper's evaluation cares about) — and run with the
-# fast path on (the default).
+# miss every handful of accesses). ``machine`` measures the EM²
+# *event-driven* hot path, so it pins ``fast_path=False`` for metric
+# continuity; ``cc`` times the one directory-CC driver. The
+# ``machine_fast`` entry is the EM² epoch-batched fast path's target
+# regime — long runs of local work punctuated by rare boundary events —
+# and runs with the fast path on (the default).
 
 # Pre-optimization accesses/second, measured on the commit before the
 # hot-path overhaul (best of 3 on the same parameters above, CORES=16).
@@ -215,16 +211,14 @@ def _bench_machine(mode: str, repeats: int, which: str = "machine",
     return {"accesses": trace.total_accesses, "accesses_per_sec": best}
 
 
-def _bench_cc(mode: str, repeats: int, which: str = "cc",
-              fast_path: bool = False) -> dict:
+def _bench_cc(mode: str, repeats: int) -> dict:
     from repro.coherence.simulator import DirectoryCCSimulator
 
-    built = _throughput_built(mode, which, "cc-msi")
+    built = _throughput_built(mode, "cc", "cc-msi")
     trace = built.trace
     best = 0.0
     for _ in range(repeats):
-        sim = DirectoryCCSimulator(trace, built.placement, built.config,
-                                   fast_path=fast_path)
+        sim = DirectoryCCSimulator(trace, built.placement, built.config)
         t0 = time.perf_counter()
         sim.run()
         best = max(best, trace.total_accesses / (time.perf_counter() - t0))
@@ -244,15 +238,15 @@ def golden_parity() -> bool:
     return golden.scenario_results() == committed
 
 
-def fastpath_golden_parity(family: str) -> bool:
-    """Bit-parity of the epoch-batched fast path for one machine family.
+def fastpath_golden_parity() -> bool:
+    """Bit-parity of the EM² epoch-batched fast path.
 
-    Re-runs every golden scenario of the family twice — fast path forced
-    on and forced off — and requires both to equal the committed fixture.
-    The fixtures were recorded on the pure event-driven path, so this is
-    the tentpole's non-negotiable contract: the fast path may only be
-    fast, never different. ``family`` is ``"machine"`` (the migration
-    machines) or ``"cc"`` (the directory-coherence simulators).
+    Re-runs every golden scenario of the migration machines twice —
+    fast path forced on and forced off — and requires both to equal the
+    committed fixture. The fixtures were recorded on the pure
+    event-driven path, so the fast path may only be fast, never
+    different. The directory-CC scenarios have one driver, which
+    :func:`golden_parity` already checks.
     """
     bench_dir = Path(__file__).resolve().parent
     if str(bench_dir) not in sys.path:
@@ -264,8 +258,7 @@ def fastpath_golden_parity(family: str) -> bool:
 
     committed = json.loads(golden.FIXTURE_PATH.read_text())
     for key, spec_dict in golden.scenario_specs().items():
-        name = spec_dict["machine"]["name"]
-        if (name.startswith("cc")) != (family == "cc"):
+        if spec_dict["machine"]["name"].startswith("cc"):
             continue
         for fast in (True, False):
             sd = json.loads(json.dumps(spec_dict))
@@ -602,17 +595,17 @@ def run_chaos(mode: str, num_workers: int = 2) -> dict:
 def run_throughput(mode: str = "full", repeats: int = 3) -> dict:
     """Throughput section of the report.
 
-    Event-driven metrics (``machine``/``cc``) run with the fast path
-    pinned off; fastpath metrics run the ``*_fast`` regime with the
-    epoch stepper on. Speedups are reported against both the frozen
+    The event-driven EM² metric (``machine``) runs with the fast path
+    pinned off and ``cc`` times the one directory-CC driver;
+    ``machine_fastpath`` runs the ``machine_fast`` regime with the epoch
+    stepper on. Speedups are reported against both the frozen
     PRE_PR_BASELINE and the previous committed baseline, and the
-    fastpath numbers are only trusted alongside their bit-parity gates.
+    fastpath number is only trusted alongside its bit-parity gate.
     """
     machine = _bench_machine(mode, repeats)
     cc = _bench_cc(mode, repeats)
     machine_fast = _bench_machine(mode, repeats, which="machine_fast",
                                   fast_path=True)
-    cc_fast = _bench_cc(mode, repeats, which="cc_fast", fast_path=True)
     base = PRE_PR_BASELINE[mode]
     committed, committed_mode = _committed_baseline()
     report = {
@@ -624,14 +617,11 @@ def run_throughput(mode: str = "full", repeats: int = 3) -> dict:
         "cc_speedup_vs_pre_pr": cc["accesses_per_sec"] / base["cc"],
         "machine_fastpath_accesses": machine_fast["accesses"],
         "machine_fastpath_accesses_per_sec": machine_fast["accesses_per_sec"],
-        "cc_fastpath_accesses": cc_fast["accesses"],
-        "cc_fastpath_accesses_per_sec": cc_fast["accesses_per_sec"],
         "pre_pr_baseline": base,
         "committed_baseline_mode": committed_mode,
         "golden_parity": golden_parity(),
         "fault_zero_golden_parity": fault_zero_golden_parity(),
-        "machine_fastpath_golden_parity": fastpath_golden_parity("machine"),
-        "cc_fastpath_golden_parity": fastpath_golden_parity("cc"),
+        "machine_fastpath_golden_parity": fastpath_golden_parity(),
     }
     # trajectory since the last committed baseline, strictly
     # like-for-like: each metric against its *own* baseline entry (the
@@ -641,7 +631,6 @@ def run_throughput(mode: str = "full", repeats: int = 3) -> dict:
         "machine_speedup_vs_baseline",
         "cc_speedup_vs_baseline",
         "machine_fastpath_speedup_vs_baseline",
-        "cc_fastpath_speedup_vs_baseline",
     ):
         metric = rep_key.replace("_speedup_vs_baseline", "_accesses_per_sec")
         found = committed.get(metric, (0.0, None))
@@ -735,11 +724,9 @@ def test_throughput_smoke():
     assert report["golden_parity"]
     assert report["fault_zero_golden_parity"]
     assert report["machine_fastpath_golden_parity"]
-    assert report["cc_fastpath_golden_parity"]
     assert report["machine_accesses_per_sec"] > 0
     assert report["cc_accesses_per_sec"] > 0
     assert report["machine_fastpath_accesses_per_sec"] > 0
-    assert report["cc_fastpath_accesses_per_sec"] > 0
 
 
 def test_chaos_smoke():
@@ -820,7 +807,6 @@ def main(argv: list[str] | None = None) -> int:
         and report["golden_parity"]
         and report["fault_zero_golden_parity"]
         and report["machine_fastpath_golden_parity"]
-        and report["cc_fastpath_golden_parity"]
         and report["tracegen_golden_parity"]
     )
     print(
@@ -844,11 +830,7 @@ def main(argv: list[str] | None = None) -> int:
         f"fastpath machine {report['machine_fastpath_accesses_per_sec']:.0f} acc/s "
         f"({report.get('machine_fastpath_speedup_vs_baseline', float('nan')):.2f}x "
         f"committed baseline) | "
-        f"fastpath cc {report['cc_fastpath_accesses_per_sec']:.0f} acc/s "
-        f"({report.get('cc_fastpath_speedup_vs_baseline', float('nan')):.2f}x "
-        f"committed baseline) | "
-        f"fastpath parity: machine {report['machine_fastpath_golden_parity']} "
-        f"cc {report['cc_fastpath_golden_parity']}"
+        f"fastpath parity: {report['machine_fastpath_golden_parity']}"
     )
     print(
         f"farm({report['farm_workers']} workers) "

@@ -138,12 +138,6 @@ def _run_point(machine: str, cores: int, params: dict, repeats: int,
             point.update(
                 completion_time=r.completion_time,
                 traffic_bits=r.traffic_bits,
-                fast_path=(
-                    m._fastpath_stats
-                    if m._fastpath_stats is not None
-                    else {"engaged": False,
-                          "disabled_reason": m._fastpath_reason}
-                ),
             )
             mem = tile_state_bytes(m)
         best = max(best, trace.total_accesses / run_s)
@@ -156,31 +150,28 @@ def _run_point(machine: str, cores: int, params: dict, repeats: int,
 
 
 def mesh1024_fastpath_parity() -> bool:
-    """Bit-parity of the widened fast path at the scaling preset's
-    motivating size: one P=1024 mesh point (64 threads, 32 accesses
+    """Bit-parity of the EM² fast path at the scaling preset's
+    motivating size: one P=1024 mesh em2 point (64 threads, 32 accesses
     each — small enough for CI, wide enough to cross many cores) run
     with ``fast_path`` on and off; every simulated metric must match.
-    Both machine families are checked. The ``fast_path`` sub-dict is
-    engagement diagnostics and is excluded from the comparison."""
+    The ``fast_path`` sub-dict is engagement diagnostics and is
+    excluded from the comparison."""
     from repro.runner import run
 
     params = dict(num_threads=64, accesses_per_thread=32,
                   region_words=64 * 1024, seed=1)
-    for machine in ("em2", "cc-msi"):
-        results = []
-        for fast in (True, False):
-            spec = ExperimentSpec(
-                workload=WorkloadSpec(name="uniform", params=params),
-                machine=MachineSpec(name=machine, cores=1024, preset=PRESET,
-                                    fast_path=fast),
-                placement=PlacementSpec(name="striped"),
-            )
-            res = run(spec)
-            res.pop("fast_path", None)
-            results.append(res)
-        if results[0] != results[1]:
-            return False
-    return True
+    results = []
+    for fast in (True, False):
+        spec = ExperimentSpec(
+            workload=WorkloadSpec(name="uniform", params=params),
+            machine=MachineSpec(name="em2", cores=1024, preset=PRESET,
+                                fast_path=fast),
+            placement=PlacementSpec(name="striped"),
+        )
+        res = run(spec)
+        res.pop("fast_path", None)
+        results.append(res)
+    return results[0] == results[1]
 
 
 def run_scaling(mode: str = "full", repeats: int = 2) -> dict:
@@ -203,15 +194,14 @@ def run_scaling(mode: str = "full", repeats: int = 2) -> dict:
             _run_point(machine, n, _strong_params(mode), repeats) for n in sizes
         ]
 
-    # per-P fast-path engagement next to the throughput it bought:
+    # per-P EM² fast-path engagement next to the throughput it bought:
     # window widths/counts per size so a future regression shows up as
     # "windows stopped forming at P=1024", not just a slower number
     report["fastpath"] = {
-        f"scaling_fastpath_{machine}_p{p['cores']}": dict(
+        f"scaling_fastpath_em2_p{p['cores']}": dict(
             accesses_per_sec=p["accesses_per_sec"], **p["fast_path"]
         )
-        for machine in ("em2", "cc-msi")
-        for p in report["weak"][machine]
+        for p in report["weak"]["em2"]
     }
 
     # hierarchical topology at the top size: same workload, mesh vs
@@ -277,7 +267,7 @@ def test_scaling_smoke():
     assert cvm["cluster"]["accesses_per_sec"] > 0
     # same workload, same cores: only the geometry may differ
     assert cvm["cluster"]["accesses"] == cvm["mesh"]["accesses"]
-    # fast-path engagement is recorded per size for both families
+    # EM² fast-path engagement is recorded per size
     for key, fp in report["fastpath"].items():
         assert key.startswith("scaling_fastpath_")
         assert "engaged" in fp and fp["accesses_per_sec"] > 0

@@ -36,7 +36,6 @@ METRICS = [
     "machine_accesses_per_sec",
     "cc_accesses_per_sec",
     "machine_fastpath_accesses_per_sec",
-    "cc_fastpath_accesses_per_sec",
     "parallel_speedup",
     "warm_skip_fraction",
     "tracegen_accesses_per_sec",

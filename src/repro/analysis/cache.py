@@ -39,7 +39,7 @@ from repro.analysis.journal import SweepJournal
 from repro.util.errors import ConfigError
 
 # Bump the schema component when a kernel change invalidates old rows.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def code_salt() -> str:

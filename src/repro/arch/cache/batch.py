@@ -4,10 +4,10 @@ Two pieces back the epoch-batched fast path (:mod:`repro.core.epoch`):
 
 * :func:`frozen_hit_prefix` — classify how many upcoming accesses are
   *pure* hits against a live ``CacheArray``'s current (frozen) state.
-  Pure hits mutate only recency and counters, never presence or
-  protocol state, so a frozen-state classification of a hit prefix is
-  exact: the first access that would miss (or needs a state change)
-  ends the prefix and is handled by the event-driven slow path.
+  Pure hits mutate only recency, dirty bits and counters, never
+  presence, so a frozen-state classification of a hit prefix is exact:
+  the first access that would miss ends the prefix and is handled by
+  the event-driven slow path.
 * :func:`apply_hit_prefix` — bulk-apply such a prefix to the live
   array: counters and final recency order (last-touch order of the
   distinct lines) identical to touching line by line.
@@ -25,21 +25,13 @@ import numpy as np
 from repro.arch.cache.sram import CacheArray, TileCacheStore
 
 
-def frozen_hit_prefix(
-    arr: CacheArray,
-    lines: np.ndarray,
-    writes: np.ndarray | None = None,
-    states_ok_write: tuple[int, ...] | None = None,
-    states_ok_read: tuple[int, ...] | None = None,
-) -> int:
+def frozen_hit_prefix(arr: CacheArray, lines: np.ndarray) -> int:
     """Length of the pure-hit prefix of ``lines`` against ``arr`` now.
 
-    ``lines`` are line addresses (byte address >> line shift). With no
-    state filters, a hit is simple presence (the migration machines'
-    L1). With filters, the resident line's protocol ``state`` must be
-    in the allowed tuple for the access type (the CC driver's hit
-    predicate). The block is compressed to same-line runs and each run
-    is probed once against the frozen slot index, in order.
+    ``lines`` are line addresses (byte address >> line shift); a hit is
+    simple presence (the migration machines' L1). The block is
+    compressed to same-line runs and each run is probed once against
+    the frozen slot index, in order.
     """
     n = len(lines)
     if n == 0:
@@ -50,33 +42,10 @@ def frozen_hit_prefix(
     starts = np.concatenate(
         ([0], np.flatnonzero(lines[1:] != lines[:-1]) + 1)
     )
-    run_lines = lines[starts].tolist()
     index = arr._index
-    if states_ok_write is None:
-        for pos, la in zip(starts.tolist(), run_lines):
-            if index.get(la) is None:
-                return pos
-        return n
-    states = arr.state
-    writes = np.asarray(writes, dtype=bool)
-    bounds = starts.tolist() + [n]
-    for j, la in enumerate(run_lines):
-        slot = index.get(la)
-        if slot is None:
-            return bounds[j]
-        st = states[slot]
-        ok_w = st in states_ok_write
-        ok_r = st in states_ok_read
-        if ok_w and ok_r:
-            continue
-        if not (ok_w or ok_r):
-            return bounds[j]
-        # state allows only one access type: the prefix ends at the
-        # run's first access of the disallowed type, if any
-        seg = writes[bounds[j] : bounds[j + 1]]
-        bad = np.flatnonzero(seg if ok_r else ~seg)
-        if bad.size:
-            return bounds[j] + int(bad[0])
+    for pos, la in zip(starts.tolist(), lines[starts].tolist()):
+        if index.get(la) is None:
+            return pos
     return n
 
 
@@ -172,16 +141,16 @@ def frozen_service_prefix(hier, lines: np.ndarray, writes: np.ndarray):
     return n, fills
 
 
-def apply_hit_prefix(arr: CacheArray, lines: np.ndarray, writes: np.ndarray | None = None):
+def apply_hit_prefix(arr: CacheArray, lines: np.ndarray, writes: np.ndarray):
     """Bulk-apply ``len(lines)`` pure hits to ``arr``.
 
     Equivalent to ``arr.lookup(line << shift)`` per access: the hit
     counter advances by the block size and the final recency order is
     the last-touch order of the distinct lines (touching a line twice
-    leaves only the later touch visible to LRU). With ``writes``, a
-    line written anywhere in the block is marked dirty (hit-write
-    semantics of the migration machines' L1). Returns the slot of the
-    final access, for the caller's same-line memo.
+    leaves only the later touch visible to LRU). A line written
+    anywhere in the block is marked dirty (hit-write semantics of the
+    migration machines' L1). Returns the slot of the final access, for
+    the caller's same-line memo.
     """
     n = len(lines)
     if n == 0:
@@ -195,13 +164,9 @@ def apply_hit_prefix(arr: CacheArray, lines: np.ndarray, writes: np.ndarray | No
     )
     run_lines = lines[starts].tolist()
     ordered = {}
-    if writes is None:
-        for la in run_lines:
-            ordered[la] = ordered.pop(la, False)
-    else:
-        flags = np.maximum.reduceat(np.asarray(writes, dtype=bool), starts)
-        for la, f in zip(run_lines, flags.tolist()):
-            ordered[la] = ordered.pop(la, False) or f
+    flags = np.maximum.reduceat(np.asarray(writes, dtype=bool), starts)
+    for la, f in zip(run_lines, flags.tolist()):
+        ordered[la] = ordered.pop(la, False) or f
     index = arr._index
     stamps = arr.stamps
     dirty = arr.dirty
@@ -224,9 +189,9 @@ def apply_hit_windows(store: TileCacheStore, jobs: list) -> list:
     ``jobs`` is a non-empty list of ``(arr, lines, writes)`` triples —
     one per participating core, each the concatenated pure-hit run of
     that core's threads inside the window, in the core's exact access
-    order (``lines`` non-empty; ``writes`` is a bool column or None
-    for read-semantics hits). Per-array effects are identical to
-    calling :func:`apply_hit_prefix` job by job — hit counters, dirty
+    order (``lines`` non-empty; ``writes`` is its bool column).
+    Per-array effects are identical to calling
+    :func:`apply_hit_prefix` job by job — hit counters, dirty
     bits, final recency order, and per-array clocks all match bit for
     bit — but the recency-stamp stores of *every* core are gathered
     into one fancy-indexed scatter over the pooled
@@ -249,13 +214,9 @@ def apply_hit_windows(store: TileCacheStore, jobs: list) -> list:
         )
         run_lines = lines[starts].tolist()
         ordered = {}
-        if writes is None:
-            for la in run_lines:
-                ordered[la] = ordered.pop(la, False)
-        else:
-            flags = np.maximum.reduceat(np.asarray(writes, dtype=bool), starts)
-            for la, f in zip(run_lines, flags.tolist()):
-                ordered[la] = ordered.pop(la, False) or f
+        flags = np.maximum.reduceat(np.asarray(writes, dtype=bool), starts)
+        for la, f in zip(run_lines, flags.tolist()):
+            ordered[la] = ordered.pop(la, False) or f
         index = arr._index
         dirty = arr.dirty
         slots: list[int] = []

@@ -126,7 +126,6 @@ class CostConfig:
 
     migration_fixed: int = 6  # pipeline flush + context load/unload
     remote_access_fixed: int = 2  # request injection + reply consume
-    cache_access: int = 2
     dram_latency: int = 100
     eviction_fixed: int = 6
 
@@ -134,7 +133,6 @@ class CostConfig:
         for name in (
             "migration_fixed",
             "remote_access_fixed",
-            "cache_access",
             "dram_latency",
             "eviction_fixed",
         ):

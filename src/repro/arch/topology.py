@@ -97,12 +97,6 @@ class Topology(ABC):
     #: are rebuilt on demand, so the cap only bounds memory.
     ROUTE_CACHE_CAP = 4096
 
-    #: True when ``dist(a, b) == dist(b, a)`` for every pair — every
-    #: shipped topology except the strictly-clockwise ring. The fast
-    #: drivers rely on this to reuse a request path's hop count for the
-    #: reply direction instead of a second lookup.
-    symmetric = True
-
     def __init__(self, num_cores: int) -> None:
         if num_cores <= 0:
             raise ConfigError(f"num_cores must be positive, got {num_cores}")
@@ -149,12 +143,11 @@ class Topology(ABC):
 
     def scalar_hop_fn(self):
         """A plain closure ``hop(src, dst) -> int`` with no bounds
-        checks — the per-message cold path of :class:`LazyHopTable` and
-        the fast drivers' owner/sharer/victim hop math. Concrete
-        topologies override with closed-over coordinate lists so a cold
-        pair costs a few subscripts instead of a method dispatch; this
-        fallback is the checked :meth:`distance`. Callers must pass
-        valid core ids."""
+        checks — the per-message cold path of :class:`LazyHopTable`.
+        Concrete topologies override with closed-over coordinate lists
+        so a cold pair costs a few subscripts instead of a method
+        dispatch; this fallback is the checked :meth:`distance`.
+        Callers must pass valid core ids."""
         return self.distance
 
     @cached_property
@@ -557,8 +550,6 @@ class UnidirectionalRing(Topology):
     what virtual-channel datelines were invented for — used by the
     flit-level NoC tests to demonstrate real deadlock and its cure.
     """
-
-    symmetric = False  # (dst - src) % n != (src - dst) % n in general
 
     def distance(self, src: int, dst: int) -> int:
         self._check_core(src)

@@ -28,11 +28,10 @@ baseline is compared against (DESIGN.md §1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arch.cache.hierarchy import CacheHierarchy
 from repro.arch.cache.sram import CacheArray, TileCacheStore
 from repro.arch.config import SystemConfig
 from repro.arch.topology import Topology, topology_for
@@ -78,21 +77,10 @@ class DirectoryCCSimulator:
         topology: Topology | None = None,
         protocol: str = "msi",
         faults=None,
-        fast_path: bool = True,
     ) -> None:
         if protocol not in ("msi", "mesi"):
             raise ProtocolError(f"unknown protocol {protocol!r}; use 'msi' or 'mesi'")
         self.protocol = protocol
-        # epoch-batched fast driver (repro.core.epoch.run_cc_fast);
-        # auto-disabled with a fault injector so the retry/recovery
-        # accounting stays on the message-by-message path
-        self.fast_path = fast_path and faults is None
-        # surfaced in results()["fast_path"]: why the batched driver is
-        # off, and (filled in by run_cc_fast) its engagement stats
-        self._fastpath_reason = (
-            None if self.fast_path else ("faults" if faults is not None else "off")
-        )
-        self._fastpath_stats: dict | None = None
         self.trace = trace
         self.placement = placement
         self.config = config
@@ -412,32 +400,30 @@ class DirectoryCCSimulator:
     def run(self) -> CCResult:
         """Interleaved execution of the whole trace.
 
-        Columnar driver: the round-robin walk reads plain-int columns
-        (no per-record structured scalars) and serves private-cache
-        hits inline — probe + recency lookup, exactly the sequence
-        ``access()`` performs — skipping the directory path entirely.
-        Misses and MESI silent upgrades fall through to ``access()``
-        with the precomputed home. Results are bit-identical to the
-        record-at-a-time driver.
-
-        With ``fast_path`` on (the default; forced off by a fault
-        injector) the epoch-batched driver runs instead — same protocol
-        over the same state, lockstep numpy windows over pure-hit
-        rounds, bit-identical results.
+        The one coherence driver: a round-robin walk over plain-int
+        columns. A thread's core is pinned, so each thread binds views
+        of its core's cache array once, and a hit (the line resident in
+        M, or in S/E for a load) is served inline: slot lookup, state
+        read and an LRU stamp bump, the effects of ``access()``'s hit
+        branch. Misses, upgrades and MESI silent upgrades go through
+        :meth:`access` with the precomputed home; it is the one place
+        protocol transitions are written, and with a fault plane it
+        charges every message's retries.
         """
-        if self.fast_path:
-            from repro.core.epoch import run_cc_fast
-
-            return run_cc_fast(self)
         T = self.trace.num_threads
         times = [0.0] * T
         idx = [0] * T
         addr_cols, write_cols = self._addr_cols, self._write_cols
         icount_cols, home_cols = self._icount_cols, self._home_cols
         sizes = [len(a) for a in addr_cols]
-        caches, native, wb = self.caches, self._native, self._word_bytes
+        native, wb, shift = self._native, self._word_bytes, self._line_shift
+        arrs = [self.caches[native[t]] for t in range(T)]
+        index_t = [a._index for a in arrs]
+        state_t = [a.state for a in arrs]
+        stamps_t = [a.stamps for a in arrs]
+        access = self.access
         hit_lat = float(self.config.l1.hit_latency)
-        c_hits = self._c_hits
+        n_hits = 0
         MOD = int(MSIState.MODIFIED)
         SH = int(MSIState.SHARED)
         EX = int(MSIState.EXCLUSIVE)
@@ -448,28 +434,29 @@ class DirectoryCCSimulator:
                 k = idx[t]
                 word = addr_cols[t][k]
                 write = write_cols[t][k]
-                core = native[t]
-                arr = caches[core]
-                byte_addr = word * wb
-                slot = arr.probe(byte_addr)
-                st = arr.state[slot] if slot is not None else 0
+                slot = index_t[t].get((word * wb) >> shift)
+                st = state_t[t][slot] if slot is not None else 0
                 if st == MOD or (not write and (st == SH or st == EX)):
-                    arr.lookup(byte_addr)  # recency + hit counters
-                    c_hits.n += 1
+                    arr = arrs[t]
+                    arr.hits += 1
+                    clock = arr._clock + 1
+                    arr._clock = clock
+                    stamps_t[t][slot] = clock
+                    n_hits += 1
                     lat = hit_lat
                 else:
-                    lat = self.access(core, word, write, home=home_cols[t][k])
+                    lat = access(native[t], word, write, home_cols[t][k])
                 times[t] += icount_cols[t][k] + lat
                 idx[t] = k + 1
                 if k + 1 == sizes[t]:
                     finished = True
             if finished:
                 active = [t for t in active if idx[t] < sizes[t]]
-        stats = self.stats.as_dict()
+        self._c_hits.n += n_hits
         return CCResult(
             completion_time=max(times, default=0.0),
             per_thread_time=times,
-            stats=stats,
+            stats=self.stats.as_dict(),
             traffic_bits=self.traffic_bits,
         )
 
@@ -490,13 +477,6 @@ def cc_results(sim: DirectoryCCSimulator) -> dict:
         "stats": r.stats,
         "directory_overhead_bits": sim.directory_overhead_bits(),
     }
-    if sim._fastpath_stats is not None:
-        out["fast_path"] = sim._fastpath_stats
-    else:
-        out["fast_path"] = {
-            "engaged": False,
-            "disabled_reason": sim._fastpath_reason,
-        }
     if sim.faults is not None:
         counters = sim.stats.counters
         out["retries"] = counters["retries"]
@@ -509,6 +489,7 @@ def cc_results(sim: DirectoryCCSimulator) -> dict:
 
 @MACHINES.register("cc-msi", "directory-MSI coherence baseline (detailed DES)")
 def _run_cc_msi(trace, placement, config, scheme=None, topology=None, **params):
+    params.pop("fast_path", None)  # the EM² stepper's knob; no-op here
     sim = DirectoryCCSimulator(
         trace, placement, config, topology=topology, protocol="msi", **params
     )
@@ -517,6 +498,7 @@ def _run_cc_msi(trace, placement, config, scheme=None, topology=None, **params):
 
 @MACHINES.register("cc-mesi", "directory-MESI coherence baseline (detailed DES)")
 def _run_cc_mesi(trace, placement, config, scheme=None, topology=None, **params):
+    params.pop("fast_path", None)  # the EM² stepper's knob; no-op here
     sim = DirectoryCCSimulator(
         trace, placement, config, topology=topology, protocol="mesi", **params
     )

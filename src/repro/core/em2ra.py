@@ -40,13 +40,11 @@ class EM2RAMachine(MigrationMachineBase):
         config: SystemConfig,
         scheme: DecisionScheme,
         topology: Topology | None = None,
-        cache_detail: bool = True,
         faults=None,
         fast_path: bool = True,
     ) -> None:
         super().__init__(
-            trace, placement, config, topology, cache_detail,
-            faults=faults, fast_path=fast_path,
+            trace, placement, config, topology, faults=faults, fast_path=fast_path
         )
         # one scheme instance per thread: the hardware unit is core-local,
         # but its history follows the thread's perspective

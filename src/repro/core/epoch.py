@@ -1,39 +1,32 @@
-"""Epoch-batched fast path for the detailed simulators.
+"""Epoch-batched fast path for the EM²-family machines.
 
 Between the events where threads actually interact — migrations,
 evictions, remote-access round trips, DRAM fills, admission stalls —
 a thread's accesses are a pure function of its columnar trace slice
-and its core's private cache state. The two drivers here exploit that:
-
-* :class:`EpochStepper` — dispatched from
-  :meth:`~repro.core.machine.MigrationMachineBase._step` when the
-  fast path is on. When a step fires for a local access, the stepper
-  *absorbs* every pending step event into a local merged walk and
-  advances all resident threads in exact ``(time, seq)`` order without
-  touching the engine heap, falling back to the event loop at the
-  first boundary. Solo streaks inside the walk are advanced with the
-  vectorized L1 kernel (:mod:`repro.arch.cache.batch`).
-
-* :func:`run_cc_fast` — the coherence simulator's round-robin driver
-  with (a) an epoch-validated lockstep window that batches whole
-  rounds of pure hits through numpy when every live thread is inside
-  a known hit run, and (b) an inlined miss path (precomputed per-pair
-  message latency/flit tables, integer protocol states, no duplicate
-  probes, no per-miss invariant re-checks).
+and its core's private cache state. :class:`EpochStepper` exploits
+that: dispatched from
+:meth:`~repro.core.machine.MigrationMachineBase._step` when the fast
+path is on, it *absorbs* every pending step event into a local merged
+walk when a step fires for a local access, and advances all resident
+threads in exact ``(time, seq)`` order without touching the engine
+heap, falling back to the event loop at the first boundary. Solo
+streaks inside the walk are advanced with the vectorized L1 kernel
+(:mod:`repro.arch.cache.batch`). The directory-coherence simulator has
+no fast path: ``DirectoryCCSimulator.run`` is its one driver.
 
 Exactness contract (the reason this is a *fast path* and not a new
-model): results are bit-identical to the event-driven/scalar drivers.
-For the DES machines that holds by construction — the merged walk
-only runs while every other pending event (the *hazard horizon*,
-``Engine`` queue entries that are not plain step events) lies strictly
-in the future, processes virtual events in the same ``(time, seq)``
-order the heap would have, and re-materializes pending wake-ups in
-ascending virtual-sequence order at a boundary, which preserves every
-same-time tie the unbatched engine would break by sequence number.
-Boundaries (non-local accesses, DRAM fills, finishes with stalled
-waiters) re-enter the real event loop at the exact simulated time they
-would have fired. The fault plane always disables the fast path, so
-recovery protocols run purely event-driven.
+model): results are bit-identical to the event-driven path. That
+holds by construction — the merged walk only runs while every other
+pending event (the *hazard horizon*, ``Engine`` queue entries that are
+not plain step events) lies strictly in the future, processes virtual
+events in the same ``(time, seq)`` order the heap would have, and
+re-materializes pending wake-ups in ascending virtual-sequence order
+at a boundary, which preserves every same-time tie the unbatched
+engine would break by sequence number. Boundaries (non-local
+accesses, DRAM fills, finishes with stalled waiters) re-enter the real
+event loop at the exact simulated time they would have fired. The
+fault plane always disables the fast path, so recovery protocols run
+purely event-driven.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ from repro.arch.cache.batch import (
     frozen_hit_prefix,
     frozen_service_prefix,
 )
-from repro.coherence.msi import DirectoryEntry, DirState
 from repro.sim.engine import Event
 
 _INF = math.inf
@@ -649,536 +641,3 @@ class EpochStepper:
         self._reify(heap + parked)
         self.m._step_slow(t2)
 
-
-# ======================================================================
-# Directory-coherence fast driver
-# ======================================================================
-
-_MOD = 2  # int(MSIState.MODIFIED)
-_SH = 1
-_EX = 3
-_DU = DirState.UNCACHED
-_DS = DirState.SHARED
-_DE = DirState.EXCLUSIVE
-
-#: message kinds with a fixed payload class; index into the local
-#: count vector the driver flushes into `msg.*` counter cells at the end
-_KINDS = (
-    "gets",          # 0  ctrl
-    "getx",          # 1  ctrl
-    "fetch",         # 2  ctrl
-    "wb-data",       # 3  data
-    "downgrade-ack", # 4  ctrl
-    "data",          # 5  data
-    "fetch-inv",     # 6  ctrl
-    "inv",           # 7  ctrl
-    "inv-ack",       # 8  ctrl
-    "upgrade-ack",   # 9  ctrl
-    "writeback",     # 10 data
-    "exclusive-drop",# 11 ctrl
-    "sharer-drop",   # 12 ctrl
-)
-
-
-def run_cc_fast(sim):
-    """Fast round-robin driver for :class:`DirectoryCCSimulator`.
-
-    Bit-identical to ``DirectoryCCSimulator.run()``: same protocol
-    transitions over the same cache arrays and directory entries, same
-    counters, same float accumulation (all latencies are integer-valued,
-    so regrouping sums is exact). Per-miss invariant checks are skipped
-    (they are pure assertions); the explicit protocol-error checks stay.
-    """
-    from repro.coherence.simulator import CTRL_BITS, CCResult
-    from repro.util.errors import ProtocolError
-
-    cfg = sim.config
-    noc = cfg.noc
-    per_hop = sim._per_hop
-    topo = sim.topology
-    sym = topo.symmetric
-    scalar_hop = topo.scalar_hop_fn()
-    line_bits = sim._line_bits
-    cf = noc.message_flits(CTRL_BITS)
-    df = noc.message_flits(CTRL_BITS + line_bits)
-    flit_bits = sim._flit_bits
-    tb_ctrl = cf * flit_bits
-    tb_data = df * flit_bits
-    cfm1, dfm1 = cf - 1, df - 1
-    dram_lat = cfg.cost.dram_latency
-    mesi = sim.protocol == "mesi"
-    hit_lat = float(cfg.l1.hit_latency)
-    l1_hit_int = cfg.l1.hit_latency
-
-    caches = sim.caches
-    cache_store = sim.cache_store
-    directory = sim.directory
-    placement = sim.placement
-    victim_home_memo = sim._victim_home_memo
-    wb_ = sim._word_bytes
-    shift = sim._line_shift
-    nsets = caches[0].num_sets
-    ways = caches[0].ways
-
-    trace = sim.trace
-    T = trace.num_threads
-    native = sim._native
-    addr_cols, write_cols = sim._addr_cols, sim._write_cols
-    icount_cols, home_cols = sim._icount_cols, sim._home_cols
-    sizes = [len(a) for a in addr_cols]
-    lines_np = [(tr["addr"].astype(np.int64) * wb_) >> shift for tr in trace.threads]
-    writes_np = [tr["write"] != 0 for tr in trace.threads]
-    ic_np = [tr["icount"].astype(np.float64) for tr in trace.threads]
-
-    # Requester-leg latency/flit-hop columns, one value per access,
-    # vectorized per thread: a thread's core is pinned (native[t]), so
-    # every request leg is core->home over the precomputed home column,
-    # and (for symmetric topologies) every reply leg reuses the same hop
-    # count. This removes the per-miss lazy-row machinery that dominated
-    # 1024-core profiles: the hot path reads a list cell instead of
-    # probing two dicts and deriving a row entry.
-    req_lat = [None] * T   # core -> home, ctrl (GETS/GETX request)
-    req_fh = [None] * T
-    drep_lat = [None] * T  # home -> core, data (fill reply)
-    drep_fh = [None] * T
-    crep_lat = [None] * T  # home -> core, ctrl (upgrade-ack)
-    crep_fh = [None] * T
-    for t in range(T):
-        n = sizes[t]
-        if n == 0:
-            continue
-        core_t = native[t]
-        homes_arr = np.asarray(home_cols[t], dtype=np.int64)
-        h_fwd = topo.distance_row(core_t)[homes_arr]
-        if sym:
-            h_rev = h_fwd
-        else:
-            h_rev = np.fromiter(
-                (scalar_hop(hm, core_t) for hm in home_cols[t]),
-                dtype=np.int64,
-                count=n,
-            )
-        req_lat[t] = (h_fwd * per_hop + cfm1).tolist()
-        req_fh[t] = np.where(h_fwd > 0, cf * h_fwd, cf).tolist()
-        drep_lat[t] = (h_rev * per_hop + dfm1).tolist()
-        drep_fh[t] = np.where(h_rev > 0, df * h_rev, df).tolist()
-        crep_lat[t] = (h_rev * per_hop + cfm1).tolist()
-        crep_fh[t] = np.where(h_rev > 0, cf * h_rev, cf).tolist()
-
-    # Vectorized victim-home table: every line a fill can ever evict
-    # was itself filled from the trace, so the line-id space is bounded
-    # by the trace's maximum line address. For the (dense) workloads a
-    # flat list turns the per-victim placement lookup into one
-    # subscript; a sparse address space falls back to the memo dict.
-    max_line = 0
-    for _l in lines_np:
-        if len(_l):
-            _m = int(_l.max())
-            if _m > max_line:
-                max_line = _m
-    if max_line <= 1 << 21:
-        vhomes = placement.home_of(
-            (np.arange(max_line + 1, dtype=np.int64) << shift) // wb_
-        ).tolist()
-    else:
-        vhomes = None
-
-    # local accumulators, flushed into counter cells once at the end
-    n_hits = n_misses = n_silent = n_inv = n_wb = n_dram = 0
-    flit_hops = 0
-    traffic = 0
-    kind_n = [0] * len(_KINDS)
-
-    def fill_fast(core, byte, st_int):
-        """_fill + _evict_line with ``CacheArray.fill`` inlined.
-
-        The requester's probe just missed, so the refill-of-a-resident-
-        line branch of the scalar ``fill`` is unreachable here; what
-        remains is the free-way scan, the stamp-minimum LRU victim scan,
-        and the victim's directory transaction. Returns the victim-
-        coherence latency.
-        """
-        nonlocal traffic, flit_hops, n_wb
-        arr = caches[core]
-        la = byte >> shift
-        si = la % nsets
-        base = si * ways
-        tags = arr.tags
-        # one bulk tolist per set-row: ways plain-int compares beat the
-        # same number of boxed numpy scalar reads
-        trow = tags[base : base + ways].tolist()
-        vtag = -1
-        try:
-            free = base + trow.index(-1)
-        except ValueError:
-            # set full: victimize the stamp minimum (true LRU; stamps
-            # come from one monotone clock, so ties cannot occur)
-            srow = arr.stamps[base : base + ways].tolist()
-            w = 0
-            best = srow[0]
-            for j in range(1, ways):
-                if srow[j] < best:
-                    best = srow[j]
-                    w = j
-            free = base + w
-            vtag = trow[w]
-            vst = int(arr.state[free])
-            del arr._index[vtag * nsets + si]
-            arr.evictions += 1
-            if arr.dirty[free]:
-                arr.writebacks += 1
-        tags[free] = la // nsets
-        arr.dirty[free] = st_int == _MOD
-        arr.state[free] = st_int
-        arr._index[la] = free
-        clock = arr._clock + 1
-        arr._clock = clock
-        arr.stamps[free] = clock
-        if vtag < 0:
-            return 0
-        vline = vtag * nsets + si
-        ventry = directory.get(vline)
-        if ventry is None:
-            ventry = directory[vline] = DirectoryEntry()
-        if vhomes is not None:
-            vhome = vhomes[vline]
-        else:
-            vhome = victim_home_memo.get(vline)
-            if vhome is None:
-                vhome = placement.home_of_one((vline << shift) // wb_)
-                victim_home_memo[vline] = vhome
-        h = scalar_hop(core, vhome)
-        if vst == _MOD:
-            lat = h * per_hop + dfm1
-            kind_n[10] += 1
-            traffic += tb_data
-            flit_hops += df * h if h else df
-            n_wb += 1
-            if ventry.state is not _DE or ventry.owner != core:
-                raise ProtocolError(
-                    f"M eviction by {core} but directory says "
-                    f"{DirState(ventry.state).name}/{ventry.owner}"
-                )
-            ventry.state = _DU
-            ventry.owner = None
-            ventry.sharers.clear()
-        elif vst == _EX:
-            lat = h * per_hop + cfm1
-            kind_n[11] += 1
-            traffic += tb_ctrl
-            flit_hops += cf * h if h else cf
-            if ventry.state is not _DE or ventry.owner != core:
-                raise ProtocolError(
-                    f"E eviction by {core} but directory says "
-                    f"{DirState(ventry.state).name}/{ventry.owner}"
-                )
-            ventry.state = _DU
-            ventry.owner = None
-            ventry.sharers.clear()
-        else:
-            lat = h * per_hop + cfm1
-            kind_n[12] += 1
-            traffic += tb_ctrl
-            flit_hops += cf * h if h else cf
-            ventry.sharers.discard(core)
-            if not ventry.sharers and ventry.state is _DS:
-                ventry.state = _DU
-        return lat
-
-    def access_fast(t, k, core, byte, write, st, slot):
-        """The miss/upgrade path of ``DirectoryCCSimulator.access``."""
-        nonlocal traffic, flit_hops, n_hits, n_misses, n_silent, n_inv, n_dram
-        if st == _EX and write:
-            # MESI silent upgrade: no directory traffic
-            arr = caches[core]
-            arr.hits += 1
-            clock = arr._clock + 1
-            arr._clock = clock
-            arr.stamps[slot] = clock
-            arr.state[slot] = _MOD
-            arr.dirty[slot] = True
-            n_hits += 1
-            n_silent += 1
-            return hit_lat
-        la = byte >> shift
-        entry = directory.get(la)
-        if entry is None:
-            entry = directory[la] = DirectoryEntry()
-        n_misses += 1
-        if write:
-            kind_n[1] += 1
-        else:
-            kind_n[0] += 1
-        traffic += tb_ctrl
-        flit_hops += req_fh[t][k]
-        lat = req_lat[t][k]
-        home = home_cols[t][k]
-        est = entry.state
-        if not write:
-            # ---- GETS --------------------------------------------------
-            grant = _SH
-            if est is _DE and entry.owner != core:
-                owner = entry.owner
-                oarr = caches[owner]
-                oslot = oarr._index.get(la)
-                if oslot is None:
-                    raise ProtocolError(f"directory owner {owner} lost line {la:#x}")
-                h = scalar_hop(home, owner)
-                lat += h * per_hop + cfm1
-                kind_n[2] += 1
-                traffic += tb_ctrl
-                flit_hops += cf * h if h else cf
-                h2 = h if sym else scalar_hop(owner, home)
-                if oarr.state[oslot] == _MOD:
-                    lat += h2 * per_hop + dfm1
-                    kind_n[3] += 1
-                    traffic += tb_data
-                    flit_hops += df * h2 if h2 else df
-                else:
-                    lat += h2 * per_hop + cfm1
-                    kind_n[4] += 1
-                    traffic += tb_ctrl
-                    flit_hops += cf * h2 if h2 else cf
-                oarr.state[oslot] = _SH
-                oarr.dirty[oslot] = False
-                entry.sharers = {owner}
-                entry.owner = None
-                entry.state = _DS
-            elif est is _DU:
-                lat += dram_lat
-                n_dram += 1
-                if mesi:
-                    grant = _EX
-            if grant == _EX:
-                entry.state = _DE
-                entry.owner = core
-                entry.sharers = set()
-            else:
-                entry.state = _DS
-                entry.owner = None
-                entry.sharers.add(core)
-            lat += drep_lat[t][k]
-            kind_n[5] += 1
-            traffic += tb_data
-            flit_hops += drep_fh[t][k]
-            lat += fill_fast(core, byte, grant)
-        else:
-            # ---- GETX --------------------------------------------------
-            if est is _DE and entry.owner != core:
-                owner = entry.owner
-                oarr = caches[owner]
-                oslot = oarr._index.get(la)
-                if oslot is None:
-                    raise ProtocolError(f"directory owner {owner} lost line {la:#x}")
-                h = scalar_hop(home, owner)
-                lat += h * per_hop + cfm1
-                kind_n[6] += 1
-                traffic += tb_ctrl
-                flit_hops += cf * h if h else cf
-                h2 = h if sym else scalar_hop(owner, home)
-                if oarr.state[oslot] == _MOD:
-                    lat += h2 * per_hop + dfm1
-                    kind_n[3] += 1
-                    traffic += tb_data
-                    flit_hops += df * h2 if h2 else df
-                else:
-                    lat += h2 * per_hop + cfm1
-                    kind_n[8] += 1
-                    traffic += tb_ctrl
-                    flit_hops += cf * h2 if h2 else cf
-                # invalidate the owner's copy (CacheArray.invalidate
-                # minus the unused EvictedLine snapshot)
-                del oarr._index[la]
-                oarr.tags[oslot] = -1
-                n_inv += 1
-            elif est is _DS:
-                # read-shared line: every sharer's copy drops in parallel
-                # (inv round trips overlap, the slowest one gates), so a
-                # batch of Shared-state readers never serializes the
-                # writer behind more than one round trip
-                inv_lat = 0
-                for sharer in sorted(entry.sharers - {core}):
-                    kind_n[7] += 1
-                    kind_n[8] += 1
-                    traffic += tb_ctrl + tb_ctrl
-                    h = scalar_hop(home, sharer)
-                    h2 = h if sym else scalar_hop(sharer, home)
-                    flit_hops += (cf * h if h else cf) + (cf * h2 if h2 else cf)
-                    rt = (h * per_hop + cfm1) + (h2 * per_hop + cfm1)
-                    if rt > inv_lat:
-                        inv_lat = rt
-                    sarr = caches[sharer]
-                    sslot = sarr._index.pop(la, None)
-                    if sslot is not None:
-                        sarr.tags[sslot] = -1
-                    n_inv += 1
-                lat += inv_lat
-            elif est is _DU:
-                lat += dram_lat
-                n_dram += 1
-            if st == _SH:
-                # upgrade: data already present, grant only
-                lat += crep_lat[t][k]
-                kind_n[9] += 1
-                traffic += tb_ctrl
-                flit_hops += crep_fh[t][k]
-                arr = caches[core]
-                arr.state[slot] = _MOD
-                arr.dirty[slot] = True
-            else:
-                lat += drep_lat[t][k]
-                kind_n[5] += 1
-                traffic += tb_data
-                flit_hops += drep_fh[t][k]
-                lat += fill_fast(core, byte, _MOD)
-            entry.state = _DE
-            entry.owner = core
-            entry.sharers = set()
-        return float(lat + l1_hit_int)
-
-    # -- round-robin driver with the epoch-validated lockstep window ----
-    times = [0.0] * T
-    idx = [0] * T
-    active = [t for t in range(T) if sizes[t] > 0]
-    # per-thread prebound views of the (fixed) native core's array: the
-    # scalar round loop reads a list cell instead of chasing
-    # caches[native[t]].<attr> attribute chains per access
-    arrs_t = [caches[native[t]] for t in range(T)]
-    index_t = [a._index for a in arrs_t]
-    state_t = [a.state for a in arrs_t]
-    stamps_t = [a.stamps for a in arrs_t]
-    lines_cols = [a.tolist() for a in lines_np]
-    # classification is only attempted after `streak` consecutive all-hit
-    # scalar rounds; a failed attempt (someone's hit run is about to end)
-    # backs off exponentially so warmup-phase upgrades don't pay the
-    # numpy classification cost over and over
-    streak = 0
-    penalty = 4
-    epoch_windows = 0
-    win_batched = 0
-    win_len_sum = 0
-    win_max = 0
-    win_cores_max = 0
-    while active:
-        finished = False
-        if streak >= 4:
-            # every thread hit recently: classify hit runs and, when
-            # everyone is deep inside one, jump whole rounds at once
-            W = _INF
-            for t in active:
-                k = idx[t]
-                stop = min(k + 1024, sizes[t])
-                run = frozen_hit_prefix(
-                    arrs_t[t],
-                    lines_np[t][k:stop],
-                    writes_np[t][k:stop],
-                    states_ok_write=(_MOD,),
-                    states_ok_read=(_SH, _MOD, _EX),
-                )
-                if run < W:
-                    W = run
-                    if W < 4:
-                        break
-            if W >= 4:
-                epoch_windows += 1
-                nw = W * len(active)
-                win_batched += nw
-                win_len_sum += W
-                if W > win_max:
-                    win_max = W
-                # recency: per core, touches happen round-major in the
-                # driver's thread order; group residents accordingly and
-                # scatter the whole window through the store in one
-                # cross-core kernel call
-                by_core: dict[int, list[int]] = {}
-                for t in active:
-                    by_core.setdefault(native[t], []).append(t)
-                if len(by_core) > win_cores_max:
-                    win_cores_max = len(by_core)
-                jobs = []
-                for core, ts in by_core.items():
-                    if len(ts) == 1:
-                        t = ts[0]
-                        seg = lines_np[t][idx[t] : idx[t] + W]
-                    else:
-                        seg = np.column_stack(
-                            [lines_np[t][idx[t] : idx[t] + W] for t in ts]
-                        ).ravel()
-                    jobs.append((caches[core], seg, None))
-                apply_hit_windows(cache_store, jobs)
-                n_hits += nw
-                penalty = 4
-                for t in active:
-                    k = idx[t]
-                    times[t] += float(np.sum(ic_np[t][k : k + W])) + W * hit_lat
-                    idx[t] = k + W
-                    if idx[t] == sizes[t]:
-                        finished = True
-                if finished:
-                    active = [t for t in active if idx[t] < sizes[t]]
-                    streak = 0
-                continue
-            streak = -penalty
-            penalty = min(penalty * 2, 4096)
-        all_hit = True
-        for t in active:
-            k = idx[t]
-            la = lines_cols[t][k]
-            write = write_cols[t][k]
-            slot = index_t[t].get(la)
-            st = state_t[t][slot] if slot is not None else 0
-            if st == _MOD or (not write and (st == _SH or st == _EX)):
-                arr = arrs_t[t]
-                arr.hits += 1
-                clock = arr._clock + 1
-                arr._clock = clock
-                stamps_t[t][slot] = clock
-                n_hits += 1
-                lat = hit_lat
-            else:
-                lat = access_fast(t, k, native[t], la << shift, write, st, slot)
-                all_hit = False
-            times[t] += icount_cols[t][k] + lat
-            idx[t] = k + 1
-            if k + 1 == sizes[t]:
-                finished = True
-        streak = streak + 1 if all_hit else min(streak, 0)
-        if finished:
-            active = [t for t in active if idx[t] < sizes[t]]
-
-    # flush accumulators into the shared counter cells (zero counts stay
-    # absent, matching the scalar driver's lazily created cells)
-    counters = sim.stats.counters
-    for key, n in (
-        ("hits", n_hits),
-        ("misses", n_misses),
-        ("silent_upgrades", n_silent),
-        ("invalidations", n_inv),
-        ("writebacks", n_wb),
-        ("dram_fills", n_dram),
-    ):
-        if n:
-            counters.cell(key).n += n
-    if flit_hops:
-        sim._c_flit_hops.n += flit_hops
-    for kind, n in zip(_KINDS, kind_n):
-        if n:
-            counters.cell("msg." + kind).n += n
-    sim.traffic_bits += traffic
-    sim._epoch_windows = epoch_windows
-    sim._fastpath_stats = {
-        "engaged": True,
-        "disabled_reason": None,
-        "epochs_batched": epoch_windows,
-        "batched_accesses": win_batched,
-        "mean_window": win_len_sum / epoch_windows if epoch_windows else 0.0,
-        "max_window": win_max,
-        "max_window_cores": win_cores_max,
-    }
-    stats = sim.stats.as_dict()
-    return CCResult(
-        completion_time=max(times, default=0.0),
-        per_thread_time=times,
-        stats=stats,
-        traffic_bits=sim.traffic_bits,
-    )

@@ -303,6 +303,6 @@ def _run_analytical(trace, placement, config, scheme=None, topology=None, **para
             "machine (em2, em2ra, ra-only, cc-msi, cc-mesi)"
         )
     params.pop("faults", None)
-    params.pop("fast_path", None)  # a detailed-simulator knob; no-op here
+    params.pop("fast_path", None)  # the EM² stepper's knob; no-op here
     cost = CostModel(config, topology)
     return evaluate_scheme(trace, placement, scheme, cost, **params).as_dict()

@@ -97,7 +97,6 @@ class MigrationMachineBase:
         placement: Placement,
         config: SystemConfig,
         topology: Topology | None = None,
-        cache_detail: bool = True,
         faults=None,
         fast_path: bool = True,
     ) -> None:
@@ -110,25 +109,20 @@ class MigrationMachineBase:
         self.network = Network(self.engine, self.topology, config.noc, injector=faults)
         if self.vc_plan is not None:
             check_vc_plan(self.vc_plan, config.noc.num_virtual_channels)
-        self.cache_detail = cache_detail
-        if cache_detail:
-            # pooled columnar metadata: one matrix per column per level,
-            # shared by every core's hierarchy (the 1024+-core budget)
-            self.l1_store = TileCacheStore(config.num_cores, config.l1)
-            self.l2_store = TileCacheStore(config.num_cores, config.l2)
-            self.caches = [
-                CacheHierarchy(
-                    config.l1,
-                    config.l2,
-                    l1_store=self.l1_store,
-                    l2_store=self.l2_store,
-                    core=i,
-                )
-                for i in range(config.num_cores)
-            ]
-        else:
-            self.l1_store = self.l2_store = None
-            self.caches = None
+        # pooled columnar metadata: one matrix per column per level,
+        # shared by every core's hierarchy (the 1024+-core budget)
+        self.l1_store = TileCacheStore(config.num_cores, config.l1)
+        self.l2_store = TileCacheStore(config.num_cores, config.l2)
+        self.caches = [
+            CacheHierarchy(
+                config.l1,
+                config.l2,
+                l1_store=self.l1_store,
+                l2_store=self.l2_store,
+                core=i,
+            )
+            for i in range(config.num_cores)
+        ]
         self.memory = MemorySystem(self.topology, access_latency=config.cost.dram_latency)
         native = [c % config.num_cores for c in trace.thread_native_core]
         self.contexts: list[ContextFile] = build_context_files(
@@ -208,15 +202,14 @@ class MigrationMachineBase:
         self._evt_fixed = config.cost.eviction_fixed
         self._ctx_bits = config.context.full_context_bits
         # Epoch-batched fast path (repro.core.epoch): only when results
-        # are provably identical — detailed caches (the analytical model
-        # has no batchable state), no fault plane (recovery must stay
+        # are provably identical — no fault plane (recovery must stay
         # event-driven), no context multiplexing (occupancy couples
         # threads between events). `_step_cb` is what every step event
         # carries as its callback: the dispatch wrapper when the fast
         # path is on, the slow step directly when off, so the classic
         # path pays nothing for the knob.
         self._stepper = None
-        if fast_path and cache_detail and faults is None and not config.multiplex_contexts:
+        if fast_path and faults is None and not config.multiplex_contexts:
             from repro.core.epoch import EpochStepper
 
             self._stepper = EpochStepper(self)
@@ -228,8 +221,6 @@ class MigrationMachineBase:
             # never engaged (the fallback used to be silent)
             if not fast_path:
                 self._fastpath_reason = "off"
-            elif not cache_detail:
-                self._fastpath_reason = "no_cache_detail"
             elif faults is not None:
                 self._fastpath_reason = "faults"
             else:
@@ -286,8 +277,6 @@ class MigrationMachineBase:
 
         ``addr`` is a plain-int word address (columnar decode upstream).
         """
-        if self.caches is None:
-            return self.config.cost.cache_access
         res = self.caches[core].access(addr * self._word_bytes, write)
         lat = float(res.latency)
         if res.level is ServiceLevel.MEMORY:
@@ -363,17 +352,13 @@ class MigrationMachineBase:
                 # accounted as a migration, matching the analytical model
                 self._c_local.n += 1
             # inlined _access_latency: one call frame per access matters
-            caches = self.caches
-            if caches is None:
-                lat = self.config.cost.cache_access
-            else:
-                res = caches[home].access(
-                    th.addrs[idx] * self._word_bytes, th.writes[idx]
-                )
-                lat = res.latency
-                if res.level is ServiceLevel.MEMORY:
-                    lat += self.memory.miss_latency(home, self.engine.now)
-                    self._c_dram.n += 1
+            res = self.caches[home].access(
+                th.addrs[idx] * self._word_bytes, th.writes[idx]
+            )
+            lat = res.latency
+            if res.level is ServiceLevel.MEMORY:
+                lat += self.memory.miss_latency(home, self.engine.now)
+                self._c_dram.n += 1
             th.idx = idx + 1
             # inlined Engine.schedule (delay and lat are always >= 0):
             # the schedule call frame is the hottest remaining edge
@@ -619,15 +604,23 @@ class MigrationMachineBase:
         victim.in_transit = True
         self._c_evictions.n += 1
         self._evict_out[core] += 1
+        bits = self._eviction_bits(victim)
         msg = victim._evt_msg
         if msg is None or self._net_send is None:
             msg = victim._evt_msg = Message(
-                src=core, dst=victim.native, payload_bits=self._ctx_bits,
+                src=core, dst=victim.native, payload_bits=bits,
                 vnet=VirtualNetwork.EVICTION, kind="eviction", body=victim,
             )
         else:
             msg.src = core
+            msg.payload_bits = bits
         self._depart(victim, self._evt_fixed, msg, self._evict_arrive)
+
+    def _eviction_bits(self, victim: ThreadState) -> int:
+        """Payload of an evicted thread's context on the wire: the
+        full register-file context here; the stack machine overrides
+        it with the thread's carried stack window."""
+        return self._ctx_bits
 
     def _evict_arrive(self, msg: Message) -> None:
         victim: ThreadState = msg.body

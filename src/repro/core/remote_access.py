@@ -42,12 +42,11 @@ class RemoteAccessMachine(EM2RAMachine):
         placement: Placement,
         config: SystemConfig,
         topology: Topology | None = None,
-        cache_detail: bool = True,
         faults=None,
         fast_path: bool = True,
     ) -> None:
         super().__init__(
-            trace, placement, config, NeverMigrate(), topology, cache_detail,
+            trace, placement, config, NeverMigrate(), topology,
             faults=faults, fast_path=fast_path,
         )
 

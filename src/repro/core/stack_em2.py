@@ -156,7 +156,6 @@ class StackEM2Machine(MigrationMachineBase):
         depth_scheme: DepthScheme,
         window: int = 8,
         topology: Topology | None = None,
-        cache_detail: bool = True,
     ) -> None:
         if not trace.is_stack:
             raise TraceFormatError(
@@ -172,9 +171,7 @@ class StackEM2Machine(MigrationMachineBase):
             )
         # the stack step below is this machine's only step: the epoch
         # stepper batches the register-file walk, so it is never built
-        super().__init__(
-            trace, placement, config, topology, cache_detail, fast_path=False
-        )
+        super().__init__(trace, placement, config, topology, fast_path=False)
         self.depth_scheme = depth_scheme
         self.window = window
         # per-thread resident guest depth; meaningless while at native
@@ -245,6 +242,7 @@ class StackEM2Machine(MigrationMachineBase):
         self.contexts[src].release(th.tid)
         th.in_transit = True
         self._c_migrations.n += 1
+        self._mig_in[dest] += 1
         self.stats.counters.add("migrated_stack_words", depth)
         msg = Message(
             src=src,
@@ -272,36 +270,9 @@ class StackEM2Machine(MigrationMachineBase):
         )
         self.network.send(msg, lambda m: None)
 
-    # eviction of a stack thread carries its current window home
-    def _evict(self, victim_tid: int, core: int) -> None:
-        # reuse the base bookkeeping but with stack-sized payload: the
-        # base implementation uses full_context_bits, so replicate with
-        # the right size
-        victim = self.threads[victim_tid]
-        if victim.in_transit or victim.core != core:
-            from repro.util.errors import ProtocolError
-
-            raise ProtocolError(
-                f"evicting thread {victim_tid} not resident at core {core}"
-            )
-        if victim.pending is not None:
-            victim.pending.cancel()
-            victim.pending = None
-        victim.in_transit = True
-        self._c_evictions.n += 1
-        depth = self._depth[victim_tid]
-        msg = Message(
-            src=core,
-            dst=victim.native,
-            payload_bits=self._stack_bits(depth),
-            vnet=VirtualNetwork.EVICTION,
-            kind="stack-eviction",
-            body=victim,
-        )
-        self.engine.schedule(
-            self.config.cost.eviction_fixed,
-            lambda: self.network.send(msg, self._evict_arrive),
-        )
+    def _eviction_bits(self, victim: ThreadState) -> int:
+        # an evicted stack thread carries its current window home
+        return self._stack_bits(self._depth[victim.tid])
 
     def _handle_nonlocal(self, th, addr, write, home, delay):  # pragma: no cover
         raise NotImplementedError("StackEM2Machine overrides _step_slow directly")

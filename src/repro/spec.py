@@ -238,10 +238,11 @@ class MachineSpec:
     preset: str = "default"
     config: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-    #: Epoch-batched fast path for the detailed simulators (bit-identical
-    #: results; auto-disabled when a fault plane is attached). Serializes
-    #: only when disabled, so every pre-existing spec dict, cache key,
-    #: and golden fixture is unchanged.
+    #: Epoch-batched fast path of the EM²-family machines (bit-identical
+    #: results; auto-disabled when a fault plane is attached). The
+    #: analytical and directory-CC machines ignore it. Serializes only
+    #: when disabled, so every pre-existing spec dict, cache key, and
+    #: golden fixture is unchanged.
     fast_path: bool = True
 
     def __post_init__(self) -> None:

@@ -13,8 +13,6 @@ def audit_home_only_caching(machine) -> dict:
     Applies to the EM² family machines (they share cache + placement
     structure). Returns {'lines_checked': n}.
     """
-    if machine.caches is None:
-        return {"lines_checked": 0}
     checked = 0
     wb = machine.config.word_bytes
     for core, hier in enumerate(machine.caches):

@@ -90,36 +90,6 @@ def test_frozen_prefix_and_bulk_apply_match_scalar_hierarchy(assoc, seed):
         assert f_order == s_order
 
 
-def test_frozen_prefix_state_filters():
-    """With state filters, a resident line in a disallowed state ends
-    the prefix (the CC driver's write-needs-MODIFIED predicate)."""
-    config = CacheConfig(size_bytes=1024, line_bytes=32, associativity=2)
-    arr = CacheArray(config)
-    la0, la1 = 0, 1
-    arr.fill(la0 << 5, state=1)  # SHARED
-    arr.fill(la1 << 5, state=2)  # MODIFIED
-    lines = np.array([la0, la1, la0], dtype=np.int64)
-
-    reads = np.array([False, False, False])
-    assert frozen_hit_prefix(
-        arr, lines, reads, states_ok_write=(2,), states_ok_read=(1, 2)
-    ) == 3
-    # a write to the SHARED line is not a pure hit: prefix stops at it
-    writes = np.array([True, False, False])
-    assert frozen_hit_prefix(
-        arr, lines, writes, states_ok_write=(2,), states_ok_read=(1, 2)
-    ) == 0
-    writes = np.array([False, True, False])
-    assert frozen_hit_prefix(
-        arr, lines, writes, states_ok_write=(2,), states_ok_read=(1, 2)
-    ) == 3
-    # absent line ends the prefix regardless of filters
-    lines2 = np.array([la0, 7, la1], dtype=np.int64)
-    assert frozen_hit_prefix(
-        arr, lines2, reads, states_ok_write=(2,), states_ok_read=(1, 2)
-    ) == 1
-
-
 def test_hierarchy_memo_consistency_after_bulk_apply():
     """After a bulk hit application the hierarchy's scalar path still
     produces correct results (the fast path hands the walk back access

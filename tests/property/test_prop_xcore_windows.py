@@ -1,17 +1,17 @@
-"""Property tests for the cross-core window kernel and CC fast driver.
+"""Property tests for the cross-core window kernel and the CC driver.
 
-The cross-core widening (ISSUE 9) adds two exactness obligations on
-top of the per-core batch kernels:
+Two exactness obligations:
 
 * :func:`repro.arch.cache.batch.apply_hit_windows` — one fancy-indexed
   scatter over the pooled :class:`TileCacheStore` stamp matrix must
   leave *every* participating array in exactly the state sequential
   :func:`apply_hit_prefix` calls would: hit counters, dirty bits,
   per-array clocks, full stamp columns, and the returned memo slots.
-* the epoch-batched CC driver (``run_cc_fast``) — bit-identical
-  results to the scalar driver on randomized traces that mix
-  Shared-state read sharing, dirty-eviction hazards, and hit runs
-  straddling the lockstep window splits.
+* ``DirectoryCCSimulator.run`` serves hits inline from the thread's
+  pinned cache array and sends everything else through ``access()``.
+  On randomized traces that mix Shared-state read sharing, upgrades
+  and dirty-eviction hazards, it must equal a record-at-a-time loop
+  that calls ``access()`` for every access, for MSI and MESI.
 
 Hypothesis drives the randomization; every counterexample shrinks to a
 minimal access column, which is the debugging story the per-core batch
@@ -148,9 +148,9 @@ def test_apply_hit_windows_split_invariance(cores):
 @st.composite
 def cc_trace(draw):
     """Word-address/write columns for 2..4 threads over a line pool
-    sized past the private cache: read-shared lines (several threads
-    touching the same low lines) plus enough distinct lines to force
-    conflict misses and dirty evictions."""
+    sized past the private cache (:data:`CFG`, 8 lines): read-shared
+    lines (several threads touching the same low lines) plus enough
+    distinct lines to force conflict misses and dirty evictions."""
     num_threads = draw(st.integers(2, 4))
     threads = []
     for _ in range(num_threads):
@@ -161,12 +161,16 @@ def cc_trace(draw):
     return threads
 
 
-def _cc_sim(threads, fast_path):
-    from repro.coherence.simulator import DirectoryCCSimulator, cc_results
+def _cc_sim(threads, protocol):
+    from dataclasses import replace
+
+    from repro.coherence.simulator import DirectoryCCSimulator
     from repro.registry import PLACEMENTS
     from repro.trace.events import MultiTrace, make_trace
 
-    config = small_test_config(num_cores=4)
+    # the coherence-visible cache is the L2: shrink it to CFG so victims
+    # (LRU choice, writebacks, sharer and exclusive drops) are common
+    config = replace(small_test_config(num_cores=4), l2=CFG)
     words_per_line = config.l2.line_bytes // config.word_bytes
     cols = []
     for lines, writes in threads:
@@ -176,15 +180,37 @@ def _cc_sim(threads, fast_path):
                                icounts=np.ones(len(addrs))))
     trace = MultiTrace(threads=cols, name="prop-cc")
     placement = PLACEMENTS.get("striped")(trace, config.num_cores)
-    sim = DirectoryCCSimulator(trace, placement, config,
-                               fast_path=fast_path)
-    res = cc_results(sim)
-    res.pop("fast_path", None)  # engagement diagnostics differ by design
-    return res
+    return DirectoryCCSimulator(trace, placement, config, protocol=protocol)
+
+
+def _access_loop(sim) -> dict:
+    """Reference driver: every access through ``sim.access`` (homes
+    looked up by the simulator), in the driver's round-robin order."""
+    trace = sim.trace
+    native = [c % sim.config.num_cores for c in trace.thread_native_core]
+    times = [0.0] * trace.num_threads
+    for k in range(max(tr.size for tr in trace.threads)):
+        for t, tr in enumerate(trace.threads):
+            if k < tr.size:
+                lat = sim.access(native[t], int(tr["addr"][k]),
+                                 bool(tr["write"][k]))
+                times[t] += float(tr["icount"][k]) + lat
+    return {
+        "completion_time": max(times),
+        "per_thread_time": times,
+        "traffic_bits": sim.traffic_bits,
+        "stats": sim.stats.as_dict(),
+        "directory_overhead_bits": sim.directory_overhead_bits(),
+    }
 
 
 @settings(max_examples=40, deadline=None)
 @given(cc_trace())
-def test_cc_fast_driver_bit_identical_on_random_traces(threads):
-    assert _cc_sim(threads, fast_path=True) == _cc_sim(threads,
-                                                       fast_path=False)
+def test_cc_driver_matches_access_loop_on_random_traces(threads):
+    from repro.coherence.simulator import cc_results
+    from repro.verify import audit_directory
+
+    for protocol in ("msi", "mesi"):
+        sim = _cc_sim(threads, protocol)
+        assert cc_results(sim) == _access_loop(_cc_sim(threads, protocol))
+        audit_directory(sim)

@@ -57,7 +57,6 @@ class TestWholeCycleLatencies:
         (NocConfig, "link_latency"),
         (CostConfig, "migration_fixed"),
         (CostConfig, "remote_access_fixed"),
-        (CostConfig, "cache_access"),
         (CostConfig, "dram_latency"),
         (CostConfig, "eviction_fixed"),
         (CacheConfig, "hit_latency"),

@@ -95,12 +95,6 @@ class TestEM2:
         m.run()
         assert m.stats.histogram("run_length").count > 0
 
-    def test_cache_detail_off_uses_fixed_latency(self, cfg):
-        mt = _mt(([0, 0, 0], [0, 0, 0]))
-        m = EM2Machine(mt, striped(4, block_words=16), cfg, cache_detail=False)
-        m.run()
-        assert m.results()["dram_fills"] == 0
-
 
 class TestEM2RA:
     def test_never_migrate_scheme_does_only_ra(self, cfg):

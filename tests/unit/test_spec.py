@@ -44,7 +44,7 @@ class TestRoundTrip:
             (PlacementSpec, dict(name="first-touch")),
             (TopologySpec, dict(name="torus")),
             (MachineSpec, dict(name="em2", cores=4, preset="small-test",
-                               config={"cache_detail": True})),
+                               config={"guest_contexts": 2})),
         ],
     )
     def test_subspec_round_trip(self, cls, kwargs):

@@ -64,10 +64,10 @@ class TestBasics:
 class TestStepDispatch:
     """The stack step is the machine's only step, whatever the config."""
 
-    def _run(self, cfg, **kwargs):
+    def _run(self, cfg):
         # out to core 1 and back home: two migrations carrying 2 words
         mt = _stack_mt(([0, 16, 17, 0], [0, 0, 0, 0], [0, 0, 0, 0]))
-        m = StackEM2Machine(mt, striped(4, block_words=16), cfg, FixedDepth(2), **kwargs)
+        m = StackEM2Machine(mt, striped(4, block_words=16), cfg, FixedDepth(2))
         m.run()
         return m
 
@@ -75,14 +75,6 @@ class TestStepDispatch:
         m = self._run(cfg)
         assert m._stepper is None
         assert m.results()["fast_path"]["engaged"] is False
-
-    def test_cache_detail_off_runs_the_stack_protocol(self, cfg):
-        r = self._run(cfg, cache_detail=False).results()
-        assert (r["migrations"], r["migrated_stack_words"]) == (2, 4)
-        detailed = self._run(cfg).results()
-        for key in ("migrations", "migrated_stack_words", "local_accesses",
-                    "evictions", "flushes", "carry_clamped"):
-            assert r[key] == detailed[key], key
 
     def test_context_multiplexing_rejected_at_construction(self):
         cfg = small_test_config(num_cores=4, multiplex_contexts=True)
@@ -298,3 +290,24 @@ class TestVsRegisterFileEM2:
             m.network.message_count()
             >= m.stats.counters["migrations"]
         )
+
+
+class TestPerCoreCounts:
+    """The per-core matrix counts every migration into and eviction out
+    of each core, for the stack machine as for register-file EM²."""
+
+    @pytest.mark.parametrize("machine", ["em2", "stack-em2"])
+    def test_core_matrix_sums_to_the_totals(self, machine):
+        mt = stack_workload("dot", num_threads=8, n=48, shared_fraction=0.75)
+        pl = first_touch(mt, 4)
+        cfg = small_test_config(num_cores=4, guest_contexts=1)
+        if machine == "em2":
+            m = EM2Machine(mt, pl, cfg)
+        else:
+            m = StackEM2Machine(mt, pl, cfg, FixedDepth(2))
+        m.run()
+        r = m.results()
+        stats = m.stats.as_dict()
+        assert r["migrations"] > 0 and r["evictions"] > 0
+        assert stats["mat.core.migrations_in"] == r["migrations"]
+        assert stats["mat.core.evictions_out"] == r["evictions"]

@@ -28,8 +28,10 @@ class Network:
       claims concern serialization (context size) and hop distance, not
       router microarchitecture.
 
-    Statistics: per-vnet message counts, flit-hops (the traffic/energy
-    proxy used by the energy model), and delivered-latency accumulators.
+    Statistics: per-vnet message and flit counts, flit-hops (the
+    traffic/energy proxy used by the energy model), and, with
+    contention, per-link queueing delay. A delivered message carries
+    its own latency (:attr:`Message.latency`).
 
     ``send`` is on the per-access path of every behavioral machine, so
     all loop-invariant work is hoisted into ``__init__``: hop counts
@@ -67,16 +69,21 @@ class Network:
             for vnet in VirtualNetwork
         }
         self._flit_hops_cell = counters.cell("flit_hops")
-        # delivery LatencyStats stay lazily created (first delivery on a
-        # vnet), so as_dict() keys match the unoptimized behaviour
-        self._delivery_stats: dict[VirtualNetwork, object] = {}
+        self._flits_memo = config._flits_memo  # see NocConfig.message_flits
 
     # ------------------------------------------------------------------
     def zero_load_latency(self, src: int, dst: int, payload_bits: int) -> float:
-        """Latency ignoring contention; also used by the analytical cost model."""
-        hops = self._hops.hop(src, dst)
+        """Latency ignoring contention: what :meth:`send` and
+        :meth:`send_fast` charge, and, for ``src != dst``, what the
+        analytical cost model's ``CostModel._transport`` charges.
+
+        A loopback message (``src == dst``) crosses no link but still
+        pays one cycle per flit into and out of the network interface.
+        """
         flits = self.config.message_flits(payload_bits)
-        return hops * self._per_hop + (flits - 1)
+        if src == dst:
+            return flits
+        return self._hops.hop(src, dst) * self._per_hop + (flits - 1)
 
     # ------------------------------------------------------------------
     def send(
@@ -104,7 +111,7 @@ class Network:
 
         if msg.src == msg.dst:
             # Loopback: still pays serialization into/out of the NI.
-            arrival = now + (flits - 1) + 1
+            arrival = now + flits
         elif not self.config.contention:
             arrival = now + hops * self._per_hop + (flits - 1)
         else:
@@ -134,15 +141,8 @@ class Network:
                     else arrival
                 )
 
-        delivery = self._delivery_stats.get(msg.vnet)
-        if delivery is None:
-            delivery = self._delivery_stats[msg.vnet] = self.stats.latency(
-                f"delivery.{msg.vnet.name}"
-            )
-
         def _deliver() -> None:
             msg.deliver_time = self.engine.now
-            delivery.add(msg.latency)
             on_deliver(msg)
 
         self.engine.schedule_at(arrival, _deliver)
@@ -153,49 +153,48 @@ class Network:
     def send_fast(self, msg: Message, on_deliver: Callable[[Message], None]) -> Message:
         """Contention-free, injector-free :meth:`send` (same accounting).
 
-        The classic path allocates one ``_deliver`` closure per message;
-        on migration-heavy 1024+-core runs that allocation (plus the
-        untaken injector/contention branches) dominated the transport
-        profile. This variant pushes the bound :meth:`_finish_delivery`
-        with the message as an event argument instead, straight onto the
-        engine heap at ``arrival`` (times are whole numbers, so the
-        event gets the same time and sequence number ``schedule_at``
-        would give it). Callers bind it only when ``config.contention``
-        is off and no fault injector is attached; arrival times,
-        counters, and delivery statistics are bit-identical to
-        :meth:`send`.
+        The delivery is ``on_deliver`` itself, armed on the message's
+        own recycled event (:attr:`Message.delivery_event`) with the
+        message as its argument: no closure, no per-leg ``Event`` and no
+        wrapper frame. Reuse is safe because a message is never re-sent
+        before its delivery fires. The arrival is known now, so
+        ``inject_time`` and ``deliver_time`` are both set here. The event
+        is pushed straight onto the engine heap with the time and
+        sequence number ``schedule_at`` would give it (times are whole
+        numbers). Callers bind it only when ``config.contention`` is off
+        and no fault injector is attached; arrival times and counters
+        are bit-identical to :meth:`send`.
         """
         eng = self.engine
         now = eng.now
-        msg.inject_time = now
-        flits = self.config.message_flits(msg.payload_bits)
+        bits = msg.payload_bits
+        flits = self._flits_memo.get(bits)
+        if flits is None:
+            flits = self.config.message_flits(bits)
         msg_cell, flit_cell = self._vnet_cells[msg.vnet]
         msg_cell.n += 1
         flit_cell.n += flits
         if msg.src == msg.dst:
             # Loopback: still pays serialization into/out of the NI.
             self._flit_hops_cell.n += flits
-            arrival = now + (flits - 1) + 1
+            arrival = now + flits
         else:
             hops = self._hops.hop(msg.src, msg.dst)
             self._flit_hops_cell.n += flits * hops
             arrival = now + hops * self._per_hop + (flits - 1)
-        delivery = self._delivery_stats.get(msg.vnet)
-        if delivery is None:
-            delivery = self._delivery_stats[msg.vnet] = self.stats.latency(
-                f"delivery.{msg.vnet.name}"
-            )
+        msg.inject_time = now
+        msg.deliver_time = arrival
         seq = eng._seq
-        ev = Event(arrival, seq, self._finish_delivery, (msg, delivery, on_deliver), eng)
+        ev = msg.delivery_event
+        if ev is None:
+            ev = msg.delivery_event = Event(arrival, seq, on_deliver, (msg,))
+        else:
+            ev.time = arrival
+            ev.seq = seq
+            ev.callback = on_deliver
         eng._seq = seq + 1
-        eng._live += 1
         heappush(eng._queue, (arrival, seq, ev))
         return msg
-
-    def _finish_delivery(self, msg: Message, delivery, on_deliver) -> None:
-        msg.deliver_time = self.engine.now
-        delivery.add(msg.latency)
-        on_deliver(msg)
 
     def _contended_arrival(self, msg: Message, flits: int) -> float:
         """Walk the route reserving each (link, VC) for ``flits`` cycles."""

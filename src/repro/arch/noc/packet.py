@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -37,6 +37,9 @@ class Message:
     body: Any = None
     inject_time: float = float("nan")
     deliver_time: float = float("nan")
+    # the engine event Network.send_fast re-arms for this message's
+    # delivery; a message is never re-sent before that event fires
+    delivery_event: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_bits < 0:

@@ -625,12 +625,11 @@ class EpochStepper:
         cb = m._step_cb
         seq = eng._seq
         for w, _s, t3 in heap:
-            ev = Event(w, seq, cb, (t3,), eng)
+            ev = Event(w, seq, cb, (t3,))
             heapq.heappush(queue, (w, seq, ev))
             seq += 1
             t3.pending = ev
             t3._ev = ev
-        eng._live += len(heap)
         eng._seq = seq
 
     def _close(self, heap, parked, t2, u) -> None:

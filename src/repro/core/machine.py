@@ -76,9 +76,10 @@ class ThreadState:
     # delivered, before the next one is needed (departure precedes
     # delivery precedes the admission or reply that lets the thread
     # step again; a thread awaiting a reply cannot be evicted), so all
-    # are rewritten in place instead of allocated per transfer. The
-    # fault plane keeps fresh messages — dup-delivery closures hold
-    # them past delivery.
+    # are rewritten in place instead of allocated per transfer; each
+    # message also carries its recycled delivery event (see
+    # Network.send_fast). The fault plane keeps fresh messages —
+    # dup-delivery closures hold them past delivery.
     _dep_ev: Event | None = None
     _mig_msg: Message | None = None
     _evt_msg: Message | None = None
@@ -188,10 +189,11 @@ class MigrationMachineBase:
         # and the scalar step both record through it)
         self._hist_run = self.stats.histogram("run_length")
         # fault-free transport: contention-free runs bind
-        # Network.send_fast (no per-send delivery closure, no untaken
-        # injector/contention branches); contended fault-free runs keep
-        # Network.send. Every fault-free departure event calls it
-        # directly (see _depart); fault runs go through _send_reliable.
+        # Network.send_fast (the delivery handler goes on the message's
+        # recycled event, no closure, no untaken injector/contention
+        # branches); contended fault-free runs keep Network.send. Every
+        # fault-free departure event calls it directly (see _depart);
+        # fault runs go through _send_reliable.
         if faults is None:
             self._net_send = (
                 self.network.send if config.noc.contention else self.network.send_fast
@@ -369,15 +371,13 @@ class MigrationMachineBase:
             if ev is None or ev.cancelled:
                 # first step, or the old event still sits cancelled in
                 # the heap (lazy deletion) — it cannot be rewritten
-                ev = th._ev = Event(when, seq, self._step_cb, (th,), eng)
+                ev = th._ev = Event(when, seq, self._step_cb, (th,))
             else:
                 # the previous step event already fired (it invoked this
                 # very call), so it is out of the heap: rewrite in place
                 ev.time = when
                 ev.seq = seq
-                ev._engine = eng  # the run loop cleared it on pop
             eng._seq = seq + 1
-            eng._live += 1
             heappush(eng._queue, (when, seq, ev))
             th.pending = ev
             return
@@ -414,14 +414,12 @@ class MigrationMachineBase:
         seq = eng._seq
         ev = th._dep_ev
         if ev is None:
-            ev = th._dep_ev = Event(when, seq, send, (msg, on_deliver), eng)
+            ev = th._dep_ev = Event(when, seq, send, (msg, on_deliver))
         else:
             ev.time = when
             ev.seq = seq
             ev.args = (msg, on_deliver)
-            ev._engine = eng
         eng._seq = seq + 1
-        eng._live += 1
         heappush(eng._queue, (when, seq, ev))
 
     def _send_reliable(self, msg: Message, on_deliver, tid: int) -> None:
@@ -557,13 +555,11 @@ class MigrationMachineBase:
         seq = eng._seq
         ev = th._ev
         if ev is None or ev.cancelled:
-            ev = th._ev = Event(when, seq, self._step_cb, (th,), eng)
+            ev = th._ev = Event(when, seq, self._step_cb, (th,))
         else:
             ev.time = when
             ev.seq = seq
-            ev._engine = eng
         eng._seq = seq + 1
-        eng._live += 1
         heappush(eng._queue, (when, seq, ev))
         th.pending = ev
 

@@ -12,10 +12,10 @@ Design notes
 * :class:`Event` is a ``__slots__`` class, not a dataclass: large NoC
   runs allocate millions of events, and per-instance ``__dict__``
   plus generated dataclass ``__init__`` overhead dominated profiles.
-* Cancellation is lazy in the heap (cancelled events are skipped when
-  popped) but eager in the bookkeeping: the engine keeps a live-event
-  counter so :meth:`Engine.pending` is O(1) instead of scanning the
-  whole heap per call.
+* Cancellation is lazy: a cancelled event stays in the heap and is
+  skipped when popped. The engine keeps no live-event count, so
+  scheduling and popping touch nothing but the heap; only
+  :meth:`Engine.pending` (a test aid) scans it.
 * Callbacks schedule further events; the engine never inspects model
   state. This keeps the engine reusable for every architecture model.
 * ``run()`` executes to quiescence (empty queue) or until ``until``;
@@ -35,7 +35,7 @@ from repro.util.errors import LivenessError, ReproError
 class Event:
     """A scheduled callback. Ordered by (time, seq)."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_engine")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
     def __init__(
         self,
@@ -43,14 +43,12 @@ class Event:
         seq: int,
         callback: Callable[..., None],
         args: tuple = (),
-        engine: "Engine | None" = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._engine = engine
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -60,16 +58,8 @@ class Event:
         return f"Event(t={self.time}, seq={self.seq}{flag})"
 
     def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped.
-
-        Idempotent; the owning engine's live-event counter is
-        decremented exactly once.
-        """
-        if self.cancelled:
-            return
+        """Mark the event so the engine skips it when popped (idempotent)."""
         self.cancelled = True
-        if self._engine is not None:
-            self._engine._live -= 1
 
 
 class Engine:
@@ -86,7 +76,6 @@ class Engine:
     def __init__(self) -> None:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._live = 0  # scheduled and not yet executed or cancelled
         self.now: float = 0.0
         self.events_executed: int = 0
 
@@ -99,9 +88,8 @@ class Engine:
             raise ReproError(f"cannot schedule into the past (delay={delay})")
         when = self.now + delay
         seq = self._seq
-        ev = Event(when, seq, callback, args, engine=self)
+        ev = Event(when, seq, callback, args)
         self._seq = seq + 1
-        self._live += 1
         heapq.heappush(self._queue, (when, seq, ev))
         return ev
 
@@ -121,8 +109,6 @@ class Engine:
             when, _, ev = heapq.heappop(self._queue)
             if ev.cancelled:
                 continue
-            self._live -= 1
-            ev._engine = None  # late cancel() must not re-decrement
             self.now = when
             self.events_executed += 1
             ev.callback(*ev.args)
@@ -149,8 +135,6 @@ class Engine:
                     when, _, ev = pop(queue)  # no peek: nothing bounds the pop
                     if ev.cancelled:
                         continue
-                    self._live -= 1
-                    ev._engine = None
                     self.now = when
                     executed += 1
                     if executed > ceiling:
@@ -171,8 +155,6 @@ class Engine:
                     self.now = until
                     return
                 pop(queue)
-                self._live -= 1
-                ev._engine = None
                 self.now = when
                 self.events_executed += 1
                 ev.callback(*ev.args)
@@ -185,8 +167,6 @@ class Engine:
                 when, _, ev = pop(queue)
                 if ev.cancelled:
                     continue
-                self._live -= 1
-                ev._engine = None
                 self.now = when
                 self.events_executed += 1
                 ev.callback(*ev.args)
@@ -205,8 +185,6 @@ class Engine:
                 self.now = until
                 return
             pop(queue)
-            self._live -= 1
-            ev._engine = None
             self.now = when
             self.events_executed += 1
             ev.callback(*ev.args)
@@ -223,6 +201,5 @@ class Engine:
         )
 
     def pending(self) -> int:
-        """Number of (non-cancelled) events still queued. O(1): reads
-        the live counter rather than scanning the heap."""
-        return self._live
+        """Number of (non-cancelled) events still queued; scans the heap."""
+        return sum(1 for _w, _s, ev in self._queue if not ev.cancelled)

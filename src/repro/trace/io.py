@@ -46,7 +46,9 @@ def load_multitrace(path: str | Path) -> MultiTrace:
     """
     path = Path(path)
     try:
-        with np.load(path) as data:
+        # open the file here so it closes even when numpy's zip reader
+        # raises on a corrupt container before handing back its NpzFile
+        with open(path, "rb") as fh, np.load(fh) as data:
             if "meta_json" not in data or "native_cores" not in data:
                 raise TraceFormatError(f"{path} is not a repro trace container")
             meta = json.loads(bytes(data["meta_json"]).decode())

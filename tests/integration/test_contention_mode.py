@@ -88,17 +88,21 @@ class TestContentionPreservesProtocol:
 
 
 class TestContendedLegsMatchQuietFaultPlane:
-    """Fault-free contended runs send every leg — migration, eviction,
+    """Fault-free runs send every leg — migration, eviction,
     remote-access request and reply — from a departure event bound
-    straight to ``Network.send``; a fault plane at all-zero rates sends
-    the same legs through the retry protocol. Both must give the same
-    results, apart from the fault plane's own keys."""
+    straight to ``Network.send`` (with contention) or
+    ``Network.send_fast`` (without); a fault plane at all-zero rates
+    sends the same legs through the retry protocol and
+    ``Network.send``. Both must give the same results, apart from the
+    fault plane's own keys."""
 
     FAULT_KEYS = ("retries", "drops_survived", "dup_ignored", "recovery_stall_cycles")
 
+    @pytest.mark.parametrize("contention", [True, False])
     @pytest.mark.parametrize("machine", ["em2", "em2ra", "ra-only"])
-    def test_fault_free_equals_zero_rate_plane(self, hotspot, machine):
-        _, cfg = _cfgs()
+    def test_fault_free_equals_zero_rate_plane(self, hotspot, machine, contention):
+        quiet_cfg, contended_cfg = _cfgs()
+        cfg = contended_cfg if contention else quiet_cfg
         pl = first_touch(hotspot, 8)
 
         def results(faults):
@@ -111,7 +115,8 @@ class TestContendedLegsMatchQuietFaultPlane:
             else:
                 m = RemoteAccessMachine(hotspot, pl, cfg, **kw)
             m.run()
-            assert m.network.stats.latency("queueing").count > 0
+            if contention:
+                assert m.network.stats.latency("queueing").count > 0
             return m.results()
 
         quiet = results(FaultInjector(FaultSpec(name="iid", params={}, seed=0)))

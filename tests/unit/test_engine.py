@@ -146,8 +146,8 @@ def test_cancel_after_execution_does_not_corrupt_counter():
 
 
 def test_pending_large_queue_mostly_cancelled():
-    # pending() reads a counter, so mass cancellation keeps it exact
-    # without ever scanning the heap
+    # cancelled events stay in the heap (lazy deletion); pending()
+    # must not count them
     eng = Engine()
     events = [eng.schedule(float(i), lambda: None) for i in range(1000)]
     for ev in events[::2]:

@@ -42,6 +42,41 @@ def test_loopback_still_costs_serialization():
     assert got == [3.0]  # (3 flits - 1) + 1
 
 
+@pytest.mark.parametrize("payload_bits", [0, 64, 256, 1504])
+def test_send_and_send_fast_deliver_at_zero_load_latency(payload_bits):
+    """Every (src, dst) pair of a 4x4 mesh, loopback included, on every
+    vnet: both transports deliver at ``now + zero_load_latency``, hand
+    the handler the message carrying that latency, and bump the same
+    message, flit and flit-hop counters."""
+    counts = {}
+    for method in ("send", "send_fast"):
+        eng, topo, net = _net()
+        send = getattr(net, method)
+        got = []
+
+        def inject(src, dst, vnet):
+            msg = Message(src=src, dst=dst, payload_bits=payload_bits, vnet=vnet)
+            expect = eng.now + net.zero_load_latency(src, dst, payload_bits)
+            send(msg, lambda m: got.append((m, msg, eng.now, expect)))
+
+        for src in range(topo.num_cores):
+            for dst in range(topo.num_cores):
+                for vnet in VirtualNetwork:
+                    eng.schedule(5.0, inject, src, dst, vnet)
+        eng.run()
+        assert len(got) == topo.num_cores**2 * len(VirtualNetwork)
+        for delivered, sent, now, expect in got:
+            assert delivered is sent
+            assert now == expect
+            assert delivered.latency == expect - 5.0
+        counts[method] = net.stats.counters.as_dict()
+    assert counts["send"] == counts["send_fast"]
+    flits = NocConfig().message_flits(payload_bits)
+    for vnet in VirtualNetwork:
+        assert counts["send"][f"messages.{vnet.name}"] == 16 * 16
+        assert counts["send"][f"flits.{vnet.name}"] == 16 * 16 * flits
+
+
 def test_flit_hop_accounting():
     eng, _, net = _net()
     msg = Message(src=0, dst=3, payload_bits=128, vnet=VirtualNetwork.MIGRATION)

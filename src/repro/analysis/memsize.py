@@ -11,10 +11,10 @@ the budget instead of trusting the design.
 
 What counts as tile state: cache metadata columns + presence indexes +
 the per-core cache/hierarchy wrapper objects, context files, topology
-geometry (coordinates, route cache, lazy hop rows), NoC occupancy
-state, and pooled per-core counters. The workload trace and per-thread
-decode columns are *not* tile state — they scale with the workload,
-not the machine — and are excluded.
+geometry (coordinates, route cache, what the hop function holds), NoC
+occupancy state, and pooled per-core counters. The workload trace and
+per-thread decode columns are *not* tile state — they scale with the
+workload, not the machine — and are excluded.
 
 ``BYTES_PER_TILE_BUDGET`` is the documented ceiling: a freshly built
 detailed machine must cost at most this many bytes of substrate per
@@ -87,14 +87,11 @@ def _topology_bytes(topology, seen: set[int]) -> int:
         v = getattr(topology, attr, None)
         if v is not None:
             total += _container_bytes(v, seen)
-    hop = topology.__dict__.get("hop_table")  # cached_property: absent until used
-    if hop is not None:
+    hop = topology.__dict__.get("hop")  # cached_property: absent until used
+    if hop is not None:  # priced with its geometry (the mesh's coordinate lists)
         total += _sizeof(hop)
-        rows = getattr(hop, "_rows", None)
-        if rows is not None:
-            total += _container_bytes(rows, seen)
-            for row in rows.values():
-                total += _container_bytes(row, seen)
+        for cell in hop.__closure__ or ():
+            total += _container_bytes(cell.cell_contents, seen)
     dm = topology.__dict__.get("distance_matrix")
     if dm is not None:
         total += _sizeof(dm)

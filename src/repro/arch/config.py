@@ -9,6 +9,7 @@ latencies are in cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.util.validate import check_integral, check_positive, check_power_of_two
@@ -85,6 +86,18 @@ class NocConfig:
             flits = 1 + -(-payload_bits // self.flit_bits)  # 1 head flit + ceil
             self._flits_memo[payload_bits] = flits
         return flits
+
+    @property
+    def per_hop(self) -> int:
+        """Head-flit latency of one hop: router pipeline plus link."""
+        return self.router_latency + self.link_latency
+
+    def zero_load_latency(self, hops, payload_bits: int):
+        """Contention-free latency of a message over ``hops`` hops (an
+        int or an array), the one definition every model charges: the
+        head flit pays :attr:`per_hop` per hop, the body flits stream
+        behind it (wormhole)."""
+        return hops * self.per_hop + (self.message_flits(payload_bits) - 1)
 
 
 @dataclass(frozen=True)
@@ -181,6 +194,20 @@ class SystemConfig:
         check_power_of_two("l2.line_bytes", self.l2.line_bytes)
         check_power_of_two("noc.flit_bits", self.noc.flit_bits)
 
+    # -- message payloads (bits) ------------------------------------------
+    def ra_request_bits(self, write: bool) -> int:
+        """Remote-access request: 64-bit address + 8-bit opcode, plus the
+        data word of a store."""
+        return 64 + 8 + (self.word_bits if write else 0)
+
+    def ra_reply_bits(self, write: bool) -> int:
+        """Remote-access reply: the data word, or an 8-bit store ack."""
+        return 8 if write else self.word_bits
+
+    def stack_flush_bits(self, words: int) -> int:
+        """Stack-EM² flush of ``words`` entries: 64-bit header + words."""
+        return 64 + words * self.word_bits
+
     @property
     def word_bytes(self) -> int:
         """Bytes per data word. Traces are word-addressed; multiply by
@@ -189,17 +216,23 @@ class SystemConfig:
 
     @property
     def width(self) -> int:
-        """Mesh width (defaults to the square root, rounded to a factor)."""
+        """Mesh width (default: the most nearly square grid)."""
         if self.mesh_width is not None:
             return self.mesh_width
-        w = int(round(self.num_cores**0.5))
-        while w > 1 and self.num_cores % w:
-            w -= 1
-        return max(w, 1)
+        return near_square_width(self.num_cores)
 
     @property
     def height(self) -> int:
         return self.num_cores // self.width
+
+
+def near_square_width(n: int) -> int:
+    """Largest divisor of ``n`` not above its square root: the width of
+    the most nearly square ``w x n/w`` grid (64 -> 8, 12 -> 3, 7 -> 1)."""
+    w = math.isqrt(n)
+    while n % w:
+        w -= 1
+    return w
 
 
 def small_test_config(num_cores: int = 4, **overrides) -> SystemConfig:

@@ -35,11 +35,11 @@ class Network:
 
     ``send`` is on the per-access path of every behavioral machine, so
     all loop-invariant work is hoisted into ``__init__``: hop counts
-    come from the topology's :attr:`~Topology.hop_table` scalar path
-    (resident rows for hot senders, O(1) coordinate math for cold ones),
+    come from the topology's plain :attr:`~Topology.hop` function,
     per-vnet counter keys are resolved once into integer-bump cells,
     flit counts are memoized by :meth:`NocConfig.message_flits`, and
-    the per-hop latency constant is folded.
+    the per-hop latency of :meth:`NocConfig.zero_load_latency` is
+    folded into the inline arrival time.
     """
 
     def __init__(
@@ -58,8 +58,8 @@ class Network:
         self.stats = StatSet("noc")
         # (src, dst, vc) -> earliest free time, only touched in contention mode
         self._link_free: dict[tuple[int, int, int], float] = defaultdict(float)
-        self._hops = topology.hop_table
-        self._per_hop = config.router_latency + config.link_latency
+        self._hop = topology.hop
+        self._per_hop = config.per_hop
         counters = self.stats.counters
         self._vnet_cells = {
             vnet: (
@@ -74,16 +74,16 @@ class Network:
     # ------------------------------------------------------------------
     def zero_load_latency(self, src: int, dst: int, payload_bits: int) -> float:
         """Latency ignoring contention: what :meth:`send` and
-        :meth:`send_fast` charge, and, for ``src != dst``, what the
-        analytical cost model's ``CostModel._transport`` charges.
+        :meth:`send_fast` charge, and, for ``src != dst``,
+        :meth:`NocConfig.zero_load_latency`, which the analytical cost
+        model charges too.
 
         A loopback message (``src == dst``) crosses no link but still
         pays one cycle per flit into and out of the network interface.
         """
-        flits = self.config.message_flits(payload_bits)
         if src == dst:
-            return flits
-        return self._hops.hop(src, dst) * self._per_hop + (flits - 1)
+            return self.config.message_flits(payload_bits)
+        return self.config.zero_load_latency(self._hop(src, dst), payload_bits)
 
     # ------------------------------------------------------------------
     def send(
@@ -102,7 +102,7 @@ class Network:
         now = self.engine.now
         msg.inject_time = now
         flits = self.config.message_flits(msg.payload_bits)
-        hops = self._hops.hop(msg.src, msg.dst)
+        hops = self._hop(msg.src, msg.dst)
 
         msg_cell, flit_cell = self._vnet_cells[msg.vnet]
         msg_cell.n += 1
@@ -179,7 +179,7 @@ class Network:
             self._flit_hops_cell.n += flits
             arrival = now + flits
         else:
-            hops = self._hops.hop(msg.src, msg.dst)
+            hops = self._hop(msg.src, msg.dst)
             self._flit_hops_cell.n += flits * hops
             arrival = now + hops * self._per_hop + (flits - 1)
         msg.inject_time = now

@@ -1,16 +1,18 @@
-"""On-chip network topologies and routing distance matrices.
+"""On-chip network topologies and routing distances.
 
 The cost model (§3) and the NoC simulator both need hop distances
 ``dist(i, j)`` between every pair of cores, and the NoC additionally
 needs the deterministic route. The default is a 2-D mesh with
 dimension-ordered (XY) routing, matching the EM² hardware [8,10].
 
-Geometry is **lazy and bounded** so the same classes serve the paper's
-64-core mesh and 1024–4096-core scale studies: distances come from
-vectorized per-source rows (:meth:`Topology.distance_row`), the hop
-table materializes rows on demand behind a bounded cache
-(:class:`LazyHopTable`), the route cache is capped, and link
-enumeration is O(P) from coordinates instead of an O(P²) distance scan.
+Each topology defines its hop count twice: :attr:`Topology.hop`, a
+plain function the per-message simulators call, and
+:meth:`Topology.distance_row`, its vectorized form, which the (P, P)
+:attr:`~Topology.distance_matrix` of the analytical models stacks.
+Both are coordinate math, so the same classes serve the paper's
+64-core mesh and 1024–4096-core scale studies: nothing P² is built
+unless a caller asks for the matrix, the route cache is capped, and
+link enumeration is O(P) from coordinates.
 """
 
 from __future__ import annotations
@@ -18,75 +20,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
+from repro.arch.config import near_square_width
 from repro.util.errors import ConfigError
-
-
-class LazyHopTable:
-    """Row-lazy ``hops[src][dst]`` hop-distance view over a topology.
-
-    Drop-in for the old eagerly-materialized nested list: indexing
-    ``hops[src]`` yields a plain-int list row (native ints — no numpy
-    scalar boxing leaks into latencies or serialized results). Rows are
-    built on demand from the topology's vectorized
-    :meth:`~Topology.distance_row` and kept in a bounded FIFO cache:
-    at 4096 cores the full table would be 16M boxed ints, while any
-    single run touches only the rows of cores that actually send.
-    """
-
-    #: Max resident rows. Recomputing an evicted row is one O(P)
-    #: vectorized call, so the cap trades a little recompute for a hard
-    #: memory bound (cap * P ints).
-    ROW_CAP = 256
-
-    #: scalar :meth:`hop` misses from one source before its row is
-    #: materialized — sources colder than this answer with O(1)
-    #: coordinate math instead of paying an O(P) row build
-    HOT_PROMOTE = 8
-
-    __slots__ = ("_topology", "_rows", "_misses", "_scalar")
-
-    def __init__(self, topology: "Topology") -> None:
-        self._topology = topology
-        self._rows: OrderedDict[int, list[int]] = OrderedDict()
-        self._misses: dict[int, int] = {}
-        self._scalar = topology.scalar_hop_fn()
-
-    def __getitem__(self, src: int) -> list[int]:
-        row = self._rows.get(src)
-        if row is None:
-            row = self._topology.distance_row(src).tolist()
-            if len(self._rows) >= self.ROW_CAP:
-                self._rows.popitem(last=False)
-            self._rows[src] = row
-        return row
-
-    def hop(self, src: int, dst: int) -> int:
-        """Scalar hop count — the per-message fast path.
-
-        A resident row answers with a list subscript. A missing row
-        answers with the topology's O(1) scalar :meth:`~Topology.distance`
-        and bumps a per-source miss counter; a source that keeps missing
-        gets its row materialized (while the cap has room). This is what
-        keeps 4096-core runs off the thrash cliff: with more active
-        senders than ROW_CAP, the old always-build-a-row policy paid an
-        O(P) rebuild on nearly every message.
-        """
-        row = self._rows.get(src)
-        if row is not None:
-            return row[dst]
-        misses = self._misses
-        n = misses.get(src, 0) + 1
-        if n >= self.HOT_PROMOTE and len(self._rows) < self.ROW_CAP:
-            misses.pop(src, None)
-            return self[src][dst]
-        misses[src] = n
-        return self._scalar(src, dst)
-
-    def __len__(self) -> int:
-        return self._topology.num_cores
 
 
 class Topology(ABC):
@@ -103,65 +42,49 @@ class Topology(ABC):
         self.num_cores = num_cores
         self.route_cache_cap = max(self.ROUTE_CACHE_CAP, 4 * num_cores)
 
+    @property
     @abstractmethod
+    def hop(self) -> Callable[[int, int], int]:
+        """``hop(src, dst)``: hop count of the deterministic route. A
+        plain function built once (a cached property) that returns plain
+        ints and checks no bounds: the per-message simulators call it
+        with valid core ids; :meth:`distance` is the checked form."""
+
     def distance(self, src: int, dst: int) -> int:
         """Hop count of the deterministic route from ``src`` to ``dst``."""
+        self._check_core(src)
+        self._check_core(dst)
+        return self.hop(src, dst)
+
+    @abstractmethod
+    def distance_row(self, src: int) -> np.ndarray:
+        """(P,) int64 hop distances from ``src`` to every core: the
+        vectorized form of :attr:`hop`."""
 
     @abstractmethod
     def route(self, src: int, dst: int) -> list[int]:
         """Core ids along the route, inclusive of both endpoints."""
 
+    @abstractmethod
+    def links(self) -> list[tuple[int, int]]:
+        """Directed physical links (u, v) with dist(u, v) == 1.
+
+        Ordered ascending by (u, v) — seeded fault draws index into
+        this list, so the order is part of the determinism contract.
+        """
+
     def _check_core(self, core: int) -> None:
         if not (0 <= core < self.num_cores):
             raise ConfigError(f"core id {core} out of range [0, {self.num_cores})")
 
-    def distance_row(self, src: int) -> np.ndarray:
-        """(P,) int64 hop distances from ``src`` to every core.
-
-        Concrete topologies override with vectorized coordinate math;
-        this fallback calls :meth:`distance` per destination.
-        """
-        self._check_core(src)
-        return np.fromiter(
-            (self.distance(src, d) for d in range(self.num_cores)),
-            dtype=np.int64,
-            count=self.num_cores,
-        )
-
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """(P, P) int matrix of hop distances. Cached; used by the DP.
-
-        Built by stacking vectorized :meth:`distance_row` calls — O(P)
-        numpy ops per row instead of the old O(P²) pure-Python double
-        loop. Scale-sensitive consumers (NoC, directory) should prefer
-        :attr:`hop_table` rows, which never materialize the full P².
-        """
+        """(P, P) int matrix of hop distances. Cached; used by the DP
+        and the analytical cost model. The simulators call :attr:`hop`
+        instead, so a thousand-core machine never builds it."""
         mat = np.vstack([self.distance_row(i) for i in range(self.num_cores)])
         mat.setflags(write=False)
         return mat
-
-    def scalar_hop_fn(self):
-        """A plain closure ``hop(src, dst) -> int`` with no bounds
-        checks — the per-message cold path of :class:`LazyHopTable`.
-        Concrete topologies override with closed-over coordinate lists
-        so a cold pair costs a few subscripts instead of a method
-        dispatch; this fallback is the checked :meth:`distance`.
-        Callers must pass valid core ids."""
-        return self.distance
-
-    @cached_property
-    def hop_table(self) -> LazyHopTable:
-        """Bounded row-lazy ``hops[src][dst]`` table.
-
-        The per-access simulator loops index this (``hops[src][dst]``)
-        instead of calling :meth:`distance`: a dict probe plus a list
-        subscript on native ints, no coordinate math and no numpy
-        scalar boxing. Rows materialize on first touch (see
-        :class:`LazyHopTable`), so a 4096-core machine never builds the
-        16M-entry eager table the old nested lists required.
-        """
-        return LazyHopTable(self)
 
     @cached_property
     def _route_cache(self) -> OrderedDict[int, list[int]]:
@@ -182,21 +105,6 @@ class Topology(ABC):
             route = self._route_cache[key] = self.route(src, dst)
         return route
 
-    def links(self) -> list[tuple[int, int]]:
-        """Directed physical links (u, v) with dist(u, v) == 1.
-
-        Ordered ascending by (u, v) — seeded fault draws index into
-        this list, so the order is part of the determinism contract.
-        Concrete topologies override with O(P) coordinate enumeration;
-        this fallback is the O(P²) definitional scan.
-        """
-        out = []
-        for i in range(self.num_cores):
-            for j in range(self.num_cores):
-                if i != j and self.distance(i, j) == 1:
-                    out.append((i, j))
-        return out
-
 
 class Mesh2D(Topology):
     """W x H mesh with XY (dimension-ordered) routing.
@@ -213,9 +121,7 @@ class Mesh2D(Topology):
 
     @classmethod
     def square(cls, num_cores: int) -> "Mesh2D":
-        w = int(round(num_cores**0.5))
-        while w > 1 and num_cores % w:
-            w -= 1
+        w = near_square_width(num_cores)
         return cls(w, num_cores // w)
 
     def coords(self, core: int) -> tuple[int, int]:
@@ -236,20 +142,16 @@ class Mesh2D(Topology):
     def _ys(self) -> np.ndarray:
         return np.arange(self.num_cores, dtype=np.int64) // self.width
 
-    def distance(self, src: int, dst: int) -> int:
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        return abs(sx - dx) + abs(sy - dy)
-
     def distance_row(self, src: int) -> np.ndarray:
         sx, sy = self.coords(src)
         return np.abs(self._xs - sx) + np.abs(self._ys - sy)
 
-    def scalar_hop_fn(self):
-        w = self.width
+    @cached_property
+    def hop(self) -> Callable[[int, int], int]:
+        xs, ys = self._xs.tolist(), self._ys.tolist()
 
         def hop(src: int, dst: int) -> int:
-            return abs(src % w - dst % w) + abs(src // w - dst // w)
+            return abs(xs[src] - xs[dst]) + abs(ys[src] - ys[dst])
 
         return hop
 
@@ -292,20 +194,14 @@ class TorusTopology(Mesh2D):
         step = 1 if fwd <= bwd else -1
         return (cur + step) % extent
 
-    def distance(self, src: int, dst: int) -> int:
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        ddx = min((dx - sx) % self.width, (sx - dx) % self.width)
-        ddy = min((dy - sy) % self.height, (sy - dy) % self.height)
-        return ddx + ddy
-
     def distance_row(self, src: int) -> np.ndarray:
         sx, sy = self.coords(src)
         dx = np.abs(self._xs - sx)
         dy = np.abs(self._ys - sy)
         return np.minimum(dx, self.width - dx) + np.minimum(dy, self.height - dy)
 
-    def scalar_hop_fn(self):
+    @cached_property
+    def hop(self) -> Callable[[int, int], int]:
         w, h = self.width, self.height
 
         def hop(src: int, dst: int) -> int:
@@ -399,20 +295,6 @@ class ClusterMesh(Mesh2D):
             cy * self.cluster_height + self.cluster_height // 2,
         )
 
-    def distance(self, src: int, dst: int) -> int:
-        scx, scy = self.cluster_of(src)
-        dcx, dcy = self.cluster_of(dst)
-        if (scx, scy) == (dcx, dcy):
-            return Mesh2D.distance(self, src, dst)
-        hs = self.hub(scx, scy)
-        hd = self.hub(dcx, dcy)
-        return (
-            Mesh2D.distance(self, src, hs)
-            + abs(dcx - scx)
-            + abs(dcy - scy)
-            + Mesh2D.distance(self, hd, dst)
-        )
-
     def distance_row(self, src: int) -> np.ndarray:
         sx, sy = self.coords(src)
         scx, scy = self.cluster_of(src)
@@ -430,7 +312,8 @@ class ClusterMesh(Mesh2D):
         from_hub = np.abs(self._xs - hdx) + np.abs(self._ys - hdy)
         return np.where(same, mesh, to_hub + express + from_hub)
 
-    def scalar_hop_fn(self):
+    @cached_property
+    def hop(self) -> Callable[[int, int], int]:
         w = self.width
         cw, ch = self.cluster_width, self.cluster_height
         hx, hy = cw // 2, ch // 2
@@ -501,18 +384,13 @@ class ClusterMesh(Mesh2D):
 class RingTopology(Topology):
     """Unidirectional-route bidirectional ring (small-core baselines)."""
 
-    def distance(self, src: int, dst: int) -> int:
-        self._check_core(src)
-        self._check_core(dst)
-        fwd = (dst - src) % self.num_cores
-        return min(fwd, self.num_cores - fwd)
-
     def distance_row(self, src: int) -> np.ndarray:
         self._check_core(src)
         fwd = (np.arange(self.num_cores, dtype=np.int64) - src) % self.num_cores
         return np.minimum(fwd, self.num_cores - fwd)
 
-    def scalar_hop_fn(self):
+    @cached_property
+    def hop(self) -> Callable[[int, int], int]:
         n = self.num_cores
 
         def hop(src: int, dst: int) -> int:
@@ -551,16 +429,12 @@ class UnidirectionalRing(Topology):
     flit-level NoC tests to demonstrate real deadlock and its cure.
     """
 
-    def distance(self, src: int, dst: int) -> int:
-        self._check_core(src)
-        self._check_core(dst)
-        return (dst - src) % self.num_cores
-
     def distance_row(self, src: int) -> np.ndarray:
         self._check_core(src)
         return (np.arange(self.num_cores, dtype=np.int64) - src) % self.num_cores
 
-    def scalar_hop_fn(self):
+    @cached_property
+    def hop(self) -> Callable[[int, int], int]:
         n = self.num_cores
 
         def hop(src: int, dst: int) -> int:
@@ -587,36 +461,25 @@ def topology_for(config) -> Mesh2D:
     return Mesh2D(config.width, config.height)
 
 
-def _split_extent(extent: int) -> int:
-    """Largest divisor of ``extent`` not above its square root — the
-    default cluster size along one axis (64 -> 8, 32 -> 4, 7 -> 1)."""
-    w = int(extent**0.5)
-    while w > 1 and extent % w:
-        w -= 1
-    return max(w, 1)
-
-
 def cluster_mesh_for(config, clusters_x=None, clusters_y=None,
                      cluster_width=None, cluster_height=None) -> ClusterMesh:
     """A :class:`ClusterMesh` covering ``config``'s core grid.
 
     Unspecified parameters default to a near-square split of each
-    dimension of the configured mesh; specified ones must tile the
+    dimension of the configured mesh (:func:`near_square_width` of the
+    extent: 64 -> 8, 32 -> 4, 7 -> 1); specified ones must tile the
     configured ``width x height`` grid exactly.
     """
-    if cluster_width is None:
-        cluster_width = (
-            config.width // clusters_x if clusters_x else _split_extent(config.width)
-        )
-    if cluster_height is None:
-        cluster_height = (
-            config.height // clusters_y if clusters_y
-            else _split_extent(config.height)
-        )
-    if clusters_x is None:
-        clusters_x = config.width // cluster_width if cluster_width else 0
-    if clusters_y is None:
-        clusters_y = config.height // cluster_height if cluster_height else 0
+
+    def split(extent, clusters, size):  # (clusters, size) along one axis
+        if size is None:
+            size = extent // clusters if clusters else near_square_width(extent)
+        if clusters is None:
+            clusters = extent // size if size else 0
+        return clusters, size
+
+    clusters_x, cluster_width = split(config.width, clusters_x, cluster_width)
+    clusters_y, cluster_height = split(config.height, clusters_y, cluster_height)
     topo = ClusterMesh(clusters_x, clusters_y, cluster_width, cluster_height)
     if (topo.width, topo.height) != (config.width, config.height):
         raise ConfigError(

@@ -97,7 +97,7 @@ class DirectoryCCSimulator:
         self.stats = StatSet("cc")
         self.traffic_bits = 0
         self._line_bits = config.l2.line_bytes * 8
-        self._per_hop = config.noc.router_latency + config.noc.link_latency
+        self._per_hop = config.noc.per_hop
         self._native = [c % config.num_cores for c in trace.thread_native_core]
         # Columnar trace decode: plain-int/bool/float columns replace
         # per-record numpy structured-scalar extraction in run()
@@ -112,9 +112,9 @@ class DirectoryCCSimulator:
             placement.home_of(tr["addr"]).tolist() if tr.size else []
             for tr in trace.threads
         ]
-        # loop-invariant hoists: cached NoC hop table, victim-address
-        # shift, word size, and integer-bump counter cells
-        self._hops = self.topology.hop_table
+        # loop-invariant hoists: the topology's hop function, victim-
+        # address shift, word size, and integer-bump counter cells
+        self._hop = self.topology.hop
         self._flit_bits = config.noc.flit_bits
         self._word_bytes = config.word_bytes
         self._line_shift = config.l2.line_bytes.bit_length() - 1
@@ -145,9 +145,9 @@ class DirectoryCCSimulator:
 
     # -- message accounting ----------------------------------------------
     def _msg(self, src: int, dst: int, bits: int, kind: str) -> float:
-        """Charge one message; return its zero-load latency."""
+        """Charge one message; return its zero-load latency (inlined)."""
         flits = self.config.noc.message_flits(bits)  # memoized per size
-        hops = self._hops.hop(src, dst)
+        hops = self._hop(src, dst)
         cell = self._kind_cells.get(kind)
         if cell is None:  # one cell per message kind, created on first use
             cell = self._kind_cells[kind] = self.stats.counters.cell("msg." + kind)

@@ -40,99 +40,69 @@ class CostModel:
                 f"topology has {self.topology.num_cores} cores, config says {config.num_cores}"
             )
 
-    # -- scalar building blocks -----------------------------------------
-    def _transport(self, hops: np.ndarray, payload_bits: int) -> np.ndarray:
-        """Zero-load message latency for each hop count (wormhole)."""
-        noc = self.config.noc
-        flits = noc.message_flits(payload_bits)
-        per_hop = noc.router_latency + noc.link_latency
-        return hops * per_hop + (flits - 1)
+    # -- one formula per cost, over a hop count or an array of them ----
+    def _migration(self, hops, context_bits: int):
+        """One-way context transfer: fixed overhead plus transport."""
+        cfg = self.config
+        return cfg.cost.migration_fixed + cfg.noc.zero_load_latency(hops, context_bits)
 
+    def _round_trip(self, hops, write: bool):
+        """Remote-access round trip: request out, reply back."""
+        cfg = self.config
+        noc = cfg.noc
+        return (
+            2 * cfg.cost.remote_access_fixed
+            + noc.zero_load_latency(hops, cfg.ra_request_bits(write))
+            + noc.zero_load_latency(hops, cfg.ra_reply_bits(write))
+        )
+
+    # -- scalar queries ----------------------------------------------------
+    # One entry each, over a single ``topology.distance`` lookup: scalar
+    # queries (scheme default thresholds, spot checks) must not pin an
+    # O(P²) table onto a topology shared with a thousand-core machine.
     def migration_cost(self, src: int, dst: int) -> float:
-        """One ``migration[src, dst]`` entry without the (P, P) matrix.
-
-        Same arithmetic as the matrix over a single
-        ``topology.distance`` lookup — scalar queries (scheme default
-        thresholds, spot checks) must not pin an O(P²) table onto a
-        topology shared with a thousand-core machine.
-        """
+        """One ``migration[src, dst]`` entry without the (P, P) matrix."""
         if src == dst:
             return 0.0
         hops = float(self.topology.distance(src, dst))
-        ctx_bits = self.config.context.full_context_bits
-        return self.config.cost.migration_fixed + self._transport(hops, ctx_bits)
+        return self._migration(hops, self.config.context.full_context_bits)
 
     def remote_access_cost(self, src: int, dst: int, write: bool) -> float:
         """One remote-access round-trip entry without the (P, P) matrix."""
         if src == dst:
             return 0.0
-        hops = float(self.topology.distance(src, dst))
-        fixed = self.config.cost.remote_access_fixed
-        if write:
-            req_bits = 64 + 8 + self.config.word_bits
-            ack_bits = 8
-            return (
-                2 * fixed
-                + self._transport(hops, req_bits)
-                + self._transport(hops, ack_bits)
-            )
-        addr_bits = 64 + 8
-        data_bits = self.config.word_bits
-        return (
-            2 * fixed
-            + self._transport(hops, addr_bits)
-            + self._transport(hops, data_bits)
-        )
+        return self._round_trip(float(self.topology.distance(src, dst)), write)
 
+    # -- matrices ----------------------------------------------------------
     @cached_property
     def _hops(self) -> np.ndarray:
         return self.topology.distance_matrix.astype(np.float64)
 
-    # -- matrices ----------------------------------------------------------
+    @staticmethod
+    def _matrix(costs: np.ndarray) -> np.ndarray:
+        """A (P, P) cost matrix: free diagonal, read-only."""
+        np.fill_diagonal(costs, 0.0)
+        costs.setflags(write=False)
+        return costs
+
     @cached_property
     def migration(self) -> np.ndarray:
         """(P, P) one-way migration cost; diagonal is 0 (no migration)."""
-        ctx_bits = self.config.context.full_context_bits
-        mat = self.config.cost.migration_fixed + self._transport(self._hops, ctx_bits)
-        np.fill_diagonal(mat, 0.0)
-        mat.setflags(write=False)
-        return mat
+        return self.migration_with_context(self.config.context.full_context_bits)
 
     def migration_with_context(self, context_bits: int) -> np.ndarray:
         """Migration matrix for an arbitrary context size (sweeps, §5)."""
-        mat = self.config.cost.migration_fixed + self._transport(self._hops, context_bits)
-        np.fill_diagonal(mat, 0.0)
-        return mat
+        return self._matrix(self._migration(self._hops, context_bits))
 
     @cached_property
     def remote_read(self) -> np.ndarray:
         """(P, P) remote-access round-trip cost for loads; diagonal 0."""
-        addr_bits = 64 + 8  # address + opcode
-        data_bits = self.config.word_bits
-        fixed = self.config.cost.remote_access_fixed
-        mat = (
-            2 * fixed
-            + self._transport(self._hops, addr_bits)
-            + self._transport(self._hops, data_bits)
-        )
-        np.fill_diagonal(mat, 0.0)
-        mat.setflags(write=False)
-        return mat
+        return self._matrix(self._round_trip(self._hops, write=False))
 
     @cached_property
     def remote_write(self) -> np.ndarray:
         """(P, P) remote-access round trip for stores (data out, ack back)."""
-        req_bits = 64 + 8 + self.config.word_bits
-        ack_bits = 8
-        fixed = self.config.cost.remote_access_fixed
-        mat = (
-            2 * fixed
-            + self._transport(self._hops, req_bits)
-            + self._transport(self._hops, ack_bits)
-        )
-        np.fill_diagonal(mat, 0.0)
-        mat.setflags(write=False)
-        return mat
+        return self._matrix(self._round_trip(self._hops, write=True))
 
     def remote_access(self, write: bool) -> np.ndarray:
         return self.remote_write if write else self.remote_read
@@ -149,12 +119,12 @@ class CostModel:
         return flits * self.config.noc.flit_bits
 
     def remote_access_bits(self, write: bool) -> int:
-        if write:
-            req, rep = 64 + 8 + self.config.word_bits, 8
-        else:
-            req, rep = 64 + 8, self.config.word_bits
-        noc = self.config.noc
-        return (noc.message_flits(req) + noc.message_flits(rep)) * noc.flit_bits
+        cfg = self.config
+        noc = cfg.noc
+        flits = noc.message_flits(cfg.ra_request_bits(write)) + noc.message_flits(
+            cfg.ra_reply_bits(write)
+        )
+        return flits * noc.flit_bits
 
     # -- break-even analysis ------------------------------------------------
     def break_even_run_length(self, src: int, dst: int, write_fraction: float = 0.0) -> float:

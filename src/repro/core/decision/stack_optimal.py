@@ -89,25 +89,24 @@ class _StackCosts:
         if max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
         self.P, self.K, self.native = P, max_depth, native
-        per_hop = cfg.noc.router_latency + cfg.noc.link_latency
+        noc = cfg.noc
         hops = topo.distance_matrix.astype(np.float64)
-        self.mig_base = cfg.cost.migration_fixed + hops * per_hop  # (P, P)
-        # serialization of a stack context carrying depth d
+        # a migration's zero-load latency is a hop term (a header-only
+        # message) plus a serialization term (zero hops), so the DP adds
+        # mig_base[c, h] + ser[d] instead of holding a (K+1, P, P) table
+        self.mig_base = cfg.cost.migration_fixed + noc.zero_load_latency(hops, 0)
         self.ser = np.array(
             [
-                cfg.noc.message_flits(cfg.context.stack_context_bits(d)) - 1
+                noc.zero_load_latency(0, cfg.context.stack_context_bits(d))
                 for d in range(max_depth + 1)
             ],
             dtype=np.float64,
         )
         # flush of f words from core c to native: one-way data message
-        word = cfg.word_bits
         self.flush = np.zeros((P, max_depth + 1), dtype=np.float64)
         for f in range(1, max_depth + 1):
-            self.flush[:, f] = (
-                cfg.cost.remote_access_fixed
-                + hops[:, native] * per_hop
-                + (cfg.noc.message_flits(64 + f * word) - 1)
+            self.flush[:, f] = cfg.cost.remote_access_fixed + noc.zero_load_latency(
+                hops[:, native], cfg.stack_flush_bits(f)
             )
         self.ctx_bits = np.array(
             [cfg.context.stack_context_bits(d) for d in range(max_depth + 1)],

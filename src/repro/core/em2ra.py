@@ -56,7 +56,9 @@ class EM2RAMachine(MigrationMachineBase):
         # type, so it is tested once here rather than per access
         self._replay = hasattr(scheme, "decision_for")
         self._ra_fixed = config.cost.remote_access_fixed
-        self._word_bits = config.word_bits
+        # leg payloads indexed by the access's store flag
+        self._req_bits = (config.ra_request_bits(False), config.ra_request_bits(True))
+        self._rep_bits = (config.ra_reply_bits(False), config.ra_reply_bits(True))
 
     def _handle_nonlocal(
         self, th: ThreadState, addr: int, write: bool, home: int, delay: float
@@ -82,7 +84,7 @@ class EM2RAMachine(MigrationMachineBase):
         self, th: ThreadState, addr: int, write: bool, home: int, delay: float
     ) -> None:
         self._c_remote.n += 1
-        req_bits = 64 + 8 + (self._word_bits if write else 0)
+        req_bits = self._req_bits[write]
         msg = th._req_msg
         if msg is None or self._net_send is None:
             msg = th._req_msg = Message(
@@ -101,7 +103,7 @@ class EM2RAMachine(MigrationMachineBase):
         home = msg.dst
         # the home core performs the access against its own caches
         lat = self._access_latency(home, addr, write)
-        reply_bits = 8 if write else self._word_bits
+        reply_bits = self._rep_bits[write]
         reply = th._rep_msg
         if reply is None or self._net_send is None:
             reply = th._rep_msg = Message(

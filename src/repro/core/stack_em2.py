@@ -183,9 +183,6 @@ class StackEM2Machine(MigrationMachineBase):
         self._spushes = [tr["spush"].tolist() for tr in trace.threads]
 
     # ------------------------------------------------------------------
-    def _stack_bits(self, depth: int) -> int:
-        return self.config.context.stack_context_bits(depth)
-
     def _step_slow(self, th: ThreadState) -> None:  # overrides the base walk
         th.pending = None
         tid = th.tid
@@ -247,7 +244,7 @@ class StackEM2Machine(MigrationMachineBase):
         msg = Message(
             src=src,
             dst=dest,
-            payload_bits=self._stack_bits(depth),
+            payload_bits=self.config.context.stack_context_bits(depth),
             vnet=VirtualNetwork.MIGRATION,
             kind="stack-migration",
             body=th,
@@ -263,7 +260,7 @@ class StackEM2Machine(MigrationMachineBase):
         msg = Message(
             src=src,
             dst=dst,
-            payload_bits=64 + words * self.config.word_bits,
+            payload_bits=self.config.stack_flush_bits(words),
             vnet=VirtualNetwork.EVICTION,  # returns toward the native core
             kind="stack-flush",
             body=None,
@@ -272,7 +269,7 @@ class StackEM2Machine(MigrationMachineBase):
 
     def _eviction_bits(self, victim: ThreadState) -> int:
         # an evicted stack thread carries its current window home
-        return self._stack_bits(self._depth[victim.tid])
+        return self.config.context.stack_context_bits(self._depth[victim.tid])
 
     def _handle_nonlocal(self, th, addr, write, home, delay):  # pragma: no cover
         raise NotImplementedError("StackEM2Machine overrides _step_slow directly")

@@ -87,8 +87,7 @@ def rehoming_traffic_bits(
     flits = noc.message_flits(line_bits)
     hops = cost_model.topology.distance_matrix[src[moved], dst[moved]]
     bits = int(moved.sum()) * flits * noc.flit_bits
-    per_hop = noc.router_latency + noc.link_latency
-    cost = float((hops * per_hop + (flits - 1)).sum())
+    cost = float(noc.zero_load_latency(hops, line_bits).sum())
     return bits, cost
 
 

@@ -1,27 +1,41 @@
 """Cross-checks between the behavioral machines and the analytical
 evaluators: the two evaluation paths must agree on protocol *counts*
-(they intentionally differ in timing fidelity)."""
+and the traffic those counts carry (they intentionally differ in
+timing fidelity)."""
 
 import numpy as np
 import pytest
 
+from repro import runner
 from repro.arch.config import small_test_config
 from repro.core.costs import CostModel
 from repro.core.decision import AlwaysMigrate, NeverMigrate
+from repro.core.decision.optimal import optimal_cost
 from repro.core.em2 import EM2Machine
 from repro.core.em2ra import EM2RAMachine
 from repro.core.evaluation import evaluate_scheme
 from repro.core.remote_access import RemoteAccessMachine
 from repro.placement import first_touch
+from repro.registry import SCHEMES, TOPOLOGIES
 from repro.runner import run
 from repro.spec import (
     ExperimentSpec,
     MachineSpec,
     PlacementSpec,
     SchemeSpec,
+    TopologySpec,
     WorkloadSpec,
 )
 from repro.trace.synthetic import make_workload
+
+#: The SPLASH stand-ins at perfbench's ``tiny`` sizes, run as 16
+#: threads on 16 ``small-test`` cores.
+TINY_SPLASH = {
+    "ocean": {"grid_n": 32, "iterations": 1},
+    "radix": {"keys_per_thread": 8},
+    "barnes": {"bodies_per_thread": 2, "tree_depth": 3},
+    "lu": {"blocks": 2, "block_words": 16},
+}
 
 
 @pytest.fixture(scope="module")
@@ -32,25 +46,46 @@ def setup():
     return cfg, trace, pl
 
 
-class TestCountsAgree:
-    def test_em2_migration_count_matches_analytical(self, setup):
-        cfg, trace, pl = setup
-        machine = EM2Machine(trace, pl, cfg)
-        machine.run()
-        analytical = evaluate_scheme(trace, pl, AlwaysMigrate(), CostModel(cfg))
-        # with enough guest contexts there are no evictions, so the
-        # machine's migration count equals the analytical model's
-        assert machine.results()["evictions"] == 0
-        assert machine.results()["migrations"] == analytical.migrations
-        assert machine.results()["local_accesses"] == analytical.local_accesses
+@pytest.fixture(scope="module")
+def cases(setup):
+    """(name, config, trace, placement): pingpong on 4 cores, then the
+    tiny stand-ins, each with a guest context per thread so no
+    migration ever evicts."""
+    out = [("pingpong", *setup)]
+    cfg = small_test_config(num_cores=16, guest_contexts=16)
+    for name, params in TINY_SPLASH.items():
+        trace = make_workload(name, num_threads=16, **params)
+        out.append((name, cfg, trace, first_touch(trace, 16)))
+    return out
 
-    def test_ra_only_count_matches_analytical(self, setup):
-        cfg, trace, pl = setup
-        machine = RemoteAccessMachine(trace, pl, cfg)
-        machine.run()
-        analytical = evaluate_scheme(trace, pl, NeverMigrate(), CostModel(cfg))
-        assert machine.results()["remote_accesses"] == analytical.remote_accesses
-        assert machine.results()["local_accesses"] == analytical.local_accesses
+
+class TestCountsAgree:
+    def test_em2_migration_count_matches_analytical(self, cases):
+        for name, cfg, trace, pl in cases:
+            machine = EM2Machine(trace, pl, cfg)
+            machine.run()
+            res = machine.results()
+            analytical = evaluate_scheme(trace, pl, AlwaysMigrate(), CostModel(cfg))
+            # with enough guest contexts there are no evictions, so the
+            # machine's migrations, and the context flits they carry,
+            # equal the analytical model's
+            assert res["evictions"] == 0, name
+            assert res["migrations"] == analytical.migrations, name
+            assert res["local_accesses"] == analytical.local_accesses, name
+            flits = machine.network.stats.counters["flits.MIGRATION"]
+            assert flits * cfg.noc.flit_bits == analytical.traffic_bits, name
+
+    def test_ra_only_count_matches_analytical(self, cases):
+        for name, cfg, trace, pl in cases:
+            machine = RemoteAccessMachine(trace, pl, cfg)
+            machine.run()
+            res = machine.results()
+            analytical = evaluate_scheme(trace, pl, NeverMigrate(), CostModel(cfg))
+            assert res["remote_accesses"] == analytical.remote_accesses, name
+            assert res["local_accesses"] == analytical.local_accesses, name
+            counters = machine.network.stats.counters
+            flits = counters["flits.RA_REQUEST"] + counters["flits.RA_REPLY"]
+            assert flits * cfg.noc.flit_bits == analytical.traffic_bits, name
 
     def test_machine_run_length_histogram_matches_offline(self, setup):
         cfg, trace, pl = setup
@@ -91,6 +126,35 @@ class TestCountsAgree:
                     ("migrations", "remote_accesses", "local_accesses")}
 
         assert counts("em2ra") == counts("analytical")
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES.names())
+def test_dp_optimum_bounds_every_scheme(topology):
+    """On every registered topology, the per-thread DP optimum is a
+    lower bound on the analytical cost of every registered scheme, and
+    every scheme accounts for each access exactly once."""
+    for name, params in TINY_SPLASH.items():
+        spec = ExperimentSpec(
+            workload=WorkloadSpec(name=name, params={**params, "num_threads": 16}),
+            machine=MachineSpec(name="analytical", cores=16, preset="small-test"),
+            placement=PlacementSpec(name="first-touch"),
+            topology=TopologySpec(name=topology),
+        )
+        built = runner.build(spec)
+        trace, pl = built.trace, built.placement
+        optimum = sum(
+            optimal_cost(
+                pl.home_of(tr["addr"]), tr["write"], trace.thread_native_core[t] % 16, built.cost
+            )
+            for t, tr in enumerate(trace.threads)
+            if tr.size
+        )
+        for scheme in SCHEMES.names():
+            res = run(spec.replace(scheme=SchemeSpec(name=scheme)))
+            label = f"{name}/{scheme}@{topology}"
+            assert res["total_cost"] >= optimum, label
+            done = res["local_accesses"] + res["remote_accesses"] + res["migrations"]
+            assert done == trace.total_accesses, label
 
 
 class TestOrderings:

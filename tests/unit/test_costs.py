@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch.config import ContextConfig, SystemConfig, small_test_config
-from repro.arch.topology import Mesh2D
+from repro.arch.topology import Mesh2D, TorusTopology
 from repro.core.costs import CostModel
 from repro.util.errors import ConfigError
 
@@ -61,6 +61,39 @@ class TestMatrices:
         # write request payload > read request payload; with a 128-bit
         # flit both still fit in the same flit count here, so compare bits
         assert cm.remote_access_bits(True) >= cm.remote_access_bits(False)
+
+
+class TestOneFormula:
+    """Scalar queries, matrices and traffic all charge the payloads of
+    ``SystemConfig`` at ``NocConfig.zero_load_latency``."""
+
+    @pytest.mark.parametrize("topo", [None, TorusTopology(4, 4)])
+    def test_scalar_queries_equal_matrix_entries(self, topo):
+        cm = CostModel(small_test_config(num_cores=16), topology=topo)
+        for src in range(16):
+            for dst in range(16):
+                assert cm.migration_cost(src, dst) == cm.migration[src, dst]
+                assert cm.remote_access_cost(src, dst, False) == cm.remote_read[src, dst]
+                assert cm.remote_access_cost(src, dst, True) == cm.remote_write[src, dst]
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_round_trip_is_two_zero_load_legs(self, cm, write):
+        cfg = cm.config
+        noc = cfg.noc
+        for dst in range(1, 16):
+            h = cm.topology.hop(0, dst)
+            assert cm.remote_access(write)[0, dst] == (
+                2 * cfg.cost.remote_access_fixed
+                + noc.zero_load_latency(h, cfg.ra_request_bits(write))
+                + noc.zero_load_latency(h, cfg.ra_reply_bits(write))
+            )
+            assert cm.migration[0, dst] == cfg.cost.migration_fixed + noc.zero_load_latency(
+                h, cfg.context.full_context_bits
+            )
+        assert cm.remote_access_bits(write) == noc.flit_bits * (
+            noc.message_flits(cfg.ra_request_bits(write))
+            + noc.message_flits(cfg.ra_reply_bits(write))
+        )
 
 
 class TestContextSizeScaling:

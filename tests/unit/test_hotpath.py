@@ -15,6 +15,7 @@ import pytest
 from repro.arch.cache.hierarchy import CacheHierarchy
 from repro.arch.config import CacheConfig, NocConfig, SystemConfig, small_test_config
 from repro.arch.topology import topology_for
+from repro.registry import TOPOLOGIES
 from repro.sim.stats import Counter
 from repro.trace.synthetic import make_workload
 from repro.util.errors import ConfigError
@@ -60,13 +61,17 @@ class TestCounterCell:
 # ---------------------------------------------------------------- topology
 class TestCachedTables:
     def test_hop_table_matches_distance_matrix(self):
-        topo = topology_for(small_test_config(num_cores=16))
-        table = topo.hop_table
-        dm = topo.distance_matrix
-        for s in range(16):
-            for d in range(16):
-                assert table[s][d] == int(dm[s, d]) == topo.distance(s, d)
-        assert isinstance(table[0][0], int)  # plain ints, not numpy scalars
+        """Every registered topology's ``hop`` agrees with its stacked
+        rows and returns plain ints (no numpy scalar leaks into
+        latencies or serialized results)."""
+        for name in TOPOLOGIES.names():
+            topo = TOPOLOGIES.get(name)(small_test_config(num_cores=16))
+            hop = topo.hop
+            dm = topo.distance_matrix
+            for s in range(16):
+                for d in range(16):
+                    assert hop(s, d) == int(dm[s, d]) == topo.distance(s, d), name
+                    assert type(hop(s, d)) is int, name
 
     def test_route_cached_matches_route(self):
         topo = topology_for(small_test_config(num_cores=8))

@@ -16,11 +16,23 @@ def _net(contention=False, **kw):
 
 
 def test_zero_load_latency_formula():
-    _, _, net = _net()
+    _, topo, net = _net()
     # 3 hops, 1-flit payload (<=128 bits): 3*(1+1) + (2-1) = 7
     assert net.zero_load_latency(0, 3, 64) == 7
     # larger payload adds serialization only
     assert net.zero_load_latency(0, 3, 1504) == 3 * 2 + (13 - 1)
+    # off loopback it is NocConfig's, the one definition every model
+    # charges (send and send_fast are pinned to it below); a loopback
+    # message pays its flits
+    noc = net.config
+    for bits in (0, 8, 72, 128, 1504):
+        for src in range(topo.num_cores):
+            for dst in range(topo.num_cores):
+                got = net.zero_load_latency(src, dst, bits)
+                if src == dst:
+                    assert got == noc.message_flits(bits)
+                else:
+                    assert got == noc.zero_load_latency(topo.hop(src, dst), bits)
 
 
 def test_delivery_at_expected_time():

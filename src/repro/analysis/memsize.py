@@ -83,8 +83,10 @@ def _cache_array_bytes(arr, seen: set[int]) -> int:
 
 def _topology_bytes(topology, seen: set[int]) -> int:
     total = _sizeof(topology)
+    # cached properties are read from __dict__: getattr would build the
+    # state it measures
     for attr in ("_xs", "_ys", "_route_cache"):
-        v = getattr(topology, attr, None)
+        v = topology.__dict__.get(attr)
         if v is not None:
             total += _container_bytes(v, seen)
     hop = topology.__dict__.get("hop")  # cached_property: absent until used

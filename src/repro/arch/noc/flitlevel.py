@@ -112,11 +112,17 @@ class FlitNetwork:
         self._last_progress = 0
         self.latencies: list[int] = []
 
+        # upstream senders of each node, one hop *toward* it, ascending:
+        # distinct from out-neighbours on directed topologies (the
+        # unidirectional ring), identical on meshes/tori
+        self._upstream: list[list[int]] = [[] for _ in range(topology.num_cores)]
+        for u, v in topology.links():
+            self._upstream[v].append(u)
         # node -> input port (-1 local, or upstream-neighbour id) -> vc -> buffer
         self._ports: dict[int, dict[int, list[_Buffer]]] = {}
         for node in range(topology.num_cores):
             ports = {-1: [_Buffer(buffer_flits) for _ in range(num_vcs)]}
-            for nb in self._in_neighbors(node):
+            for nb in self._upstream[node]:
                 ports[nb] = [_Buffer(buffer_flits) for _ in range(num_vcs)]
             self._ports[node] = ports
         # (node, out_neighbor_or_-1, vc) -> (in_port, vc) owning that
@@ -135,18 +141,6 @@ class FlitNetwork:
         self._pkt_payload: dict[int, object] = {}  # head payload until tail ejects
 
     # -- topology helpers ------------------------------------------------
-    def _in_neighbors(self, node: int) -> list[int]:
-        """Upstream senders: nodes one hop *toward* this node.
-
-        Distinct from out-neighbours on directed topologies (the
-        unidirectional ring); identical on meshes/tori.
-        """
-        return [
-            n
-            for n in range(self.topology.num_cores)
-            if n != node and self.topology.distance(n, node) == 1
-        ]
-
     def _next_hop(self, node: int, dst: int) -> int:
         route = self.topology.route(node, dst)
         return route[1]

@@ -73,10 +73,9 @@ class Network:
 
     # ------------------------------------------------------------------
     def zero_load_latency(self, src: int, dst: int, payload_bits: int) -> float:
-        """Latency ignoring contention: what :meth:`send` and
-        :meth:`send_fast` charge, and, for ``src != dst``,
-        :meth:`NocConfig.zero_load_latency`, which the analytical cost
-        model charges too.
+        """Latency ignoring contention: what :meth:`send` charges, and,
+        for ``src != dst``, :meth:`NocConfig.zero_load_latency`, which
+        the analytical cost model charges too.
 
         A loopback message (``src == dst``) crosses no link but still
         pays one cycle per flit into and out of the network interface.
@@ -92,35 +91,52 @@ class Network:
         on_deliver: Callable[[Message], None],
         on_drop: Callable[[Message], None] | None = None,
     ) -> Message:
-        """Inject ``msg`` now; schedule ``on_deliver(msg)`` at arrival.
+        """Inject ``msg`` now; ``on_deliver(msg)`` runs at its arrival.
 
-        ``on_drop`` (fault plane only) fires synchronously when the
-        injector loses this copy in flight — the sender's recovery
-        protocol uses it as an ideal failure detector and schedules its
-        retry a timeout later. Without an injector it never fires.
+        The delivery is ``on_deliver`` itself, armed on the message's
+        own recycled event (:attr:`Message.delivery_event`) with the
+        message as its argument: no closure and no per-leg ``Event``.
+        Reuse is safe because a message is never re-sent while its
+        delivery is pending (a lost copy arms nothing). The arrival is
+        known now, so ``inject_time`` and ``deliver_time`` are both set
+        here.
+
+        With a fault injector attached, a message that leaves its tile
+        may be lost, delayed or duplicated. ``on_drop`` fires
+        synchronously when the injector loses the message in flight —
+        the sender's recovery protocol uses it as an ideal failure
+        detector and schedules its retry a timeout later — and nothing
+        is armed. A duplicate pays its traffic again and arrives on a
+        plain engine event after the original. Without an injector
+        ``on_drop`` never fires.
         """
-        now = self.engine.now
-        msg.inject_time = now
-        flits = self.config.message_flits(msg.payload_bits)
-        hops = self._hop(msg.src, msg.dst)
-
+        eng = self.engine
+        now = eng.now
+        bits = msg.payload_bits
+        flits = self._flits_memo.get(bits)
+        if flits is None:
+            flits = self.config.message_flits(bits)
         msg_cell, flit_cell = self._vnet_cells[msg.vnet]
         msg_cell.n += 1
         flit_cell.n += flits
-        self._flit_hops_cell.n += flits * (hops if hops > 0 else 1)
-
-        if msg.src == msg.dst:
+        src = msg.src
+        dst = msg.dst
+        if src == dst:
             # Loopback: still pays serialization into/out of the NI.
+            self._flit_hops_cell.n += flits
             arrival = now + flits
-        elif not self.config.contention:
-            arrival = now + hops * self._per_hop + (flits - 1)
         else:
-            arrival = self._contended_arrival(msg, flits)
-
+            hops = self._hop(src, dst)
+            self._flit_hops_cell.n += flits * hops
+            if self.config.contention:
+                arrival = self._contended_arrival(msg, flits)
+            else:
+                arrival = now + hops * self._per_hop + (flits - 1)
+        msg.inject_time = now
         dup_arrival = None
         injector = self.injector
-        if injector is not None and msg.src != msg.dst:
-            action, extra = injector.on_message(msg.src, msg.dst, now)
+        if injector is not None and src != dst:
+            action, extra = injector.on_message(src, dst, now)
             if action == "drop":
                 # Lost in flight: traffic was spent, nothing arrives.
                 # The sender's timeout/retry protocol must recover.
@@ -140,49 +156,6 @@ class Network:
                     if self.config.contention
                     else arrival
                 )
-
-        def _deliver() -> None:
-            msg.deliver_time = self.engine.now
-            on_deliver(msg)
-
-        self.engine.schedule_at(arrival, _deliver)
-        if dup_arrival is not None:
-            self.engine.schedule_at(dup_arrival, _deliver)
-        return msg
-
-    def send_fast(self, msg: Message, on_deliver: Callable[[Message], None]) -> Message:
-        """Contention-free, injector-free :meth:`send` (same accounting).
-
-        The delivery is ``on_deliver`` itself, armed on the message's
-        own recycled event (:attr:`Message.delivery_event`) with the
-        message as its argument: no closure, no per-leg ``Event`` and no
-        wrapper frame. Reuse is safe because a message is never re-sent
-        before its delivery fires. The arrival is known now, so
-        ``inject_time`` and ``deliver_time`` are both set here. The event
-        is pushed straight onto the engine heap with the time and
-        sequence number ``schedule_at`` would give it (times are whole
-        numbers). Callers bind it only when ``config.contention`` is off
-        and no fault injector is attached; arrival times and counters
-        are bit-identical to :meth:`send`.
-        """
-        eng = self.engine
-        now = eng.now
-        bits = msg.payload_bits
-        flits = self._flits_memo.get(bits)
-        if flits is None:
-            flits = self.config.message_flits(bits)
-        msg_cell, flit_cell = self._vnet_cells[msg.vnet]
-        msg_cell.n += 1
-        flit_cell.n += flits
-        if msg.src == msg.dst:
-            # Loopback: still pays serialization into/out of the NI.
-            self._flit_hops_cell.n += flits
-            arrival = now + flits
-        else:
-            hops = self._hop(msg.src, msg.dst)
-            self._flit_hops_cell.n += flits * hops
-            arrival = now + hops * self._per_hop + (flits - 1)
-        msg.inject_time = now
         msg.deliver_time = arrival
         seq = eng._seq
         ev = msg.delivery_event
@@ -194,6 +167,8 @@ class Network:
             ev.callback = on_deliver
         eng._seq = seq + 1
         heappush(eng._queue, (arrival, seq, ev))
+        if dup_arrival is not None:
+            eng.schedule(dup_arrival - now, on_deliver, msg)
         return msg
 
     def _contended_arrival(self, msg: Message, flits: int) -> float:

@@ -37,8 +37,8 @@ class Message:
     body: Any = None
     inject_time: float = float("nan")
     deliver_time: float = float("nan")
-    # the engine event Network.send_fast re-arms for this message's
-    # delivery; a message is never re-sent before that event fires
+    # the engine event Network.send re-arms for this message's
+    # delivery; a message is never re-sent while that event is pending
     delivery_event: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -76,17 +76,17 @@ class EM2RAMachine(MigrationMachineBase):
 
     # -- remote access round trip ----------------------------------------
     # Each leg is one message and one departure event (see
-    # MigrationMachineBase._depart). Fault-free runs rewrite the
-    # thread's recycled request and reply messages: a thread has at most
-    # one remote access in flight, and its request is delivered before
-    # the reply is built.
+    # MigrationMachineBase._depart). Every run rewrites the thread's
+    # recycled request and reply messages: a thread has at most one
+    # remote access in flight, and its request is delivered before the
+    # reply is built.
     def _remote_access(
         self, th: ThreadState, addr: int, write: bool, home: int, delay: float
     ) -> None:
         self._c_remote.n += 1
         req_bits = self._req_bits[write]
         msg = th._req_msg
-        if msg is None or self._net_send is None:
+        if msg is None:
             msg = th._req_msg = Message(
                 src=th.core, dst=home, payload_bits=req_bits,
                 vnet=VirtualNetwork.RA_REQUEST, kind="ra-request", body=(th, addr, write),
@@ -105,7 +105,7 @@ class EM2RAMachine(MigrationMachineBase):
         lat = self._access_latency(home, addr, write)
         reply_bits = self._rep_bits[write]
         reply = th._rep_msg
-        if reply is None or self._net_send is None:
+        if reply is None:
             reply = th._rep_msg = Message(
                 src=home, dst=msg.src, payload_bits=reply_bits,
                 vnet=VirtualNetwork.RA_REPLY, kind="ra-reply", body=th,

@@ -614,8 +614,8 @@ class EpochStepper:
         """Turn parked virtual wake-ups back into real events, in
         ascending (virtual) sequence order so every same-time tie is
         broken exactly as the unbatched engine would have. Events are
-        pushed at their absolute times directly (``schedule_at`` would
-        round-trip through a delay, which is only bit-exact for
+        pushed at their absolute times directly (``Engine.schedule``
+        would round-trip through a delay, which is only bit-exact for
         integer-valued times)."""
         if not heap:
             return

@@ -69,17 +69,19 @@ class ThreadState:
     # place instead of allocating a new Event per access. A cancelled
     # event may still sit in the heap (lazy deletion) and is abandoned.
     _ev: Event | None = None
-    # recycled transport containers (fault-free runs only): a thread has
-    # one transfer in flight at a time — a migration, an eviction, or
-    # one leg of a remote access — and its previous departure event
-    # always fired, and its previous message of each kind was always
-    # delivered, before the next one is needed (departure precedes
-    # delivery precedes the admission or reply that lets the thread
-    # step again; a thread awaiting a reply cannot be evicted), so all
-    # are rewritten in place instead of allocated per transfer; each
-    # message also carries its recycled delivery event (see
-    # Network.send_fast). The fault plane keeps fresh messages —
-    # dup-delivery closures hold them past delivery.
+    # recycled transport containers: a thread has one transfer in
+    # flight at a time — a migration, an eviction, or one leg of a
+    # remote access — and its previous departure event always fired,
+    # and its previous message of each kind was always delivered, before
+    # the next one is needed (departure precedes delivery precedes the
+    # admission or reply that lets the thread step again; a thread
+    # awaiting a reply cannot be evicted), so all are rewritten in place
+    # instead of allocated per transfer; each message also carries its
+    # recycled delivery event (see Network.send). Fault runs recycle
+    # too: a transfer is complete at its first delivery, a retry is
+    # pending only while it is not, and a late duplicate reaches only
+    # the completed transfer's dedup closure, which ignores it without
+    # reading the message.
     _dep_ev: Event | None = None
     _mig_msg: Message | None = None
     _evt_msg: Message | None = None
@@ -182,24 +184,13 @@ class MigrationMachineBase:
         self._mig_in = [0] * config.num_cores
         self._evict_out = [0] * config.num_cores
         self._stall_in = [0] * config.num_cores
-        # pre-bound hot callables: skips a descriptor lookup per event
-        self._schedule = self.engine.schedule
         # run_length is recorded on every home-run change; bind the
         # histogram once (it exists for every machine run: the stepper
         # and the scalar step both record through it)
         self._hist_run = self.stats.histogram("run_length")
-        # fault-free transport: contention-free runs bind
-        # Network.send_fast (the delivery handler goes on the message's
-        # recycled event, no closure, no untaken injector/contention
-        # branches); contended fault-free runs keep Network.send. Every
-        # fault-free departure event calls it directly (see _depart);
-        # fault runs go through _send_reliable.
-        if faults is None:
-            self._net_send = (
-                self.network.send if config.noc.contention else self.network.send_fast
-            )
-        else:
-            self._net_send = None
+        # what every departure event calls (see _depart): the network
+        # itself, or the retry/dedup protocol when a fault plane runs
+        self._send = self.network.send if faults is None else self._send_reliable
         self._mig_fixed = config.cost.migration_fixed
         self._evt_fixed = config.cost.eviction_fixed
         self._ctx_bits = config.context.full_context_bits
@@ -258,7 +249,7 @@ class MigrationMachineBase:
         self._started = True
         for th in self.threads:
             self.contexts[th.native].admit_native(th.tid, 0.0)
-            th.pending = self.engine.schedule(0.0, self._step_cb, th)
+            self._push_step(th, 0.0)
         self.engine.run(max_events=max_events)
         # fold the deferred per-core event counts into the pooled matrix
         mat = self._core_mat
@@ -397,24 +388,20 @@ class MigrationMachineBase:
         """Put ``msg`` on the network ``delay`` cycles from now.
 
         Every transfer of ``th`` — migration, eviction, remote-access
-        request or reply — departs here. Fault-free runs rewrite and
-        push the thread's recycled departure event (see
+        request or reply — departs here, in every run. It rewrites and
+        pushes the thread's recycled departure event (see
         ``ThreadState._dep_ev``): a thread's previous departure always
         fired before its next transfer starts, and departures are never
-        cancelled. Its callback is the bound network send and its
-        arguments are the message and ``on_deliver``, so a leg costs no
-        closure. Fault runs schedule :meth:`_send_reliable` instead.
+        cancelled. Its callback is :attr:`_send` — the network send, or
+        :meth:`_send_reliable` under a fault plane — and its arguments
+        are the message and ``on_deliver``, so a leg costs no closure.
         """
         eng = self.engine
-        send = self._net_send
-        if send is None:
-            eng.schedule(delay, self._send_reliable, msg, on_deliver, th.tid)
-            return
         when = eng.now + delay
         seq = eng._seq
         ev = th._dep_ev
         if ev is None:
-            ev = th._dep_ev = Event(when, seq, send, (msg, on_deliver))
+            ev = th._dep_ev = Event(when, seq, self._send, (msg, on_deliver))
         else:
             ev.time = when
             ev.seq = seq
@@ -422,9 +409,9 @@ class MigrationMachineBase:
         eng._seq = seq + 1
         heappush(eng._queue, (when, seq, ev))
 
-    def _send_reliable(self, msg: Message, on_deliver, tid: int) -> None:
-        """Send ``msg`` for thread ``tid``, surviving injected drops and
-        duplicates (fault runs only; see :meth:`_depart`).
+    def _send_reliable(self, msg: Message, on_deliver) -> None:
+        """Send ``msg``, surviving injected drops and duplicates (fault
+        runs only; see :meth:`_depart`).
 
         Each transfer gets (a) *duplicate suppression* — the first
         delivery wins, later copies only bump ``dup_ignored`` — and (b)
@@ -456,7 +443,7 @@ class MigrationMachineBase:
                 return  # stranded: quiescence check reports the hang
             if attempt >= self._retry_cap:
                 raise RetryExhaustedError(
-                    f"{msg.kind} tid={tid} {msg.src}->{msg.dst}: all "
+                    f"{msg.kind} {msg.src}->{msg.dst}: all "
                     f"{attempt + 1} copies lost, retry cap "
                     f"{self._retry_cap} exhausted"
                 )
@@ -481,7 +468,7 @@ class MigrationMachineBase:
         self._c_migrations.n += 1
         self._mig_in[dest] += 1
         msg = th._mig_msg
-        if msg is None or self._net_send is None:
+        if msg is None:
             msg = th._mig_msg = Message(
                 src=src, dst=dest, payload_bits=self._ctx_bits,
                 vnet=VirtualNetwork.MIGRATION, kind="migration", body=th,
@@ -545,10 +532,11 @@ class MigrationMachineBase:
     def _push_step(self, th: ThreadState, delay: float) -> None:
         """Schedule ``th``'s next step on its recycled step event.
 
-        For a thread that is not stepping right now: its previous step
-        event fired before the transfer that ends here began, so it is
-        out of the heap; a cancelled one is abandoned in the heap
-        (lazy deletion) and replaced.
+        Every step event of a thread is this one event. Its previous
+        firing is out of the heap: it invoked the step that calls this,
+        or it fired before the transfer that ends here began. A
+        cancelled one is abandoned in the heap (lazy deletion) and
+        replaced.
         """
         eng = self.engine
         when = eng.now + delay
@@ -602,7 +590,7 @@ class MigrationMachineBase:
         self._evict_out[core] += 1
         bits = self._eviction_bits(victim)
         msg = victim._evt_msg
-        if msg is None or self._net_send is None:
+        if msg is None:
             msg = victim._evt_msg = Message(
                 src=core, dst=victim.native, payload_bits=bits,
                 vnet=VirtualNetwork.EVICTION, kind="eviction", body=victim,

@@ -142,6 +142,10 @@ class ReplayDepth(DepthScheme):
         return self.fallback.carry_depth(tid, idx, held, window)
 
 
+def _flushed(msg: Message) -> None:
+    """A stack flush reached the native stack memory: nothing to do."""
+
+
 class StackEM2Machine(MigrationMachineBase):
     """EM² with stack-window contexts instead of a register file."""
 
@@ -217,7 +221,7 @@ class StackEM2Machine(MigrationMachineBase):
                 self._c_local.n += 1
             lat = self._access_latency(th.core, th.addrs[idx], th.writes[idx])
             th.idx = idx + 1
-            th.pending = self._schedule(delay + lat, self._step_cb, th)
+            self._push_step(th, delay + lat)
             return
 
         # migrate to the home, choosing a carry depth
@@ -241,19 +245,19 @@ class StackEM2Machine(MigrationMachineBase):
         self._c_migrations.n += 1
         self._mig_in[dest] += 1
         self.stats.counters.add("migrated_stack_words", depth)
-        msg = Message(
-            src=src,
-            dst=dest,
-            payload_bits=self.config.context.stack_context_bits(depth),
-            vnet=VirtualNetwork.MIGRATION,
-            kind="stack-migration",
-            body=th,
-        )
+        bits = self.config.context.stack_context_bits(depth)
+        msg = th._mig_msg
+        if msg is None:
+            msg = th._mig_msg = Message(
+                src=src, dst=dest, payload_bits=bits,
+                vnet=VirtualNetwork.MIGRATION, kind="stack-migration", body=th,
+            )
+        else:
+            msg.src = src
+            msg.dst = dest
+            msg.payload_bits = bits
         self._admit_waiter_if_any(src)
-        self.engine.schedule(
-            delay + self.config.cost.migration_fixed,
-            lambda: self.network.send(msg, self._arrive),
-        )
+        self._depart(th, delay + self._mig_fixed, msg, self._arrive)
 
     def _flush(self, src: int, dst: int, words: int) -> None:
         self.stats.counters.add("flushes")
@@ -265,7 +269,9 @@ class StackEM2Machine(MigrationMachineBase):
             kind="stack-flush",
             body=None,
         )
-        self.network.send(msg, lambda m: None)
+        # the one message sent without a departure event: it leaves with
+        # the migration's decision, and nothing waits for its delivery
+        self.network.send(msg, _flushed)
 
     def _eviction_bits(self, victim: ThreadState) -> int:
         # an evicted stack thread carries its current window home

@@ -29,6 +29,7 @@ machine, which the golden-fixture parity tests enforce.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -97,9 +98,37 @@ def _memo_key(workload: WorkloadSpec) -> str:
 # ---------------------------------------------------------------- builders
 def build_system_config(machine: MachineSpec) -> SystemConfig:
     """The :class:`SystemConfig` a machine spec describes, via the
-    preset registry (``default``/``small-test``/``mesh-1024``/...)."""
-    overrides = dict(machine.config)
-    return PRESETS.get(machine.preset)(num_cores=machine.cores, **overrides)
+    preset registry (``default``/``small-test``/``mesh-1024``/...).
+
+    ``machine.config`` overrides fields of the preset's config. A dict
+    given for a nested field (``l1``, ``l2``, ``noc``, ``context``,
+    ``cost``) overrides those fields of the preset's value, so
+    ``{"noc": {"contention": True}}`` keeps the preset's link width.
+    An unknown key or a rejected value raises :class:`ConfigError`
+    naming the key.
+    """
+    config = PRESETS.get(machine.preset)(num_cores=machine.cores)
+    known = {f.name for f in dataclasses.fields(SystemConfig)} - {"num_cores"}
+    for key, value in machine.config.items():
+        if key not in known:
+            raise ConfigError(
+                f"unknown machine.config key {key!r} (cores are machine.cores); "
+                f"known keys: {', '.join(sorted(known))}"
+            )
+        try:
+            current = getattr(config, key)
+            if dataclasses.is_dataclass(current):
+                if isinstance(value, Mapping):
+                    value = dataclasses.replace(current, **value)
+                elif not isinstance(value, type(current)):
+                    raise ConfigError(
+                        f"must be a dict or a {type(current).__name__}, "
+                        f"got {type(value).__name__}"
+                    )
+            config = dataclasses.replace(config, **{key: value})
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"machine.config key {key!r}: {exc}") from exc
+    return config
 
 
 def build_workload(workload: WorkloadSpec):

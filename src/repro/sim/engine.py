@@ -7,8 +7,7 @@ Design notes
   events run in scheduling (FIFO) order — determinism matters because
   the protocol models break ties by arrival order. Because ``seq`` is
   unique, tuple comparison never reaches the third element, so heap
-  sifts run entirely in C instead of calling ``Event.__lt__`` —
-  millions of Python comparison calls removed from large runs.
+  sifts run entirely in C and :class:`Event` defines no ordering.
 * :class:`Event` is a ``__slots__`` class, not a dataclass: large NoC
   runs allocate millions of events, and per-instance ``__dict__``
   plus generated dataclass ``__init__`` overhead dominated profiles.
@@ -18,10 +17,10 @@ Design notes
   :meth:`Engine.pending` (a test aid) scans it.
 * Callbacks schedule further events; the engine never inspects model
   state. This keeps the engine reusable for every architecture model.
-* ``run()`` executes to quiescence (empty queue) or until ``until``;
-  a ``max_events`` guard turns runaway protocol bugs into
-  :class:`~repro.util.errors.DeadlockError`-adjacent diagnostics rather
-  than silent infinite loops.
+* ``run()`` executes to quiescence (empty queue) in one loop; its
+  ``max_events`` ceiling turns a runaway protocol bug into a
+  :class:`~repro.util.errors.LivenessError` naming the callback rather
+  than a silent infinite loop.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ from repro.util.errors import LivenessError, ReproError
 
 
 class Event:
-    """A scheduled callback. Ordered by (time, seq)."""
+    """A scheduled callback. The heap orders it by its ``(time, seq)``
+    entry, never by the event itself."""
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
@@ -49,9 +49,6 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""
@@ -93,104 +90,32 @@ class Engine:
         heapq.heappush(self._queue, (when, seq, ev))
         return ev
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        return self.schedule(time - self.now, callback, *args)
+    def run(self, max_events: int | None = None) -> None:
+        """Run to quiescence (an empty queue).
 
-    def peek_time(self) -> float | None:
-        """Time of the next pending event, or None if the queue is empty."""
-        while self._queue and self._queue[0][2].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0][0] if self._queue else None
-
-    def step(self) -> bool:
-        """Execute the next event. Returns False when the queue is empty."""
-        while self._queue:
-            when, _, ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
-            self.now = when
-            self.events_executed += 1
-            ev.callback(*ev.args)
-            return True
-        return False
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Run until quiescence, simulated time ``until``, or ``max_events``.
-
-        ``until`` is inclusive: events scheduled exactly at ``until`` run.
-        The loop pops the heap directly (no peek-then-step double scan) —
-        this is the innermost loop of every behavioral run.
+        At most ``max_events`` events execute (:attr:`DEFAULT_MAX_EVENTS`
+        when ``None``); the next one raises :class:`LivenessError`. The
+        loop pops the heap directly and folds the executed count into
+        :attr:`events_executed` once at the end: this is the innermost
+        loop of every behavioral run, and one int compare per event is
+        the whole cost of the ceiling.
         """
+        ceiling = self.DEFAULT_MAX_EVENTS if max_events is None else max_events
         queue = self._queue
         pop = heapq.heappop
-        if until is None and max_events is None:
-            # run-to-quiescence fast loop: one int compare per event is
-            # the whole cost of the default liveness ceiling;
-            # executed-count folded into the attribute once at the end
-            ceiling = self.DEFAULT_MAX_EVENTS
-            executed = 0
-            try:
-                while queue:
-                    when, _, ev = pop(queue)  # no peek: nothing bounds the pop
-                    if ev.cancelled:
-                        continue
-                    self.now = when
-                    executed += 1
-                    if executed > ceiling:
-                        raise LivenessError(self._liveness_message(ceiling, ev))
-                    ev.callback(*ev.args)
-            finally:
-                self.events_executed += executed
-            return
-        if max_events is None:
-            # until-bounded loop: the horizon check is the only compare
-            # per event (peek first — a too-late event stays queued)
-            while queue:
-                when, _, ev = queue[0]
-                if ev.cancelled:
-                    pop(queue)
-                    continue
-                if when > until:
-                    self.now = until
-                    return
-                pop(queue)
-                self.now = when
-                self.events_executed += 1
-                ev.callback(*ev.args)
-            return
-        if until is None:
-            # max-events-bounded loop: nothing bounds time, so pop
-            # directly; one counter compare per event
-            executed = 0
+        executed = 0
+        try:
             while queue:
                 when, _, ev = pop(queue)
                 if ev.cancelled:
                     continue
                 self.now = when
-                self.events_executed += 1
-                ev.callback(*ev.args)
+                if executed == ceiling:
+                    raise LivenessError(self._liveness_message(ceiling, ev))
                 executed += 1
-                if executed >= max_events:
-                    raise LivenessError(self._liveness_message(max_events, ev))
-            return
-        # both bounds set: the rare fully generic loop
-        executed = 0
-        while queue:
-            when, _, ev = queue[0]
-            if ev.cancelled:
-                pop(queue)
-                continue
-            if when > until:
-                self.now = until
-                return
-            pop(queue)
-            self.now = when
-            self.events_executed += 1
-            ev.callback(*ev.args)
-            executed += 1
-            if executed >= max_events:
-                raise LivenessError(self._liveness_message(max_events, ev))
+                ev.callback(*ev.args)
+        finally:
+            self.events_executed += executed
 
     def _liveness_message(self, ceiling: int, ev: Event) -> str:
         cb = ev.callback

@@ -52,35 +52,16 @@ class CounterMatrix:
     materialized until somebody asks.
     """
 
-    __slots__ = ("metrics", "data", "_cols")
+    __slots__ = ("metrics", "data")
 
     def __init__(self, num_rows: int, metrics: tuple[str, ...]) -> None:
         self.metrics = tuple(metrics)
         self.data = np.zeros((num_rows, len(self.metrics)), dtype=np.int64)
-        self._cols = {m: j for j, m in enumerate(self.metrics)}
-
-    def add(self, row: int, metric: int, amount: int = 1) -> None:
-        """Bump ``(row, metric-column-index)``; hoist the index via
-        :meth:`col` outside hot loops."""
-        self.data[row, metric] += amount
-
-    def col(self, metric: str) -> int:
-        return self._cols[metric]
-
-    def row(self, row: int) -> dict[str, int]:
-        """One row's counts as a plain dict (diagnostics)."""
-        return {m: int(v) for m, v in zip(self.metrics, self.data[row])}
 
     def totals(self) -> dict[str, int]:
         """Lazy fold: per-metric totals summed over all rows."""
         sums = self.data.sum(axis=0)
         return {m: int(v) for m, v in zip(self.metrics, sums)}
-
-    def column(self, metric: str) -> np.ndarray:
-        """Read-only view of one metric across all rows."""
-        v = self.data[:, self._cols[metric]]
-        v.flags.writeable = False
-        return v
 
     @property
     def nbytes(self) -> int:
@@ -162,22 +143,6 @@ class Histogram:
         else:
             self._bins[value] += weight
 
-    def add_many(self, values: np.ndarray) -> None:
-        """Bulk-add an integer array of values (vectorized)."""
-        values = np.asarray(values)
-        if values.size == 0:
-            return
-        if values.min() < 0:
-            raise ValueError("Histogram values must be >= 0")
-        self.count += int(values.size)
-        self.total += int(values.sum())
-        over = values > self.max_bin
-        self.overflow += int(over.sum())
-        kept = values[~over]
-        uniq, cnt = np.unique(kept, return_counts=True)
-        for v, c in zip(uniq.tolist(), cnt.tolist()):
-            self._bins[int(v)] += int(c)
-
     def __getitem__(self, value: int) -> int:
         return self._bins.get(value, 0)
 
@@ -192,16 +157,6 @@ class Histogram:
         """Fraction of samples exactly equal to ``value``."""
         return self[value] / self.count if self.count else float("nan")
 
-    def fraction_le(self, value: int) -> float:
-        """Fraction of samples <= ``value`` (overflow counts as above)."""
-        if not self.count:
-            return float("nan")
-        return sum(c for v, c in self._bins.items() if v <= value) / self.count
-
-    def weighted_bins(self) -> dict[int, int]:
-        """bin -> value*count; Figure 2 plots *accesses* contributed per
-        run length, i.e. run_length × number_of_runs."""
-        return {k: k * v for k, v in self.bins().items()}
 
 
 @dataclass

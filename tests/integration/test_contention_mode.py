@@ -90,11 +90,10 @@ class TestContentionPreservesProtocol:
 class TestContendedLegsMatchQuietFaultPlane:
     """Fault-free runs send every leg — migration, eviction,
     remote-access request and reply — from a departure event bound
-    straight to ``Network.send`` (with contention) or
-    ``Network.send_fast`` (without); a fault plane at all-zero rates
-    sends the same legs through the retry protocol and
-    ``Network.send``. Both must give the same results, apart from the
-    fault plane's own keys."""
+    straight to ``Network.send``; a fault plane at all-zero rates
+    sends the same legs through the retry protocol, which consults the
+    injector on every leg. Both must give the same results, apart from
+    the fault plane's own keys."""
 
     FAULT_KEYS = ("retries", "drops_survived", "dup_ignored", "recovery_stall_cycles")
 

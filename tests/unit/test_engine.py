@@ -51,39 +51,10 @@ def test_cancelled_event_does_not_run():
     assert hits == ["kept"]
 
 
-def test_run_until_stops_clock_at_bound():
-    eng = Engine()
-    hits = []
-    eng.schedule(1.0, lambda: hits.append(1))
-    eng.schedule(10.0, lambda: hits.append(10))
-    eng.run(until=5.0)
-    assert hits == [1]
-    assert eng.now == 5.0
-    eng.run()
-    assert hits == [1, 10]
-
-
-def test_run_until_inclusive():
-    eng = Engine()
-    hits = []
-    eng.schedule(5.0, lambda: hits.append(5))
-    eng.run(until=5.0)
-    assert hits == [5]
-
-
 def test_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(ReproError):
         eng.schedule(-1.0, lambda: None)
-
-
-def test_schedule_at_absolute_time():
-    eng = Engine()
-    hits = []
-    eng.schedule(2.0, lambda: eng.schedule_at(7.0, lambda: hits.append(7)))
-    eng.run()
-    assert hits == [7]
-    assert eng.now == 7.0
 
 
 def test_max_events_guard_trips_on_livelock():
@@ -95,6 +66,16 @@ def test_max_events_guard_trips_on_livelock():
     eng.schedule(0.0, forever)
     with pytest.raises(ReproError, match="max_events"):
         eng.run(max_events=100)
+    assert eng.events_executed == 100
+
+
+def test_max_events_is_the_number_that_may_execute():
+    eng = Engine()
+    fired = []
+    for i in range(3):
+        eng.schedule(float(i), fired.append, i)
+    eng.run(max_events=3)
+    assert fired == [0, 1, 2]
 
 
 def test_pending_counts_uncancelled():
@@ -105,34 +86,19 @@ def test_pending_counts_uncancelled():
     assert eng.pending() == 1
 
 
-def test_step_returns_false_when_empty():
-    eng = Engine()
-    assert eng.step() is False
-    eng.schedule(1.0, lambda: None)
-    assert eng.step() is True
-    assert eng.step() is False
-
-
-def test_peek_time_skips_cancelled():
-    eng = Engine()
-    ev = eng.schedule(1.0, lambda: None)
-    eng.schedule(3.0, lambda: None)
-    ev.cancel()
-    assert eng.peek_time() == 3.0
-
-
 def test_pending_counter_tracks_schedule_cancel_execute():
     eng = Engine()
-    evs = [eng.schedule(float(i + 1), lambda: None) for i in range(5)]
+    seen = []
+    evs = [eng.schedule(float(i + 1), lambda: seen.append(eng.pending())) for i in range(5)]
     assert eng.pending() == 5
     evs[0].cancel()
     evs[1].cancel()
     assert eng.pending() == 3
     evs[0].cancel()  # double-cancel must not decrement twice
     assert eng.pending() == 3
-    eng.step()
-    assert eng.pending() == 2
     eng.run()
+    # each executed event has left the queue when its callback runs
+    assert seen == [2, 1, 0]
     assert eng.pending() == 0
 
 

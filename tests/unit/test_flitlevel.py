@@ -9,8 +9,10 @@ the same traffic. This turns the paper's virtual-channel argument
 
 import pytest
 
+from repro.arch.config import small_test_config
 from repro.arch.noc.flitlevel import FlitNetwork
 from repro.arch.topology import Mesh2D, UnidirectionalRing
+from repro.registry import TOPOLOGIES
 from repro.util.errors import ConfigError, DeadlockError
 
 
@@ -127,3 +129,16 @@ class TestSaturation:
             busy.send(0, 3, num_flits=4)
         busy.run_until_drained()
         assert max(busy.latencies) > idle.latencies[0] * 3
+
+
+@pytest.mark.parametrize("cores", [16, 64])
+@pytest.mark.parametrize("name", TOPOLOGIES.names())
+def test_upstream_lists_are_the_one_hop_senders(name, cores):
+    """Input ports come from ``topology.links()``: every node's upstream
+    list is the ascending list of nodes one hop toward it."""
+    topo = TOPOLOGIES.get(name)(small_test_config(num_cores=cores))
+    net = FlitNetwork(topo, num_vcs=1)
+    for node in range(cores):
+        scan = [n for n in range(cores) if n != node and topo.distance(n, node) == 1]
+        assert net._upstream[node] == scan
+        assert list(net._ports[node]) == [-1, *scan]

@@ -13,7 +13,7 @@ from repro.analysis.memsize import BYTES_PER_TILE_BUDGET, tile_state_bytes
 from repro.coherence.simulator import DirectoryCCSimulator
 from repro.core.em2 import EM2Machine
 from repro.placement import striped
-from repro.registry import PRESETS
+from repro.registry import PRESETS, TOPOLOGIES
 from repro.trace.events import MultiTrace, make_trace
 
 
@@ -70,3 +70,16 @@ def test_report_shape():
     assert report["budget_bytes_per_tile"] == BYTES_PER_TILE_BUDGET
     assert report["total_bytes"] == sum(report["components"].values())
     assert report["total_bytes"] == pytest.approx(report["bytes_per_tile"] * 64)
+
+
+@pytest.mark.parametrize("name", TOPOLOGIES.names())
+def test_measuring_builds_no_topology_state(name):
+    """Cached topology state is priced only if something built it:
+    measuring must not build the tables it measures."""
+    cfg = PRESETS.get("mesh-1024")(num_cores=64)
+    topo = TOPOLOGIES.get(name)(cfg)
+    m = EM2Machine(_tiny_trace(), striped(64, block_words=16), cfg, topology=topo)
+    before = set(m.topology.__dict__)
+    first = tile_state_bytes(m)
+    assert set(m.topology.__dict__) == before
+    assert tile_state_bytes(m) == first

@@ -22,8 +22,8 @@ def test_zero_load_latency_formula():
     # larger payload adds serialization only
     assert net.zero_load_latency(0, 3, 1504) == 3 * 2 + (13 - 1)
     # off loopback it is NocConfig's, the one definition every model
-    # charges (send and send_fast are pinned to it below); a loopback
-    # message pays its flits
+    # charges (send is pinned to it below); a loopback message pays
+    # its flits
     noc = net.config
     for bits in (0, 8, 72, 128, 1504):
         for src in range(topo.num_cores):
@@ -55,38 +55,51 @@ def test_loopback_still_costs_serialization():
 
 
 @pytest.mark.parametrize("payload_bits", [0, 64, 256, 1504])
-def test_send_and_send_fast_deliver_at_zero_load_latency(payload_bits):
+def test_send_delivers_at_zero_load_latency(payload_bits):
     """Every (src, dst) pair of a 4x4 mesh, loopback included, on every
-    vnet: both transports deliver at ``now + zero_load_latency``, hand
-    the handler the message carrying that latency, and bump the same
-    message, flit and flit-hop counters."""
-    counts = {}
-    for method in ("send", "send_fast"):
-        eng, topo, net = _net()
-        send = getattr(net, method)
-        got = []
+    vnet: ``send`` delivers at ``now + zero_load_latency`` on the
+    message's own delivery event, hands the handler the message
+    carrying that latency, and bumps the message, flit and flit-hop
+    counters once per message."""
+    eng, topo, net = _net()
+    got = []
 
-        def inject(src, dst, vnet):
-            msg = Message(src=src, dst=dst, payload_bits=payload_bits, vnet=vnet)
-            expect = eng.now + net.zero_load_latency(src, dst, payload_bits)
-            send(msg, lambda m: got.append((m, msg, eng.now, expect)))
+    def inject(src, dst, vnet):
+        msg = Message(src=src, dst=dst, payload_bits=payload_bits, vnet=vnet)
+        expect = eng.now + net.zero_load_latency(src, dst, payload_bits)
+        net.send(msg, lambda m: got.append((m, msg, eng.now, expect)))
+        assert msg.delivery_event.args == (msg,)
 
-        for src in range(topo.num_cores):
-            for dst in range(topo.num_cores):
-                for vnet in VirtualNetwork:
-                    eng.schedule(5.0, inject, src, dst, vnet)
-        eng.run()
-        assert len(got) == topo.num_cores**2 * len(VirtualNetwork)
-        for delivered, sent, now, expect in got:
-            assert delivered is sent
-            assert now == expect
-            assert delivered.latency == expect - 5.0
-        counts[method] = net.stats.counters.as_dict()
-    assert counts["send"] == counts["send_fast"]
+    for src in range(topo.num_cores):
+        for dst in range(topo.num_cores):
+            for vnet in VirtualNetwork:
+                eng.schedule(5.0, inject, src, dst, vnet)
+    eng.run()
+    assert len(got) == topo.num_cores**2 * len(VirtualNetwork)
+    for delivered, sent, now, expect in got:
+        assert delivered is sent
+        assert now == expect
+        assert delivered.latency == expect - 5.0
+    counts = net.stats.counters.as_dict()
     flits = NocConfig().message_flits(payload_bits)
+    hops = sum(max(topo.hop(s, d), 1) for s in range(16) for d in range(16))
+    assert counts["flit_hops"] == flits * hops * len(VirtualNetwork)
     for vnet in VirtualNetwork:
-        assert counts["send"][f"messages.{vnet.name}"] == 16 * 16
-        assert counts["send"][f"flits.{vnet.name}"] == 16 * 16 * flits
+        assert counts[f"messages.{vnet.name}"] == 16 * 16
+        assert counts[f"flits.{vnet.name}"] == 16 * 16 * flits
+
+
+def test_resent_message_reuses_its_delivery_event():
+    eng, _, net = _net()
+    got = []
+    msg = Message(src=0, dst=3, payload_bits=64, vnet=VirtualNetwork.MIGRATION)
+    net.send(msg, lambda m: got.append(eng.now))
+    first = msg.delivery_event
+    eng.run()
+    net.send(msg, lambda m: got.append(eng.now))
+    assert msg.delivery_event is first
+    eng.run()
+    assert got == [7.0, 14.0]
 
 
 def test_flit_hop_accounting():

@@ -134,6 +134,61 @@ class TestBuild:
             build(_spec(scheme="clairvoyant"))
 
 
+def _config_spec(config, machine="em2", workload=WORKLOAD, cores=4) -> ExperimentSpec:
+    return ExperimentSpec(
+        workload=workload,
+        machine=MachineSpec(name=machine, cores=cores, preset="small-test", config=config),
+        placement=PlacementSpec(name="first-touch"),
+    )
+
+
+class TestConfigOverrides:
+    """``machine.config`` overrides the preset's fields; a dict for a
+    nested field overrides that value's fields."""
+
+    def test_nested_dict_overrides_the_presets_value(self):
+        preset = small_test_config(num_cores=4)
+        built = build(_config_spec({"l1": {"size_bytes": 2048}}))
+        assert built.config.l1.size_bytes == 2048
+        assert built.config.l1.line_bytes == preset.l1.line_bytes
+        assert built.config.l1.associativity == preset.l1.associativity
+        assert built.config.l2 == preset.l2
+
+    def test_flat_overrides_equal_the_presets_keyword_form(self):
+        config = {"guest_contexts": 1, "multiplex_contexts": True}
+        assert build(_config_spec(config)).config == small_test_config(num_cores=4, **config)
+
+    def test_contended_noc_from_a_spec_records_queueing(self):
+        from repro.core.em2 import EM2Machine
+
+        hotspot = WorkloadSpec(
+            name="hotspot", params={"num_threads": 8, "accesses_per_thread": 128}
+        )
+        spec = _config_spec({"noc": {"contention": True}}, workload=hotspot, cores=8)
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        built = build(spec)
+        assert built.config.noc.contention
+        m = EM2Machine(built.trace, built.placement, built.config)
+        m.run()
+        assert m.network.stats.latency("queueing").count > 0
+        assert run(spec) == m.results()
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"bogus": 1}, "bogus"),
+            ({"num_cores": 8}, "num_cores"),
+            ({"guest_contexts": "x"}, "guest_contexts"),
+            ({"noc": {"bogus": True}}, "noc"),
+            ({"noc": 5}, "noc"),
+            ({"l1": {"size_bytes": 1000}}, "l1"),
+        ],
+    )
+    def test_bad_override_raises_config_error_naming_the_key(self, config, key):
+        with pytest.raises(ConfigError, match=f"machine.config key '{key}'"):
+            run(_config_spec(config))
+
+
 class TestMergeSpec:
     def test_string_swaps_component_with_defaults(self):
         merged = merge_spec(_spec(), {"scheme": "never-migrate"})

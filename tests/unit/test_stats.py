@@ -58,33 +58,10 @@ class TestHistogram:
         h.add(2, weight=1)
         assert h.fraction_at(1) == 0.75
 
-    def test_fraction_le(self):
-        h = Histogram()
-        for v in (1, 2, 3, 4):
-            h.add(v)
-        assert h.fraction_le(2) == 0.5
-
-    def test_add_many_matches_scalar_adds(self):
-        h1, h2 = Histogram(), Histogram()
-        values = np.array([1, 1, 2, 5, 5, 5, 9])
-        h1.add_many(values)
-        for v in values:
-            h2.add(int(v))
-        assert h1.bins() == h2.bins()
-        assert h1.count == h2.count
-        assert h1.total == h2.total
-
     def test_negative_value_rejected(self):
         h = Histogram()
         with pytest.raises(ValueError):
             h.add(-1)
-        with pytest.raises(ValueError):
-            h.add_many(np.array([1, -2]))
-
-    def test_weighted_bins_multiplies(self):
-        h = Histogram()
-        h.add(4, weight=3)
-        assert h.weighted_bins() == {4: 12}
 
     def test_empty_mean_nan(self):
         assert math.isnan(Histogram().mean())

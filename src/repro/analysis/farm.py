@@ -14,14 +14,14 @@ since a path says nothing about the bytes behind it. ``TRACE_QUERY``'s
 evaluates this session's bytes even when it holds another version's
 under the same path, or cannot open the path at all.
 
-Wire format (RPFM v2): every frame is a fixed header ``!4sBBxxI`` —
+Wire format (RPFM v3): every frame is a fixed header ``!4sBBxxI`` —
 magic ``b"RPFM"``, protocol version, message kind, body length —
-followed by the body. Control frames carry JSON (insertion-ordered, so
-RESULT rows keep the key order a local run produces); only
-``TRACE_PUT`` carries pickle (a :class:`~repro.trace.events.MultiTrace`
-is numpy columns, which JSON cannot ship losslessly). A frame with the
-wrong magic, an unknown kind, an oversized length, or a truncated body
-raises :class:`FrameError`; a version field other than
+followed by a JSON body (insertion-ordered, so RESULT rows keep the
+key order a local run produces). ``TRACE_PUT`` carries the trace
+container's bytes (:func:`~repro.trace.io.encode_multitrace`),
+base64-encoded, so nothing on the wire is ever unpickled. A frame with
+the wrong magic, an unknown kind, an oversized length, or a truncated
+body raises :class:`FrameError`; a version field other than
 :data:`PROTOCOL_VERSION` raises :class:`ProtocolMismatch` before the
 body is read, so incompatible peers are rejected at the first frame —
 a live worker answers a foreign version with an ``ERROR`` frame naming
@@ -34,20 +34,22 @@ nonce); the coordinator proves knowledge of the shared secret with an
 HMAC-SHA256 over the nonce (``AUTH_RESPONSE``), and the worker's
 ``HELLO_ACK`` carries the complementary worker-side proof, so both
 directions are gated before any spec, trace, or result crosses the
-wire. A bad or missing proof is answered with a *permanent* typed
-``ERROR`` (:class:`AuthError` on the coordinator) that is never
-retried.
+wire; any other frame first is answered with the auth ``ERROR``, its
+body parsed as JSON and nothing else. A bad or missing proof is
+answered with a *permanent* typed ``ERROR`` (:class:`AuthError` on the
+coordinator) that is never retried.
 
 Session, coordinator's view of one worker::
 
-    connect  -> HELLO            {"protocol": 2, "points": N, "auth": bool}
+    connect  -> HELLO            {"protocol": 3, "points": N, "auth": bool}
     <- AUTH_CHALLENGE            {"nonce"}              (token-gated workers)
     -> AUTH_RESPONSE             {"mac"}
     <- HELLO_ACK                 {"pid", "cpu_count", ["auth"], ...}
     -> TRACE_QUERY               {"digests": [digest, ...],
                                   "files": {cache_key: digest, ...}}
     <- TRACE_HAVE                {"have": [digest, ...]}
-    -> TRACE_PUT (pickle)        one per digest the worker lacks
+    -> TRACE_PUT                 {"key", "workload", "trace": base64 container}
+                                 one per digest the worker lacks
     <- TRACE_OK                  per TRACE_PUT
     -> BEGIN
     <- NEXT                      worker pulls; this is the work-stealing
@@ -66,19 +68,19 @@ its work. Results stream back incrementally and are placed by point index
 which worker computed what.
 
 Local links: the same coordinator feeds local worker processes
-(``local=N``, which ``sweep_specs`` sets from ``workers``). They pull
-from the same queue over a pipe instead of a socket, so chunk sizing,
-requeue, ``point_timeout``, hedging and first-result-wins are one
-implementation for both link kinds. They are processes, not loopback
-``repro worker`` sockets: a process forked for the sweep already holds
-every trace the parent built, where a socket worker is pushed each
-trace before ``BEGIN``.
+(``local=N``, which ``sweep_specs`` sets from ``workers``). Each runs
+the ``repro worker`` session on its end of a socket pair, so every
+link is served by one loop (:meth:`FarmCoordinator._serve`). They are
+forked processes, not loopback ``repro worker`` listeners: a process
+forked for the sweep already holds every trace the parent built, so it
+is offered none, where a socket worker is pushed each trace before
+``BEGIN``.
 
-Failure semantics: the coordinator PINGs an idle connection every
+Failure semantics: the coordinator PINGs an idle link every
 ``heartbeat`` seconds; a worker silent past its liveness ceiling, or
-whose socket errors out, is declared dead and its in-flight chunk is
-re-queued to the survivors; so is the chunk of a local process that
-exits. Dropped links are then *redialed* with jittered exponential
+whose connection errors out or closes (a local process that exits), is
+declared dead and its in-flight chunk is re-queued to the survivors.
+Dropped socket links are then *redialed* with jittered exponential
 backoff (``reconnect`` attempts per outage) — the worker's persistent
 :class:`~repro.trace.store.TraceStore` answers the re-run trace
 negotiation from disk, so a reconnect never re-ships a trace. An idle
@@ -102,10 +104,10 @@ stores, so a restarted sweep dispatches only the missing points.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import hmac as hmac_mod
 import json
-import pickle
 import random
 import socket
 import struct
@@ -115,14 +117,15 @@ import warnings
 from collections import deque
 from typing import Mapping
 
-from repro.analysis.sweep import SweepPointError, eval_serially, eval_specs, point_failed
+from repro.analysis.sweep import SweepPointError, eval_serially, point_failed
 from repro.util.errors import ConfigError, ReproError
 
 # -------------------------------------------------------------- wire layer
-#: v2 adds the AUTH_CHALLENGE/AUTH_RESPONSE handshake leg and the
-#: ``auth`` fields on HELLO/HELLO_ACK; v1 peers are rejected with a
-#: typed :class:`ProtocolMismatch` at the first frame.
-PROTOCOL_VERSION = 2
+#: v2 added the AUTH_CHALLENGE/AUTH_RESPONSE handshake leg; v3 makes
+#: every body JSON (TRACE_PUT carries container bytes, base64). Older
+#: peers are rejected with a typed :class:`ProtocolMismatch` at the
+#: first frame.
+PROTOCOL_VERSION = 3
 MAGIC = b"RPFM"
 HEADER = struct.Struct("!4sBBxxI")  # magic, version, kind, pad, body length
 MAX_FRAME = 256 * 1024 * 1024
@@ -163,12 +166,6 @@ KIND_NAMES = {
     AUTH_RESPONSE: "AUTH_RESPONSE",
 }
 
-# TRACE_PUT bodies are numpy trace columns; everything else is JSON so
-# a foreign implementation could speak the control plane without
-# trusting pickle for it — and so attacker-controlled control frames
-# are never unpickled (the fuzz suite pins this).
-_PICKLE_KINDS = frozenset({TRACE_PUT})
-
 
 class FarmError(ReproError):
     """Base class for distributed-farm failures."""
@@ -192,14 +189,11 @@ class FarmUnavailable(FarmError):
 
 
 def encode_frame(kind: int, payload) -> bytes:
-    """One wire frame: header plus JSON (or pickle) body."""
-    if kind in _PICKLE_KINDS:
-        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    else:
-        # insertion order is preserved deliberately: RESULT rows keep
-        # the exact key order a local evaluation produces, so farm and
-        # local sweeps render byte-identical tables
-        body = json.dumps(payload).encode("utf-8")
+    """One wire frame: header plus JSON body."""
+    # insertion order is preserved deliberately: RESULT rows keep the
+    # exact key order a local evaluation produces, so farm and local
+    # sweeps render byte-identical tables
+    body = json.dumps(payload).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise FrameError(
             f"{KIND_NAMES.get(kind, kind)} body is {len(body)} bytes, "
@@ -261,8 +255,6 @@ def recv_frame(sock: socket.socket) -> tuple[int, object]:
         )
     body = _recv_exact(sock, length)
     try:
-        if kind in _PICKLE_KINDS:
-            return kind, pickle.loads(body)
         return kind, json.loads(body.decode("utf-8"))
     except Exception as exc:
         raise FrameError(f"malformed {KIND_NAMES[kind]} body: {exc}") from exc
@@ -305,8 +297,7 @@ LIVENESS_TIMEOUT = 15.0
 CHUNK_TARGET_SECONDS = 0.5
 MAX_CHUNK = 64
 #: a link asking for work while the rest is in flight elsewhere
-#: re-checks requeues and hedge eligibility this often, and a link
-#: waiting on its local process re-checks the sweep's end as often
+#: re-checks requeues and hedge eligibility this often
 IDLE_POLL_SECONDS = 0.05
 #: seconds an idle local process gets to exit before it is killed
 LOCAL_EXIT_SECONDS = 5.0
@@ -383,33 +374,24 @@ class _WorkerLink:
 
 
 class _LocalLink(_WorkerLink):
-    """A local worker process, fed chunks over a pipe."""
+    """A local worker process, served over its end of a socket pair."""
 
-    def __init__(self, addr: str, proc, conn) -> None:
-        super().__init__(addr)
+    def __init__(self, addr: str, sock: socket.socket, proc) -> None:
+        super().__init__(addr, sock)
         self.proc = proc
-        self.conn = conn
 
 
-def _local_worker(conn, inherited) -> None:
-    """A local link's process: evaluate each chunk of spec dicts the
-    coordinator sends, replying ``(rows, error, elapsed)``, until it
-    sends None or goes away. ``inherited`` are pipe ends of other
-    links a fork copied into this process; closing them lets each
-    process see its own coordinator end close."""
+def _local_worker(sock: socket.socket, inherited, auth_token) -> None:
+    """A local link's process: one ``repro worker`` session on its end
+    of a socket pair, on a server that never listens and so opens no
+    trace store. It ends on DONE or when the coordinator closes its
+    end. ``inherited`` are coordinator ends a fork copied into this
+    process; closing them lets each process see its own end close."""
+    from repro.analysis.worker import WorkerServer
+
     for other in inherited:
         other.close()
-    while True:
-        try:
-            specs = conn.recv()
-        except EOFError:
-            return
-        if specs is None:
-            return
-        t0 = time.perf_counter()
-        rows, exc = eval_specs(specs)
-        error = None if exc is None else f"{type(exc).__name__}: {exc}"
-        conn.send((rows, error, time.perf_counter() - t0))
+    WorkerServer(idle_timeout=None, auth_token=auth_token).serve_connection(sock)
 
 
 class FarmCoordinator:
@@ -466,7 +448,9 @@ class FarmCoordinator:
         self._share = 1  # chunk size bound, set by run() from grid and links
         self._chunk_ctr = 0
         self._build_lock = threading.Lock()
-        self._trace_cache: dict[str, tuple[object, dict]] = {}
+        # container bytes no trace store keeps: trace files as read,
+        # traces this process encoded
+        self._containers: dict[str, bytes] = {}
         self._rng = random.Random(0xFA12)  # reconnect jitter only
         # in-flight accounting shared across serve threads so idle
         # workers can hedge stragglers: link -> (chunk_id, indices,
@@ -509,15 +493,7 @@ class FarmCoordinator:
                 )
             self._share = -(-len(self.pending) // (4 * max(1, len(links))))
             threads = [
-                threading.Thread(
-                    target=(
-                        self._serve_local
-                        if isinstance(link, _LocalLink)
-                        else self._serve
-                    ),
-                    args=(link,),
-                    daemon=True,
-                )
+                threading.Thread(target=self._serve, args=(link,), daemon=True)
                 for link in links
             ]
             for th in threads:
@@ -573,10 +549,11 @@ class FarmCoordinator:
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         links: list[_LocalLink] = []
         for k in range(self.local):
-            conn, child_end = ctx.Pipe()
+            sock, child_end = socket.socketpair()
+            inherited = [link.sock for link in links] + [sock]
             proc = ctx.Process(
                 target=_local_worker,
-                args=(child_end, [link.conn for link in links] + [conn]),
+                args=(child_end, inherited, self.auth_token),
                 name=f"repro-local-{k}",
                 daemon=True,
             )
@@ -588,60 +565,26 @@ class FarmCoordinator:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                conn.close()
+                sock.close()
                 break
             finally:
                 child_end.close()
-            links.append(_LocalLink(f"local-{k}", proc, conn))
+            sock.settimeout(max(self.liveness, CONNECT_TIMEOUT))  # as _dial does
+            links.append(_LocalLink(f"local-{k}", sock, proc))
         return links
 
     def _stop_local(self, link: _LocalLink) -> None:
-        """End a local process: an idle one exits when told to; a busy
-        one (a hung point, a moot hedge, an aborted sweep) is killed."""
+        """End a local process: closing the coordinator's end ends its
+        session, so an idle one exits; a busy one (a hung point, a moot
+        hedge, an aborted sweep) is killed."""
         with self.lock:
             busy = link in self._inflight
+        link.sock.close()
         if not busy:
-            try:
-                link.conn.send(None)
-                link.proc.join(LOCAL_EXIT_SECONDS)
-            except OSError:
-                pass
+            link.proc.join(LOCAL_EXIT_SECONDS)
         if link.proc.exitcode is None:
             link.proc.kill()
             link.proc.join()
-        link.conn.close()
-
-    def _serve_local(self, link: _LocalLink) -> None:
-        """Feed one local process until the sweep ends. A process that
-        dies has its chunk requeued to the other links."""
-        from multiprocessing.connection import wait
-
-        try:
-            while True:
-                assigned = self._await_chunk(link)
-                if assigned is None:
-                    return
-                chunk_id, indices = assigned
-                deadline = self._issue(link, chunk_id, indices)
-                link.conn.send([self.spec_dicts[i] for i in indices])
-                while not wait([link.conn, link.proc.sentinel], IDLE_POLL_SECONDS):
-                    if self.done_evt.is_set():  # the sweep ended or aborted
-                        return
-                    if deadline is not None and time.monotonic() > deadline:
-                        self._timed_out(link, indices)
-                        return
-                # (rows, error, elapsed); EOFError if the process died
-                if not self._finish(link, indices, *link.conn.recv()):
-                    return
-        except (EOFError, OSError) as exc:
-            self._requeue(link)
-            if not self.done_evt.is_set():
-                warnings.warn(
-                    f"local worker {link.addr} died (exit code "
-                    f"{link.proc.exitcode}): {type(exc).__name__}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
 
     # -- connection management --------------------------------------------
     def _dial(self, addr: str) -> socket.socket:
@@ -742,27 +685,32 @@ class FarmCoordinator:
         if wspec.trace_path is None:
             self._workload_by_key.setdefault(key, wdict)
         elif key not in self._files:
-            from repro.runner import build_workload
+            from pathlib import Path
+
+            from repro.trace.io import decode_multitrace
             from repro.util.errors import TraceFormatError
 
             try:
-                trace = build_workload(wspec)
+                data = Path(wspec.trace_path).read_bytes()
+                digest = decode_multitrace(data, wspec.trace_path).digest()
             except (OSError, TraceFormatError) as exc:
                 raise point_failed(
                     spec, "in this process", f"{type(exc).__name__}: {exc}"
                 ) from exc
-            digest = self._files[key] = trace.digest()
+            self._files[key] = digest
             self._workload_by_key[digest] = wdict
-            self._trace_cache[digest] = (trace, wdict)
+            self._containers[digest] = data
 
     def _negotiate_traces(self, link: _WorkerLink) -> None:
         """Trace-by-reference: digests first, bodies only where needed.
 
         After a reconnect the worker's persistent store still holds
         everything already pushed, so the re-negotiation ships nothing.
+        A local process is offered nothing: it inherited this process's
+        traces and builds any others itself.
         """
         keys = sorted(self._workload_by_key)
-        if not keys:
+        if not keys or isinstance(link, _LocalLink):
             return
         send_frame(link.sock, TRACE_QUERY, {"digests": keys, "files": self._files})
         kind, msg = recv_frame(link.sock)
@@ -775,11 +723,14 @@ class FarmCoordinator:
         for key in keys:
             if key in have:
                 continue
-            trace, wdict = self._trace_for(key)
             send_frame(
                 link.sock,
                 TRACE_PUT,
-                {"key": key, "workload": wdict, "trace": trace},
+                {
+                    "key": key,
+                    "workload": self._workload_by_key[key],
+                    "trace": base64.b64encode(self._trace_for(key)).decode("ascii"),
+                },
             )
             kind, msg = recv_frame(link.sock)
             if kind != TRACE_OK or msg.get("key") != key:
@@ -789,18 +740,25 @@ class FarmCoordinator:
             link.traces_pushed += 1
         self.stats["trace_pushes"][link.addr] = link.traces_pushed
 
-    def _trace_for(self, key: str):
-        """Build (once) the trace a worker reported missing."""
+    def _trace_for(self, key: str) -> bytes:
+        """The container bytes of a trace a worker reported missing:
+        this process's trace-store entry when it keeps one (the bytes
+        ``build_workload`` wrote), else the trace encoded here, once."""
         with self._build_lock:
-            cached = self._trace_cache.get(key)
-            if cached is None:
+            data = self._containers.get(key)
+            if data is None:
                 from repro.runner import build_workload
                 from repro.spec import WorkloadSpec
+                from repro.trace.io import encode_multitrace
+                from repro.trace.store import active_trace_store
 
                 wdict = self._workload_by_key[key]
-                cached = (build_workload(WorkloadSpec.from_dict(wdict)), wdict)
-                self._trace_cache[key] = cached
-            return cached
+                trace = build_workload(WorkloadSpec.from_dict(wdict))
+                store = active_trace_store()
+                data = store.read_bytes(key) if store is not None else None
+                if data is None:
+                    data = self._containers[key] = encode_multitrace(trace)
+            return data
 
     # -- work distribution -------------------------------------------------
     def _await_chunk(self, link: _WorkerLink):
@@ -941,13 +899,14 @@ class FarmCoordinator:
 
     # -- per-worker serving loop -------------------------------------------
     def _serve(self, link: _WorkerLink) -> None:
-        """Serve one worker address for the whole sweep, redialing
-        dropped connections with jittered exponential backoff until the
-        reconnect budget for an outage is spent. Permanent failures
-        (protocol or auth mismatch) are never retried, and a link whose
-        redials keep dying before BEGIN (a draining worker still
-        answers TCP from the listen backlog) is abandoned after a few
-        barren sessions rather than redialed forever."""
+        """Serve one link for the whole sweep. A dropped socket link is
+        redialed with jittered exponential backoff until the reconnect
+        budget for an outage is spent; a local process is never
+        redialed. Permanent failures (protocol or auth mismatch) are
+        never retried, and a link whose redials keep dying before BEGIN
+        (a draining worker still answers TCP from the listen backlog)
+        is abandoned after a few barren sessions rather than redialed
+        forever."""
         barren = 0
         while True:
             link.progressed = False
@@ -965,6 +924,14 @@ class FarmCoordinator:
             except (FarmError, OSError) as exc:
                 self._requeue(link)
                 if self.done_evt.is_set() or self.abort_exc is not None:
+                    return
+                if isinstance(link, _LocalLink):  # never redialed
+                    warnings.warn(
+                        f"local worker {link.addr} died (exit code "
+                        f"{link.proc.exitcode}): {exc}",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
                     return
                 barren = 0 if link.progressed else barren + 1
                 if barren >= 3 or not self._redial(link, exc):

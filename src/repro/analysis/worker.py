@@ -4,19 +4,22 @@ coordinator.
 ``repro worker --listen HOST:PORT`` runs one of these. The server is a
 plain accept loop — one thread per connection, one coordinator per
 connection — speaking the framed protocol defined in
-:mod:`repro.analysis.farm`. Chunk evaluation happens on a background
-thread so the connection loop keeps answering heartbeat PINGs while a
-long point runs; the coordinator distinguishes "slow but alive" from
-"dead" by exactly those PONGs.
+:mod:`repro.analysis.farm`. A coordinator's local worker process runs
+the same session (:meth:`WorkerServer.serve_connection`) on its end of
+a socket pair, with no listener and no trace store. Chunk evaluation
+happens on a background thread so the connection loop keeps answering
+heartbeat PINGs while a long point runs; the coordinator distinguishes
+"slow but alive" from "dead" by exactly those PONGs.
 
 Traces arrive by reference: the coordinator sends digests
 (``WorkloadSpec.cache_key`` for a generated workload, the content
 digest for a trace file), the worker answers with what its local
 :class:`~repro.trace.store.TraceStore` already holds, and only the
-missing traces are pushed — each installed once into the store
-(persistent across connections *and reconnects*, so a coordinator that
-redials after a socket reset pushes nothing) and seeded into the
-per-process build memo. A trace-file point is evaluated on the store
+missing traces are pushed — each decoded once (a body that is not a
+trace container gets ERROR and installs nothing), stored as the bytes
+received (persistent across connections *and reconnects*, so a
+coordinator that redials after a socket reset pushes nothing) and
+seeded into the per-process build memo. A trace-file point is evaluated on the store
 copy the session's digest names, never on whatever this host has at
 that path. Workloads the coordinator never pushed are simply
 regenerated from their spec, which is always correct because specs
@@ -40,6 +43,7 @@ poll tick.
 
 from __future__ import annotations
 
+import base64
 import os
 import secrets
 import selectors
@@ -78,8 +82,9 @@ from repro.analysis.farm import (
     set_nodelay,
 )
 from repro.analysis.sweep import eval_specs
+from repro.trace.io import decode_multitrace
 from repro.trace.store import TraceStore
-from repro.util.errors import ConfigError, ReproError
+from repro.util.errors import ConfigError, ReproError, TraceFormatError
 
 
 class WorkerServer:
@@ -90,6 +95,11 @@ class WorkerServer:
     how the requeue-on-death tests kill a worker mid-chunk
     deterministically (the *server* survives, so a reconnecting
     coordinator gets a fresh connection whose chunk counter restarts).
+
+    ``start()`` opens the trace store (in ``trace_dir``, else a
+    temporary directory ``stop()`` removes); a server that never starts,
+    as in a local worker process, has none. ``idle_timeout=None`` waits
+    on a quiet connection forever.
     """
 
     def __init__(
@@ -102,7 +112,9 @@ class WorkerServer:
         fail_after_chunks: int | None = None,
         auth_token: str | None = None,
     ) -> None:
-        if not isinstance(idle_timeout, (int, float)) or idle_timeout <= 0:
+        if idle_timeout is not None and (
+            not isinstance(idle_timeout, (int, float)) or idle_timeout <= 0
+        ):
             raise ConfigError(
                 f"worker idle timeout must be a positive number of seconds, "
                 f"got {idle_timeout!r}"
@@ -113,10 +125,10 @@ class WorkerServer:
             raise ConfigError("worker auth token must be a non-empty string")
         self.host = host
         self.port = port
-        self._own_trace_dir = trace_dir is None
-        self.trace_dir = trace_dir or tempfile.mkdtemp(prefix="repro-worker-traces-")
-        self.store = TraceStore(self.trace_dir)
-        self.idle_timeout = float(idle_timeout)
+        self._own_trace_dir = False
+        self.trace_dir = trace_dir
+        self.store: TraceStore | None = None
+        self.idle_timeout = idle_timeout
         self.verbose = verbose
         self.fail_after_chunks = fail_after_chunks
         self.auth_token = auth_token
@@ -136,6 +148,10 @@ class WorkerServer:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "WorkerServer":
+        if self.trace_dir is None:
+            self.trace_dir = tempfile.mkdtemp(prefix="repro-worker-traces-")
+            self._own_trace_dir = True
+        self.store = TraceStore(self.trace_dir)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((self.host, self.port))
@@ -179,7 +195,7 @@ class WorkerServer:
                     pass
                 continue
             threading.Thread(
-                target=self._handle, args=(conn,), daemon=True
+                target=self.serve_connection, args=(conn,), daemon=True
             ).start()
 
     def start_background(self) -> "WorkerServer":
@@ -225,13 +241,15 @@ class WorkerServer:
             print(f"[worker {self.address}] {msg}", flush=True)
 
     # -- per-connection protocol -------------------------------------------
-    def _handle(self, conn: socket.socket) -> None:
+    def serve_connection(self, conn: socket.socket) -> None:
+        """Serve one coordinator session on ``conn``, then close it: a
+        connection the accept loop took, or a local worker process's end
+        of its socket pair. Returns on DONE or when the peer goes."""
         conn.settimeout(self.idle_timeout)
-        chunks_on_conn = 0
-        authed = self.auth_token is None
         try:
-            set_nodelay(conn)
-            self._session(conn, chunks_on_conn, authed)
+            if conn.family in (socket.AF_INET, socket.AF_INET6):
+                set_nodelay(conn)
+            self._session(conn)
         except OSError:
             pass  # peer vanished mid-send; the coordinator's problem now
         finally:
@@ -240,8 +258,10 @@ class WorkerServer:
             except OSError:
                 pass
 
-    def _session(self, conn: socket.socket, chunks_on_conn: int, authed: bool) -> None:
+    def _session(self, conn: socket.socket) -> None:
         files: dict[str, str] = {}  # this session's trace files: cache key -> digest
+        chunks_on_conn = 0
+        authed = self.auth_token is None
         while True:
             try:
                 kind, msg = recv_frame(conn)
@@ -277,7 +297,7 @@ class WorkerServer:
                 return
             elif kind == PING:
                 send_frame(conn, PONG, {})
-            elif kind == TRACE_QUERY:
+            elif kind == TRACE_QUERY and self.store is not None:
                 files = dict(msg.get("files", {}))
                 have = [
                     k
@@ -285,8 +305,9 @@ class WorkerServer:
                     if self.store.contains(k)
                 ]
                 send_frame(conn, TRACE_HAVE, {"have": have})
-            elif kind == TRACE_PUT:
-                self._install_trace(conn, msg)
+            elif kind == TRACE_PUT and self.store is not None:
+                if not self._install_trace(conn, msg):
+                    return
             elif kind == BEGIN:
                 send_frame(conn, NEXT, {})
             elif kind == CHUNK:
@@ -357,11 +378,20 @@ class WorkerServer:
         send_frame(conn, HELLO_ACK, ack)
         return True
 
-    def _install_trace(self, conn: socket.socket, msg: dict) -> None:
-        key = msg["key"]
-        trace = msg["trace"]
+    def _install_trace(self, conn: socket.socket, msg: dict) -> bool:
+        """Decode a pushed container once (bytes from outside the
+        program), store the bytes as received and seed the build memo.
+        A body that is not a trace container gets ERROR and installs
+        nothing; False ends the session."""
+        key = msg.get("key")
+        try:
+            data = base64.b64decode(msg["trace"], validate=True)
+            trace = decode_multitrace(data, f"TRACE_PUT {key}")
+        except (KeyError, TypeError, ValueError, TraceFormatError) as exc:
+            send_frame(conn, ERROR, {"message": f"bad TRACE_PUT {key}: {exc}"})
+            return False
         if not self.store.contains(key):
-            self.store.put(key, trace)
+            self.store.put(key, trace, data)
             self.traces_installed += 1
         from repro.runner import seed_workload_memo
 
@@ -371,6 +401,7 @@ class WorkerServer:
         seed_workload_memo(wdict, trace)
         send_frame(conn, TRACE_OK, {"key": key})
         self._log(f"installed trace {key[:12]}")
+        return True
 
     def _serve_chunk(self, conn: socket.socket, msg: dict, files: dict) -> bool:
         """Evaluate one chunk; keep answering PINGs meanwhile.
@@ -469,7 +500,7 @@ class WorkerServer:
             if key not in files:  # a coordinator that sent no ``files``
                 return spec_dict
             return {**spec_dict, "workload": self._stored_file(wdict, files[key])}
-        if memoized_workload(key) is None:
+        if memoized_workload(key) is None and self.store is not None:
             trace = self.store.get(key)
             if trace is not None:
                 seed_workload_memo(wspec, trace)

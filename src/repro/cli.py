@@ -431,36 +431,6 @@ def cmd_dynamic(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the performance bench suite through the installed entry point.
-
-    ``repro bench --quick`` is an alias for ``bench_perf.py --smoke`` —
-    users get the throughput/parity report without knowing the
-    ``benchmarks/`` layout. Runs in a subprocess so the bench's own
-    ``main()`` (JSON report, exit status) is reused verbatim.
-    """
-    import subprocess
-
-    root = Path(__file__).resolve().parents[2]
-    script = root / "benchmarks" / "bench_perf.py"
-    if not script.exists():
-        print(
-            f"bench_perf.py not found at {script}; 'repro bench' needs a "
-            "source checkout (benchmarks/ is not installed)",
-            file=sys.stderr,
-        )
-        return 2
-    cmd = [sys.executable, str(script)]
-    if args.quick:
-        cmd.append("--smoke")
-    env = dict(os.environ)
-    src = str(root / "src")
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    )
-    return subprocess.call(cmd, env=env, cwd=str(root))
-
-
 def cmd_faults(args) -> int:
     """Fault-injection sweep: detailed machines × message drop rates.
 
@@ -946,16 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on row bit-identity and digest stability",
     )
     sp.set_defaults(fn=cmd_chaos_soak)
-
-    sp = sub.add_parser(
-        "bench", help="run the perf bench suite (--quick = smoke mode)"
-    )
-    sp.add_argument(
-        "--quick",
-        action="store_true",
-        help="smoke mode: small workloads, same metrics and parity gates",
-    )
-    sp.set_defaults(fn=cmd_bench)
 
     return p
 

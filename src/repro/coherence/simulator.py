@@ -23,7 +23,9 @@ Latency charged per miss: request hop + (max parallel invalidation /
 fetch round trip, invalidations overlap) + data reply hop + cache fill,
 plus DRAM when the home has no cached copy. Directory/NoC queueing is
 not modeled — the same fidelity as the EM² analytical evaluators this
-baseline is compared against (DESIGN.md §1).
+baseline is compared against (DESIGN.md §1). A config with
+``noc.contention`` set therefore raises :class:`ConfigError` rather
+than running at zero load.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.placement.base import Placement
 from repro.registry import MACHINES
 from repro.sim.stats import StatSet
 from repro.trace.events import MultiTrace
-from repro.util.errors import ProtocolError, RetryExhaustedError
+from repro.util.errors import ConfigError, ProtocolError, RetryExhaustedError
 
 CTRL_BITS = 72  # address + message type + ids
 
@@ -80,6 +82,12 @@ class DirectoryCCSimulator:
     ) -> None:
         if protocol not in ("msi", "mesi"):
             raise ProtocolError(f"unknown protocol {protocol!r}; use 'msi' or 'mesi'")
+        if config.noc.contention:
+            raise ConfigError(
+                f"machine 'cc-{protocol}' cannot model noc.contention: it has "
+                "no clock to queue messages on; use a detailed EM² machine "
+                "(em2, em2ra, ra-only)"
+            )
         self.protocol = protocol
         self.trace = trace
         self.placement = placement

@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from repro.trace.events import MultiTrace
-from repro.trace.io import load_multitrace, save_multitrace
+from repro.trace.io import decode_multitrace, encode_multitrace
 from repro.util.errors import ConfigError, TraceFormatError
 
 #: Bump when a deliberate generator-semantics change invalidates stored
@@ -72,11 +72,12 @@ class TraceStore:
         """The stored trace, or None. Corrupt entries are evicted and
         counted as misses — a worker never crashes on a bad cache file."""
         path = self.path_for(cache_key)
-        if not path.is_file():
+        data = self.read_bytes(cache_key)
+        if data is None:
             self.misses += 1
             return None
         try:
-            mt = load_multitrace(path)
+            mt = decode_multitrace(data, path)
         except TraceFormatError:
             self._drop(path)
             self.misses += 1
@@ -88,8 +89,18 @@ class TraceStore:
             pass
         return mt
 
-    def put(self, cache_key: str, mt: MultiTrace) -> Path | None:
-        """Store ``mt`` atomically; returns the entry path.
+    def read_bytes(self, cache_key: str) -> bytes | None:
+        """The entry's container bytes as stored, or None without one."""
+        try:
+            return self.path_for(cache_key).read_bytes()
+        except OSError:
+            return None
+
+    def put(
+        self, cache_key: str, mt: MultiTrace, data: bytes | None = None
+    ) -> Path | None:
+        """Store ``mt`` atomically; returns the entry path. ``data``,
+        when given, is ``mt``'s container bytes, written unchanged.
 
         A failing *write* (disk full, directory turned read-only after
         construction) is a warned no-op returning ``None`` — the store
@@ -97,35 +108,23 @@ class TraceStore:
         memory must not die on a storage fault.
         """
         path = self.path_for(cache_key)
+        if data is None:
+            data = encode_multitrace(mt)
         try:
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".npz.tmp")
         except OSError as exc:
             self._warn_write_failure(path, exc)
             return None
-        os.close(fd)
         try:
-            save_multitrace(mt, tmp)
-            # save_multitrace appends .npz when the suffix isn't .npz
-            written = Path(tmp + ".npz") if not tmp.endswith(".npz") else Path(tmp)
-            os.replace(written, path)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
         except OSError as exc:
-            for leftover in (tmp, tmp + ".npz"):
-                try:
-                    os.unlink(leftover)
-                except OSError:
-                    pass
             self._warn_write_failure(path, exc)
             return None
-        except BaseException:
-            for leftover in (tmp, tmp + ".npz"):
-                try:
-                    os.unlink(leftover)
-                except OSError:
-                    pass
-            raise
         finally:
             try:
-                os.unlink(tmp)
+                os.unlink(tmp)  # gone already once replaced
             except OSError:
                 pass
         meta = {

@@ -37,7 +37,7 @@ from repro import runner
 from repro.analysis import farm as farm_mod
 from repro.analysis.cache import canonical_rows
 from repro.analysis.farm import FarmCoordinator, FarmUnavailable, farm_sweep
-from repro.analysis.sweep import SweepPointError, sweep_specs
+from repro.analysis.sweep import SweepPointError, eval_specs, sweep_specs
 from repro.analysis.worker import WorkerServer
 from repro.runner import clear_build_memo, merge_spec
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
@@ -129,7 +129,10 @@ def test_worker_death_mid_chunk_requeues_to_survivor():
     """One of two workers drops its connection after its second CHUNK
     (the test hook simulates a crash: no RESULT, no FIN handshake
     beyond the reset). The survivor must absorb the requeued points
-    and the rows must still be exactly the serial rows."""
+    and the rows must still be exactly the serial rows. Redial is off:
+    with it, whether the flaky worker ends dead depends on whether the
+    steady one finishes during a redial sleep (the ``test_reconnect_*``
+    tests in ``test_farm_robustness.py`` cover redial)."""
     base, points = _base(), _points(
         ("never-migrate", "always-migrate", "history", "costaware",
          "random", "distance-1", "distance-2", "addr-history")
@@ -144,7 +147,7 @@ def test_worker_death_mid_chunk_requeues_to_survivor():
         with pytest.warns(RuntimeWarning, match="dropped"):
             metrics = farm_sweep(
                 spec_dicts,
-                {"addrs": [flaky.address, steady.address], "chunk": 1},
+                {"addrs": [flaky.address, steady.address], "chunk": 1, "reconnect": 0},
                 stats_out=stats,
             )
     finally:
@@ -298,6 +301,48 @@ def test_point_timeout_names_the_slow_point(workers, monkeypatch):
     assert err.value.point == spec_dicts[0]
     assert "worker" in str(err.value)
     assert time.monotonic() - t0 < 2.5
+
+
+# ------------------------------------------------------------ local session
+def test_unstarted_server_serves_a_session_without_a_trace_store(tmp_path, monkeypatch):
+    """A local worker process's session: a server that never listens
+    serves one end of a socket pair. Its rows are the serial rows, it
+    opens no trace store (no ``repro-worker-traces-*`` directory), and
+    a trace frame gets ERROR instead of reaching a store it lacks."""
+    import tempfile
+    import threading
+
+    from repro.analysis.farm import (
+        BEGIN, CHUNK, ERROR, HELLO, HELLO_ACK, NEXT, PROTOCOL_VERSION, RESULT,
+        TRACE_QUERY, recv_frame, send_frame,
+    )
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    spec_dicts = [merge_spec(_base(), p).to_dict() for p in _points()]
+    server = WorkerServer(idle_timeout=None)
+    coord_end, worker_end = socket.socketpair()
+    th = threading.Thread(target=server.serve_connection, args=(worker_end,))
+    th.start()
+    try:
+        coord_end.settimeout(10.0)
+        send_frame(coord_end, HELLO, {"protocol": PROTOCOL_VERSION, "points": 4, "auth": False})
+        assert recv_frame(coord_end)[0] == HELLO_ACK
+        send_frame(coord_end, BEGIN, {})
+        assert recv_frame(coord_end)[0] == NEXT
+        send_frame(coord_end, CHUNK, {"chunk_id": 1, "indices": [0, 1, 2, 3], "specs": spec_dicts})
+        kind, msg = recv_frame(coord_end)
+        assert kind == RESULT
+        assert msg["rows"] == eval_specs(spec_dicts)[0]
+        assert recv_frame(coord_end)[0] == NEXT
+        send_frame(coord_end, TRACE_QUERY, {"digests": ["k"], "files": {}})
+        kind, msg = recv_frame(coord_end)
+        assert kind == ERROR and "TRACE_QUERY" in msg["message"]
+    finally:
+        coord_end.close()
+        th.join(timeout=10.0)
+    assert not th.is_alive()
+    assert server.store is None
+    assert list(tmp_path.glob("repro-worker-traces-*")) == []
 
 
 # ------------------------------------------------------------ wire latency

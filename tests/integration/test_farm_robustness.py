@@ -16,7 +16,9 @@ Three contracts:
   :class:`ChaosSpec` always re-derives the same schedule digest.
 """
 
+import base64
 import json
+import pickle
 import socket
 import threading
 import time
@@ -31,16 +33,23 @@ from repro.analysis.chaos import ChaosSpec, chaos_soak
 from repro.analysis.farm import (
     ERROR,
     HELLO,
+    HELLO_ACK,
+    PROTOCOL_VERSION,
+    TRACE_PUT,
     AuthError,
     encode_frame,
     farm_sweep,
     recv_frame,
+    send_frame,
 )
 from repro.analysis.journal import SweepJournal
 from repro.analysis.sweep import SweepPointError, sweep_specs
 from repro.analysis.worker import WorkerServer
-from repro.runner import merge_spec
+from repro.runner import build_workload, clear_build_memo, merge_spec
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
+from repro.trace import store as store_mod
+from repro.trace.io import save_multitrace
+from repro.trace.store import TraceStore
 
 SCHEMES = (
     "never-migrate",
@@ -276,10 +285,111 @@ def test_tokenless_coordinator_rejected_by_gated_worker():
         server.stop()
 
 
+def _trace_put(tmp_path, trace_b64=None) -> dict:
+    """A TRACE_PUT body for the base grid's workload: its container
+    bytes unless ``trace_b64`` replaces them."""
+    wspec = _base().workload
+    if trace_b64 is None:
+        path = save_multitrace(build_workload(wspec), tmp_path / "put.npz")
+        trace_b64 = base64.b64encode(path.read_bytes()).decode()
+    return {"key": wspec.cache_key(), "workload": wspec.to_dict(), "trace": trace_b64}
+
+
+@pytest.fixture
+def pickle_calls(monkeypatch):
+    """Every pickle.loads/load call in this process (each also raises)."""
+    calls = []
+
+    def refuse(*a, **k):
+        calls.append(1)
+        raise AssertionError("wire bytes reached pickle")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+    monkeypatch.setattr(pickle, "load", refuse)
+    return calls
+
+
+def test_gated_worker_refuses_trace_put_before_hello(tmp_path, pickle_calls):
+    """Nothing is decoded before the handshake: a TRACE_PUT sent as the
+    first frame to a token-gated worker gets the auth ERROR, reaches
+    neither pickle nor the trace store."""
+    put = _trace_put(tmp_path)
+    server = WorkerServer(auth_token="secret").start_background()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as conn:
+            conn.settimeout(5.0)
+            send_frame(conn, TRACE_PUT, put)
+            kind, msg = recv_frame(conn)
+        assert kind == ERROR and msg["auth_failed"]
+        assert "before TRACE_PUT" in msg["message"]
+        assert server.traces_installed == 0
+        assert not server.store.contains(put["key"])
+    finally:
+        server.stop()
+    assert pickle_calls == []
+
+
+def test_trace_put_that_is_not_a_container_installs_nothing(tmp_path):
+    """The worker decodes a pushed container once before installing
+    it; bytes that are not one get ERROR and leave store and memo
+    untouched."""
+    clear_build_memo()
+    put = _trace_put(tmp_path, base64.b64encode(b"PK\x03\x04 not a trace").decode())
+    server = WorkerServer().start_background()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as conn:
+            conn.settimeout(5.0)
+            send_frame(conn, HELLO, {"protocol": PROTOCOL_VERSION, "points": 1, "auth": False})
+            assert recv_frame(conn)[0] == HELLO_ACK
+            send_frame(conn, TRACE_PUT, put)
+            kind, msg = recv_frame(conn)
+        assert kind == ERROR and "TRACE_PUT" in msg["message"]
+        assert server.traces_installed == 0
+        assert not server.store.contains(put["key"])
+        assert runner.memoized_workload(put["key"]) is None
+    finally:
+        server.stop()
+
+
+def test_authenticated_sweep_matches_serial_with_one_trace_push(
+    tmp_path, monkeypatch, pickle_calls
+):
+    """The gated handshake end to end: rows equal the serial rows, the
+    one trace crosses once, and the worker stores the coordinator's
+    trace-store entry byte for byte."""
+    coord_store = TraceStore(tmp_path / "coordinator")
+    monkeypatch.setattr(store_mod, "_store", coord_store)
+    monkeypatch.setattr(store_mod, "_store_resolved", True)
+    clear_build_memo()
+    spec_dicts = _spec_dicts()
+    serial = canonical_rows(sweep_specs(_base(), _points()))
+    key = _base().workload.cache_key()
+    server = WorkerServer(auth_token="secret").start_background()
+    stats: dict = {}
+    try:
+        metrics = farm_sweep(
+            spec_dicts,
+            {"addrs": [server.address], "auth_token": "secret"},
+            stats_out=stats,
+        )
+        assert server.store.read_bytes(key) == coord_store.read_bytes(key)
+    finally:
+        server.stop()
+    rows = [
+        {**p, **{k: v for k, v in m.items() if k not in p}}
+        for p, m in zip(_points(), metrics)
+    ]
+    assert canonical_rows(rows) == serial
+    assert stats["trace_pushes"] == {server.address: 1}
+    assert server.traces_installed == 1
+    assert server.auth_failures == 0
+    assert pickle_calls == []
+
+
 def test_mutual_auth_worker_must_prove_secret_too():
     """An imposter 'worker' that answers HELLO_ACK without the auth
     proof must be refused before any spec or trace is sent."""
-    from repro.analysis.farm import HELLO_ACK, FarmCoordinator, _WorkerLink
+    from repro.analysis.farm import FarmCoordinator, _WorkerLink
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
@@ -351,14 +461,14 @@ def test_v1_peer_rejected_with_typed_mismatch():
 def test_drain_finishes_chunk_sends_result_then_closes():
     """After request_drain, an in-flight CHUNK still yields its RESULT;
     the connection then closes without a NEXT, and the server stops."""
-    from repro.analysis.farm import BEGIN, CHUNK, HELLO_ACK, NEXT, RESULT, send_frame
+    from repro.analysis.farm import BEGIN, CHUNK, NEXT, RESULT
 
     server = WorkerServer().start_background()
     spec = _spec_dicts(("history",))[0]
     try:
         conn = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         conn.settimeout(10.0)
-        send_frame(conn, HELLO, {"protocol": 2, "points": 1, "auth": False})
+        send_frame(conn, HELLO, {"protocol": PROTOCOL_VERSION, "points": 1, "auth": False})
         kind, _ = recv_frame(conn)
         assert kind == HELLO_ACK
         send_frame(conn, BEGIN, {})

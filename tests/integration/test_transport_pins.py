@@ -11,7 +11,9 @@ benchmark point. A change that alters the order or timing of any
 message in these runs changes a digest.
 
 The pins were recorded at commit ``6056b61``. Re-record them only in a
-change that is meant to alter results, and say which ones moved.
+change that is meant to alter results, and say which ones moved. The
+CC baseline cannot model a contended NoC, so its contended scenarios
+pin the :class:`~repro.util.errors.ConfigError` instead of a digest.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.spec import (
     WorkloadSpec,
 )
 from repro.stackmachine import stack_workload
+from repro.util.errors import ConfigError
 
 #: label -> (machine, decision scheme); the detailed machines read the
 #: scheme only for em2ra. Under ``history`` em2ra never migrates on these
@@ -91,6 +94,9 @@ SCENARIOS = [
     for m, w, n, f in itertools.product(MACHINES, WORKLOADS, NOCS, FAULT_PLANS)
 ]
 
+#: the CC baseline has no clock to queue messages on: these raise
+REFUSED = [sid for sid in SCENARIOS if sid.startswith("cc-msi-") and "-contended-" in sid]
+
 STACK_SCHEMES = ("fixed3", "need", "replay")
 STACK_SCENARIOS = [
     f"stack-{k}-{s}-g{g}-{n}"
@@ -141,7 +147,8 @@ def stack_results(sid: str) -> dict:
     return m.results()
 
 
-#: scenario -> result digest, recorded at commit 6056b61
+#: scenario -> result digest, recorded at commit 6056b61 (the contended
+#: cc-msi digests, equal to their quiet twins, became REFUSED)
 PINS = {
     "em2-pingpong-quiet-none": "b7b5792e9b8ed66f072a",
     "em2-pingpong-quiet-drop": "10e6877ee61c8312e6d6",
@@ -262,13 +269,6 @@ PINS = {
     "cc-msi-pingpong-quiet-mix": "d7ce771e286847f21fb3",
     "cc-msi-pingpong-quiet-bursty": "3e34418b70af8bd85284",
     "cc-msi-pingpong-quiet-linkdown": "b18cf257d4c3b337ff61",
-    "cc-msi-pingpong-contended-none": "37e82981bf597419abac",
-    "cc-msi-pingpong-contended-drop": "84c0d85baa2749310505",
-    "cc-msi-pingpong-contended-dup": "35d7312458a027862eed",
-    "cc-msi-pingpong-contended-delay": "9022db8ad565d98d7b54",
-    "cc-msi-pingpong-contended-mix": "d7ce771e286847f21fb3",
-    "cc-msi-pingpong-contended-bursty": "3e34418b70af8bd85284",
-    "cc-msi-pingpong-contended-linkdown": "b18cf257d4c3b337ff61",
     "cc-msi-hotspot-quiet-none": "ee91c5c884e12bdea6d5",
     "cc-msi-hotspot-quiet-drop": "e5dba0e76184113596f9",
     "cc-msi-hotspot-quiet-dup": "a4f7144d18631e41564d",
@@ -276,13 +276,6 @@ PINS = {
     "cc-msi-hotspot-quiet-mix": "740b6e180b3e7c51f753",
     "cc-msi-hotspot-quiet-bursty": "2246bb105b4ed6ec0eb0",
     "cc-msi-hotspot-quiet-linkdown": "846756893400fa57aab6",
-    "cc-msi-hotspot-contended-none": "ee91c5c884e12bdea6d5",
-    "cc-msi-hotspot-contended-drop": "e5dba0e76184113596f9",
-    "cc-msi-hotspot-contended-dup": "a4f7144d18631e41564d",
-    "cc-msi-hotspot-contended-delay": "0f257f3a4080a719c9e3",
-    "cc-msi-hotspot-contended-mix": "740b6e180b3e7c51f753",
-    "cc-msi-hotspot-contended-bursty": "2246bb105b4ed6ec0eb0",
-    "cc-msi-hotspot-contended-linkdown": "846756893400fa57aab6",
     "stack-dot-fixed3-g1-quiet": "5973709559d44a7a2b13",
     "stack-dot-fixed3-g1-contended": "5973709559d44a7a2b13",
     "stack-dot-fixed3-g2-quiet": "1388d15faacd400738fc",
@@ -312,6 +305,10 @@ PINS = {
 
 @pytest.mark.parametrize("sid", SCENARIOS)
 def test_machine_result_pinned(sid):
+    if sid in REFUSED:
+        with pytest.raises(ConfigError, match="noc.contention"):
+            run(scenario_spec(sid))
+        return
     metrics = run(scenario_spec(sid))
     label, _, _, plan = sid.rsplit("-", 3)
     if plan != "none" and label != "cc-msi":
@@ -327,4 +324,5 @@ def test_stack_machine_result_pinned(sid):
 
 
 def test_every_scenario_is_pinned():
-    assert sorted(PINS) == sorted(SCENARIOS + STACK_SCENARIOS)
+    assert len(REFUSED) == 14
+    assert sorted(PINS) == sorted(set(SCENARIOS + STACK_SCENARIOS) - set(REFUSED))

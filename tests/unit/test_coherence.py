@@ -191,3 +191,35 @@ def test_msg_loopback_latency_equals_noc():
                 core, core, bits
             )
 
+
+
+@pytest.mark.parametrize("protocol", ["msi", "mesi"])
+def test_contended_noc_is_refused(protocol):
+    """The CC baseline has no clock to queue messages on, so a contended
+    NoC raises naming the key instead of running at zero load, whether
+    the machine is built directly or from a spec."""
+    import dataclasses
+
+    from repro.arch.config import NocConfig
+    from repro.runner import run
+    from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
+    from repro.util.errors import ConfigError
+
+    cfg = small_test_config(num_cores=4, noc=NocConfig(contention=True))
+    mt = MultiTrace(threads=[make_trace([0, 64], writes=[0, 1])], thread_native_core=[0])
+    with pytest.raises(ConfigError, match="noc.contention"):
+        DirectoryCCSimulator(mt, striped(4), cfg, protocol=protocol)
+    spec = ExperimentSpec(
+        workload=WorkloadSpec(name="pingpong", params={"num_threads": 4, "rounds": 4}),
+        machine=MachineSpec(
+            name=f"cc-{protocol}",
+            cores=4,
+            preset="small-test",
+            config={"noc": {"contention": True}},
+        ),
+        placement=PlacementSpec(name="first-touch"),
+    )
+    with pytest.raises(ConfigError, match="noc.contention"):
+        run(spec)
+    quiet = dataclasses.replace(spec.machine, config={})
+    assert run(spec.replace(machine=quiet))["completion_time"] > 0

@@ -17,6 +17,7 @@ import importlib
 import multiprocessing
 import os
 import pickle
+import tempfile
 import time
 
 import pytest
@@ -235,6 +236,16 @@ class TestScheduling:
 
 
 class TestHardening:
+    @pytest.fixture(autouse=True)
+    def _no_trace_store_left(self, monkeypatch, tmp_path_factory):
+        """A local process runs a worker session without a trace store,
+        so hung, killed and dying processes leave no
+        ``repro-worker-traces-*`` directory in TMPDIR."""
+        tmp = tmp_path_factory.mktemp("tmpdir")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        yield
+        assert list(tmp.glob("repro-worker-traces-*")) == []
+
     def test_point_timeout_kills_hung_worker(self, monkeypatch):
         """A point that never returns must surface as SweepPointError
         naming that point within ~point_timeout, not hang the sweep,

@@ -121,3 +121,49 @@ def test_load_wrong_dtype_thread_raises_trace_format_error(tmp_path):
     )
     with pytest.raises(TraceFormatError):
         load_multitrace(path)
+
+
+def _npz_bytes(**arrays) -> bytes:
+    import io
+
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _npy_bytes() -> bytes:
+    import io
+
+    buf = io.BytesIO()
+    np.save(buf, np.arange(3))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"PK\x03\x04 not a zip",
+        _npy_bytes(),
+        _npz_bytes(meta_json=np.array([{"x": 1}], dtype=object)),
+        _npz_bytes(
+            native_cores=np.array([0]),
+            meta_json=np.frombuffer(b"[1, 2]", dtype=np.uint8),
+        ),
+    ],
+    ids=["empty", "not-zip", "bare-npy", "pickled-object", "meta-list"],
+)
+def test_decode_rejects_what_is_not_a_container(data):
+    """Container bytes may come from a farm peer: anything that is not
+    a trace container raises TraceFormatError, never something else."""
+    from repro.trace.io import decode_multitrace
+
+    with pytest.raises(TraceFormatError):
+        decode_multitrace(data)
+
+
+def test_encode_decode_round_trip_keeps_the_digest():
+    from repro.trace.io import decode_multitrace, encode_multitrace
+
+    mt = _mt()
+    assert decode_multitrace(encode_multitrace(mt)).digest() == mt.digest()

@@ -7,13 +7,15 @@ protocol version — must raise a typed error before any payload is
 interpreted.
 """
 
+import base64
 import socket
+import threading
 
-import numpy as np
 import pytest
 
 from repro.analysis.farm import (
     CHUNK,
+    ERROR,
     HEADER,
     HELLO,
     MAGIC,
@@ -29,6 +31,8 @@ from repro.analysis.farm import (
     recv_frame,
     send_frame,
 )
+from repro.trace.events import MultiTrace, make_trace
+from repro.trace.io import decode_multitrace, encode_multitrace
 
 
 def _pair():
@@ -59,23 +63,38 @@ def test_json_frame_round_trip(kind, payload):
         b.close()
 
 
-def test_pickle_frame_round_trips_numpy_columns():
-    """TRACE_PUT is the one pickle kind — numpy columns must survive."""
+def _trace() -> MultiTrace:
+    return MultiTrace(
+        threads=[
+            make_trace([1, 2, 3], writes=[0, 1, 0], icounts=[4, 4, 4]),
+            make_trace([9, 8], writes=[1, 1]),
+        ],
+        thread_native_core=[2, 0],
+        name="wire",
+        params={"seed": 3},
+    )
+
+
+def test_trace_put_round_trips_the_container_bytes():
+    """TRACE_PUT is JSON like every other kind: the container crosses
+    as base64 text, and the bytes decode to the same trace digest."""
+    mt = _trace()
+    data = encode_multitrace(mt)
     a, b = _pair()
-    payload = {
-        "key": "digest",
-        "workload": {"name": "uniform"},
-        "trace": {"addrs": np.arange(64, dtype=np.uint64)},
-    }
     try:
-        send_frame(a, TRACE_PUT, payload)
+        send_frame(
+            a,
+            TRACE_PUT,
+            {"key": "k", "workload": {}, "trace": base64.b64encode(data).decode()},
+        )
         kind, got = recv_frame(b)
-        assert kind == TRACE_PUT
-        assert got["key"] == "digest"
-        np.testing.assert_array_equal(got["trace"]["addrs"], payload["trace"]["addrs"])
     finally:
         a.close()
         b.close()
+    assert kind == TRACE_PUT
+    received = base64.b64decode(got["trace"])
+    assert received == data
+    assert decode_multitrace(received).digest() == mt.digest()
 
 
 def test_multiple_frames_on_one_stream_stay_delimited():
@@ -153,7 +172,7 @@ def test_oversized_body_rejected_on_encode(monkeypatch):
 
     monkeypatch.setattr(farm, "MAX_FRAME", 64)
     with pytest.raises(FrameError, match="ceiling"):
-        farm.encode_frame(TRACE_PUT, b"x" * 128)
+        farm.encode_frame(TRACE_PUT, {"trace": "x" * 128})
 
 
 def test_malformed_json_body_raises_frame_error():
@@ -180,6 +199,47 @@ def test_protocol_version_mismatch_raises_before_body():
         b.close()
 
 
+def test_v2_peer_refused_with_protocol_mismatch():
+    """A v2 frame (pickle-era TRACE_PUT bodies) is refused at its
+    header, and a v2 worker's ERROR reaches the coordinator's
+    handshake as the same typed ProtocolMismatch."""
+    from repro.analysis.farm import FarmCoordinator, _WorkerLink
+
+    a, b = _pair()
+    try:
+        a.sendall(HEADER.pack(MAGIC, 2, HELLO, 2) + b"{}")
+        with pytest.raises(ProtocolMismatch, match="v2"):
+            recv_frame(b)
+    finally:
+        a.close()
+        b.close()
+
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    addr = f"127.0.0.1:{listener.getsockname()[1]}"
+
+    def v2_worker():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5.0)
+            recv_frame(conn)  # HELLO; a real v2 worker refuses its header
+            body = b'{"message": "v2 here", "protocol": 2}'
+            conn.sendall(HEADER.pack(MAGIC, 2, ERROR, len(body)) + body)
+
+    th = threading.Thread(target=v2_worker, daemon=True)
+    th.start()
+    coord = FarmCoordinator([{}], [addr])
+    link = _WorkerLink(addr, coord._dial(addr))
+    try:
+        with pytest.raises(ProtocolMismatch, match="v2"):
+            coord._handshake(link)
+    finally:
+        link.sock.close()
+        listener.close()
+        th.join(timeout=5.0)
+
+
 def test_worker_rejects_foreign_protocol_version():
     """A live worker answers a foreign-version HELLO with ERROR naming
     its own version, then drops the connection."""
@@ -191,7 +251,7 @@ def test_worker_rejects_foreign_protocol_version():
         conn = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         conn.settimeout(5.0)
         try:
-            body = b'{"protocol": 2}'
+            body = b'{"protocol": %d}' % (PROTOCOL_VERSION + 1)
             conn.sendall(
                 HEADER.pack(MAGIC, PROTOCOL_VERSION + 1, HELLO, len(body)) + body
             )

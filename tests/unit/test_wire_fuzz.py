@@ -5,7 +5,8 @@ the chaos proxy) puts on the wire, :func:`recv_frame` must either
 return a well-formed ``(kind, payload)`` or raise a typed
 :class:`FrameError`/:class:`ProtocolMismatch` — never hang, never
 allocate the declared length before validating it, and never feed
-attacker-controlled bytes to ``pickle`` for a control-plane kind.
+attacker-controlled bytes to ``pickle``: every body is JSON, and a
+``TRACE_PUT``'s container decodes with pickle refused.
 
 Every case writes the fuzzed bytes into one end of a socketpair and
 closes it, so a decoder waiting for more input sees EOF (a
@@ -13,15 +14,21 @@ closes it, so a decoder waiting for more input sees EOF (a
 backstop that turns any residual hang into a loud failure.
 """
 
+import ast
+import base64
+import contextlib
+import io
 import json
+import pickle
 import socket
-import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.analysis.farm as farm
+import repro.analysis
 from repro.analysis.farm import (
     HEADER,
     KIND_NAMES,
@@ -34,6 +41,9 @@ from repro.analysis.farm import (
     encode_frame,
     recv_frame,
 )
+from repro.trace.events import MultiTrace, make_trace
+from repro.trace.io import decode_multitrace, encode_multitrace
+from repro.util.errors import TraceFormatError
 
 _CONTROL_KINDS = sorted(k for k in KIND_NAMES if k != TRACE_PUT)
 
@@ -155,36 +165,83 @@ def test_declared_longer_than_sent_raises_on_eof(declared, sent):
         _decode(data)
 
 
-# -------------------------------------------------- no unpickling of control
-@settings(max_examples=100, deadline=None)
-@given(
-    kind=st.sampled_from(_CONTROL_KINDS),
-    body=st.binary(min_size=0, max_size=512),
+# ------------------------------------------------------ nothing unpickled
+def _object_npz() -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, meta_json=np.array([{"evil": 1}], dtype=object))
+    return buf.getvalue()
+
+
+#: bodies pickle would act on: a pickle stream, an NPZ holding a
+#: pickled object array, and (for contrast) a real trace container
+_HOSTILE = (
+    pickle.dumps({"key": "k"}),
+    _object_npz(),
+    encode_multitrace(MultiTrace(threads=[make_trace([1, 2])], name="fuzz")),
 )
-def test_control_kinds_never_reach_pickle(kind, body):
-    """Attacker bytes in a control frame must go to the JSON parser,
-    never to pickle — a pickle.loads on them is remote code execution."""
+
+
+@contextlib.contextmanager
+def _pickle_refused():
+    """Patch pickle to raise, and check afterwards that nothing called
+    it (a decoder may swallow the raise into a FrameError)."""
     calls = []
-    real_loads = farm.pickle.loads
 
-    def recording_loads(*a, **k):
+    def refuse(*a, **k):
         calls.append(1)
-        return real_loads(*a, **k)
+        raise AssertionError("wire bytes reached pickle")
 
-    farm.pickle.loads = recording_loads
+    real = pickle.loads, pickle.load
+    pickle.loads = pickle.load = refuse
     try:
-        data = HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, len(body)) + body
-        try:
-            _decode(data)
-        except (FrameError, ProtocolMismatch):
-            pass
+        yield
     finally:
-        farm.pickle.loads = real_loads
+        pickle.loads, pickle.load = real
     assert calls == []
 
 
-def test_trace_put_is_the_only_pickle_kind():
-    assert farm._PICKLE_KINDS == frozenset({TRACE_PUT})
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KIND_NAMES)),
+    raw=st.one_of(st.binary(max_size=512), st.sampled_from(_HOSTILE)),
+    wrapped=st.booleans(),
+)
+@example(kind=TRACE_PUT, raw=_HOSTILE[0], wrapped=False)
+@example(kind=TRACE_PUT, raw=_HOSTILE[0], wrapped=True)
+@example(kind=TRACE_PUT, raw=_HOSTILE[1], wrapped=True)
+@example(kind=TRACE_PUT, raw=_HOSTILE[2], wrapped=True)
+def test_no_frame_kind_reaches_pickle(kind, raw, wrapped):
+    """Every kind, TRACE_PUT included, parses as JSON, and a TRACE_PUT
+    container decodes with pickle refused: a ``pickle.loads`` on peer
+    bytes would run code from them. ``wrapped`` sends ``raw`` as a
+    TRACE_PUT body would carry it, base64 inside JSON."""
+    body = raw
+    if wrapped:
+        trace = base64.b64encode(raw).decode()
+        body = json.dumps({"key": "k", "workload": {}, "trace": trace}).encode()
+    data = HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, len(body)) + body
+    with _pickle_refused():
+        try:
+            got, payload = _decode(data)
+        except (FrameError, ProtocolMismatch):
+            return
+        if got == TRACE_PUT and wrapped:
+            try:
+                decode_multitrace(base64.b64decode(payload["trace"]))
+            except TraceFormatError:
+                pass
+
+
+def test_no_analysis_module_imports_pickle():
+    for path in Path(repro.analysis.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "pickle" not in names, path.name
 
 
 # ------------------------------------------------------- mid-stream garbage

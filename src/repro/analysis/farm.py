@@ -21,8 +21,8 @@ key order a local run produces). ``TRACE_PUT`` carries the trace
 container's bytes (:func:`~repro.trace.io.encode_multitrace`),
 base64-encoded, so nothing on the wire is ever unpickled. A frame with
 the wrong magic, an unknown kind, an oversized length, or a truncated
-body raises :class:`FrameError`; a version field other than
-:data:`PROTOCOL_VERSION` raises :class:`ProtocolMismatch` before the
+or non-object body raises :class:`FrameError`; a version field other
+than :data:`PROTOCOL_VERSION` raises :class:`ProtocolMismatch` before the
 body is read, so incompatible peers are rejected at the first frame —
 a live worker answers a foreign version with an ``ERROR`` frame naming
 its own version, which the coordinator surfaces as the same typed
@@ -35,9 +35,10 @@ HMAC-SHA256 over the nonce (``AUTH_RESPONSE``), and the worker's
 ``HELLO_ACK`` carries the complementary worker-side proof, so both
 directions are gated before any spec, trace, or result crosses the
 wire; any other frame first is answered with the auth ``ERROR``, its
-body parsed as JSON and nothing else. A bad or missing proof is
-answered with a *permanent* typed ``ERROR`` (:class:`AuthError` on the
-coordinator) that is never retried.
+body parsed as JSON and nothing else, and until the challenge succeeds
+a body over :data:`PREAUTH_MAX_FRAME` is refused from its header. A
+bad or missing proof is answered with a *permanent* typed ``ERROR``
+(:class:`AuthError` on the coordinator) that is never retried.
 
 Session, coordinator's view of one worker::
 
@@ -129,6 +130,10 @@ PROTOCOL_VERSION = 3
 MAGIC = b"RPFM"
 HEADER = struct.Struct("!4sBBxxI")  # magic, version, kind, pad, body length
 MAX_FRAME = 256 * 1024 * 1024
+#: the body ceiling a token-gated worker reads with until a HELLO's
+#: challenge succeeds: HELLO and AUTH_RESPONSE bodies are under 100
+#: bytes, and a longer declared length is refused from its header
+PREAUTH_MAX_FRAME = 64 * 1024
 
 HELLO = 1
 HELLO_ACK = 2
@@ -231,13 +236,15 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, object]:
+def recv_frame(sock: socket.socket, max_body: int = MAX_FRAME) -> tuple[int, dict]:
     """Read one frame; return ``(kind, payload)``.
 
     Raises :class:`ProtocolMismatch` on a foreign version (checked
     before the body is read) and :class:`FrameError` on anything else
-    that is not a well-formed frame. ``socket.timeout`` passes through
-    so callers can interleave heartbeats with blocking reads.
+    that is not a well-formed frame: a declared length over
+    ``max_body`` (refused before any body byte is read), or a body
+    that is not a JSON object. ``socket.timeout`` passes through so
+    callers can interleave heartbeats with blocking reads.
     """
     magic, version, kind, length = HEADER.unpack(_recv_exact(sock, HEADER.size))
     if magic != MAGIC:
@@ -248,16 +255,19 @@ def recv_frame(sock: socket.socket) -> tuple[int, object]:
         )
     if kind not in KIND_NAMES:
         raise FrameError(f"unknown frame kind {kind}")
-    if length > MAX_FRAME:
+    if length > max_body:
         raise FrameError(
             f"{KIND_NAMES[kind]} frame declares {length} bytes, "
-            f"over the {MAX_FRAME}-byte ceiling"
+            f"over the {max_body}-byte ceiling"
         )
     body = _recv_exact(sock, length)
     try:
-        return kind, json.loads(body.decode("utf-8"))
+        payload = json.loads(body.decode("utf-8"))
     except Exception as exc:
         raise FrameError(f"malformed {KIND_NAMES[kind]} body: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FrameError(f"malformed {KIND_NAMES[kind]} body: not a JSON object")
+    return kind, payload
 
 
 def auth_mac(token: str, role: str, nonce: str) -> str:

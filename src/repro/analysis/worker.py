@@ -6,45 +6,58 @@ plain accept loop — one thread per connection, one coordinator per
 connection — speaking the framed protocol defined in
 :mod:`repro.analysis.farm`. A coordinator's local worker process runs
 the same session (:meth:`WorkerServer.serve_connection`) on its end of
-a socket pair, with no listener and no trace store. Chunk evaluation
-happens on a background thread so the connection loop keeps answering
-heartbeat PINGs while a long point runs; the coordinator distinguishes
-"slow but alive" from "dead" by exactly those PONGs.
+a socket pair, with no listener and no trace store.
+
+A session has two threads: the connection's thread, its only reader,
+and one evaluator, started at the first CHUNK and fed through a queue.
+Both write under one per-session send lock (the reader its replies and
+PONGs, the evaluator each RESULT and NEXT), so heartbeat PINGs are
+answered while a long point runs; the coordinator tells "slow but
+alive" from "dead" by those PONGs. The session's end closes the
+connection under the lock, so a chunk still running fails to send its
+RESULT and the evaluator exits.
 
 Traces arrive by reference: the coordinator sends digests
 (``WorkloadSpec.cache_key`` for a generated workload, the content
 digest for a trace file), the worker answers with what its local
 :class:`~repro.trace.store.TraceStore` already holds, and only the
-missing traces are pushed — each decoded once (a body that is not a
-trace container gets ERROR and installs nothing), stored as the bytes
-received (persistent across connections *and reconnects*, so a
-coordinator that redials after a socket reset pushes nothing) and
-seeded into the per-process build memo. A trace-file point is evaluated on the store
-copy the session's digest names, never on whatever this host has at
-that path. Workloads the coordinator never pushed are simply
-regenerated from their spec, which is always correct because specs
-are deterministic.
+missing traces are pushed. A push is checked before anything is
+stored: its container decodes, its workload parses, and its key is
+the one a coordinator sends for that workload (the cache key, or the
+decoded trace's digest for a trace file), so no push plants bytes
+under another trace's key; any other body gets ERROR and installs
+nothing. A checked push is stored as the bytes received (persistent
+across connections *and reconnects*, so a coordinator that redials
+after a socket reset pushes nothing) and seeded into the per-process
+build memo. A trace-file point is evaluated on the store copy the
+session's digest names, never on whatever this host has at that path.
+Workloads the coordinator never pushed are simply regenerated from
+their spec, which is always correct because specs are deterministic.
 
 Untrusted networks: start the worker with an auth token and every
 connection must pass an HMAC-SHA256 challenge-response before any
 other frame is served — the worker sends a fresh nonce, the
 coordinator proves knowledge of the shared secret, and the worker's
 ``HELLO_ACK`` carries the reciprocal proof. A failed proof gets a
-permanent typed ``ERROR`` and the connection is dropped.
+permanent typed ``ERROR`` and the connection is dropped. Until the
+challenge succeeds the worker reads frame bodies of at most
+:data:`~repro.analysis.farm.PREAUTH_MAX_FRAME` bytes; a longer
+declared length closes the connection from the header alone.
 
 Graceful drain: :meth:`WorkerServer.request_drain` (wired to
 SIGTERM/SIGINT by the CLI) finishes the in-flight chunk, sends its
-RESULT, then closes — the coordinator sees a clean close with nothing
-in flight, so nothing is requeued and no work is lost. The accept loop
-waits on the listener and a wake-up socket pair through one selector,
-so a stop or a finished drain ends it at once rather than at the next
-poll tick.
+RESULT without a NEXT, then shuts the connection down — the
+coordinator sees a clean close with nothing in flight, so nothing is
+requeued and no work is lost. The accept loop waits on the listener
+and a wake-up socket pair through one selector, so a stop or a
+finished drain ends it at once rather than at the next poll tick.
 """
 
 from __future__ import annotations
 
 import base64
 import os
+import queue
 import secrets
 import selectors
 import shutil
@@ -63,9 +76,11 @@ from repro.analysis.farm import (
     HELLO,
     HELLO_ACK,
     KIND_NAMES,
+    MAX_FRAME,
     NEXT,
     PING,
     PONG,
+    PREAUTH_MAX_FRAME,
     PROTOCOL_VERSION,
     RESULT,
     TRACE_HAVE,
@@ -84,7 +99,7 @@ from repro.analysis.farm import (
 from repro.analysis.sweep import eval_specs
 from repro.trace.io import decode_multitrace
 from repro.trace.store import TraceStore
-from repro.util.errors import ConfigError, ReproError, TraceFormatError
+from repro.util.errors import ConfigError, ReproError
 
 
 class WorkerServer:
@@ -244,59 +259,65 @@ class WorkerServer:
     def serve_connection(self, conn: socket.socket) -> None:
         """Serve one coordinator session on ``conn``, then close it: a
         connection the accept loop took, or a local worker process's end
-        of its socket pair. Returns on DONE or when the peer goes."""
+        of its socket pair. Returns on DONE or when the peer goes: then
+        ``conn`` closes under the send ``lock``, and a chunk still
+        ``owed`` its RESULT no longer holds a drain open."""
         conn.settimeout(self.idle_timeout)
+        lock = threading.Lock()
+        chunks: queue.SimpleQueue = queue.SimpleQueue()
+        owed: list[dict] = []  # chunks queued whose RESULT has not gone out
         try:
             if conn.family in (socket.AF_INET, socket.AF_INET6):
                 set_nodelay(conn)
-            self._session(conn)
+            self._session(conn, lock, chunks, owed)
         except OSError:
             pass  # peer vanished mid-send; the coordinator's problem now
         finally:
-            try:
+            chunks.put(None)  # an idle evaluator exits now, a busy one at its RESULT
+            with lock:
                 conn.close()
-            except OSError:
-                pass
+                self._settle(len(owed))
 
-    def _session(self, conn: socket.socket) -> None:
+    def _session(self, conn: socket.socket, lock, chunks, owed: list) -> None:
+        """The session's reader: answer each frame, queue each CHUNK."""
+
+        def send(kind: int, payload: dict) -> None:
+            with lock:
+                send_frame(conn, kind, payload)
+
         files: dict[str, str] = {}  # this session's trace files: cache key -> digest
         chunks_on_conn = 0
         authed = self.auth_token is None
         while True:
             try:
-                kind, msg = recv_frame(conn)
+                kind, msg = recv_frame(conn, MAX_FRAME if authed else PREAUTH_MAX_FRAME)
             except ProtocolMismatch as exc:
                 # tell the peer which version this side speaks, then drop
                 try:
-                    send_frame(
-                        conn,
-                        ERROR,
-                        {"message": str(exc), "protocol": PROTOCOL_VERSION},
-                    )
+                    send(ERROR, {"message": str(exc), "protocol": PROTOCOL_VERSION})
                 except OSError:
                     pass
                 return
             except (FrameError, OSError):
                 return  # peer gone or garbage; nothing to answer
+            name = KIND_NAMES[kind]
             if kind == HELLO:
-                if not self._hello(conn, msg):
+                if not self._hello(conn, send, msg):
                     return
                 authed = True
             elif not authed:
                 # nothing but HELLO (which runs the challenge) is
                 # served before authentication on a token-gated worker
-                send_frame(
-                    conn,
+                send(
                     ERROR,
                     {
-                        "message": "authentication required before "
-                        + KIND_NAMES.get(kind, str(kind)),
+                        "message": f"authentication required before {name}",
                         "auth_failed": True,
                     },
                 )
                 return
             elif kind == PING:
-                send_frame(conn, PONG, {})
+                send(PONG, {})
             elif kind == TRACE_QUERY and self.store is not None:
                 files = dict(msg.get("files", {}))
                 have = [
@@ -304,12 +325,12 @@ class WorkerServer:
                     for k in msg.get("digests", [])
                     if self.store.contains(k)
                 ]
-                send_frame(conn, TRACE_HAVE, {"have": have})
+                send(TRACE_HAVE, {"have": have})
             elif kind == TRACE_PUT and self.store is not None:
-                if not self._install_trace(conn, msg):
+                if not self._install_trace(send, msg):
                     return
             elif kind == BEGIN:
-                send_frame(conn, NEXT, {})
+                send(NEXT, {})
             elif kind == CHUNK:
                 chunks_on_conn += 1
                 if (
@@ -318,27 +339,35 @@ class WorkerServer:
                 ):
                     self._log("test hook: dropping connection mid-chunk")
                     return  # simulated crash: no RESULT ever comes
-                if not self._serve_chunk(conn, msg, files):
-                    return
+                if chunks_on_conn == 1:  # the session's one evaluator
+                    threading.Thread(
+                        target=self._evaluate,
+                        args=(conn, lock, chunks, owed),
+                        daemon=True,
+                    ).start()
+                with self._drain_lock:
+                    self._active_chunks += 1
+                owed.append(msg)
+                chunks.put((msg, files))
             elif kind == DONE:
                 return
             else:
-                send_frame(
-                    conn,
-                    ERROR,
-                    {
-                        "message": "unexpected "
-                        + KIND_NAMES.get(kind, str(kind))
-                    },
-                )
+                send(ERROR, {"message": f"unexpected {name}"})
                 return
 
-    def _hello(self, conn: socket.socket, msg: dict) -> bool:
+    def _settle(self, n: int) -> None:
+        """Count ``n`` in-flight chunks out, answered or abandoned; a
+        drain that waited on them halts the server once none is left."""
+        with self._drain_lock:
+            self._active_chunks -= n
+            if self._draining.is_set() and self._active_chunks == 0:
+                self._halt()
+
+    def _hello(self, conn: socket.socket, send, msg: dict) -> bool:
         """HELLO (+ optional auth challenge) -> HELLO_ACK. False drops."""
         peer_proto = msg.get("protocol")
         if peer_proto is not None and peer_proto != PROTOCOL_VERSION:
-            send_frame(
-                conn,
+            send(
                 ERROR,
                 {
                     "message": f"peer announces farm protocol v{peer_proto}, "
@@ -354,9 +383,9 @@ class WorkerServer:
         }
         if self.auth_token is not None:
             nonce = secrets.token_hex(32)
-            send_frame(conn, AUTH_CHALLENGE, {"nonce": nonce})
+            send(AUTH_CHALLENGE, {"nonce": nonce})
             try:
-                kind, resp = recv_frame(conn)
+                kind, resp = recv_frame(conn, PREAUTH_MAX_FRAME)
             except (FrameError, OSError):
                 self.auth_failures += 1
                 return False
@@ -365,8 +394,7 @@ class WorkerServer:
             ):
                 self.auth_failures += 1
                 self._log("authentication failed; dropping connection")
-                send_frame(
-                    conn,
+                send(
                     ERROR,
                     {
                         "message": "authentication failed",
@@ -375,113 +403,83 @@ class WorkerServer:
                 )
                 return False
             ack["auth"] = auth_mac(self.auth_token, "worker", nonce)
-        send_frame(conn, HELLO_ACK, ack)
+        send(HELLO_ACK, ack)
         return True
 
-    def _install_trace(self, conn: socket.socket, msg: dict) -> bool:
-        """Decode a pushed container once (bytes from outside the
-        program), store the bytes as received and seed the build memo.
-        A body that is not a trace container gets ERROR and installs
-        nothing; False ends the session."""
+    def _install_trace(self, send, msg: dict) -> bool:
+        """Check a pushed trace before anything is stored: its container
+        decodes (bytes from outside the program), its ``workload``
+        parses, and its ``key`` is the one a coordinator sends for that
+        workload (a generated workload's cache key, a trace file's
+        content digest), so no push plants bytes under another trace's
+        key. Then store the bytes as received and seed the build memo.
+        Any other body gets ERROR and installs nothing; False ends the
+        session."""
+        from repro.runner import seed_workload_memo
+        from repro.spec import WorkloadSpec
+
         key = msg.get("key")
         try:
+            wspec = WorkloadSpec.from_dict(msg["workload"])
             data = base64.b64decode(msg["trace"], validate=True)
             trace = decode_multitrace(data, f"TRACE_PUT {key}")
-        except (KeyError, TypeError, ValueError, TraceFormatError) as exc:
-            send_frame(conn, ERROR, {"message": f"bad TRACE_PUT {key}: {exc}"})
+            expected = wspec.cache_key() if wspec.trace_path is None else trace.digest()
+            if key != expected:
+                raise ValueError(f"key does not name this trace ({expected})")
+        except (KeyError, TypeError, ValueError, ReproError) as exc:
+            send(ERROR, {"message": f"bad TRACE_PUT {key}: {exc}"})
             return False
         if not self.store.contains(key):
             self.store.put(key, trace, data)
             self.traces_installed += 1
-        from repro.runner import seed_workload_memo
-
         wdict = msg["workload"]
-        if wdict.get("trace_path") is not None:
+        if wspec.trace_path is not None:
             wdict = self._stored_file(wdict, key)
         seed_workload_memo(wdict, trace)
-        send_frame(conn, TRACE_OK, {"key": key})
+        send(TRACE_OK, {"key": key})
         self._log(f"installed trace {key[:12]}")
         return True
 
-    def _serve_chunk(self, conn: socket.socket, msg: dict, files: dict) -> bool:
-        """Evaluate one chunk; keep answering PINGs meanwhile.
-
-        The connection loop waits on the socket and on a self-pipe the
-        eval thread writes when it finishes, so PINGs are answered as
-        they arrive and the RESULT goes out the instant the chunk is
-        done. Returns False when the
-        coordinator sent DONE mid-evaluation (it gave up on this
-        worker) or the server is draining — either way the connection
-        is finished, but a drain only closes *after* the RESULT went
-        out, so nothing is requeued.
-        """
-        with self._drain_lock:
-            self._active_chunks += 1
-        box: dict = {}
-        done_r, done_w = socket.socketpair()
-        th = threading.Thread(
-            target=self._eval_chunk, args=(msg, box, done_w, files), daemon=True
-        )
-        th.start()
-        sel = selectors.DefaultSelector()
-        sel.register(conn, selectors.EVENT_READ, "conn")
-        sel.register(done_r, selectors.EVENT_READ, "done")
+    def _evaluate(self, conn, lock, chunks, owed: list) -> None:
+        """A session's evaluator: run each queued chunk, then send its
+        RESULT and NEXT; while the server drains, no NEXT follows. On
+        every exit (the session's end, a drained RESULT, a failure) it
+        shuts ``conn`` down, so the reader returns too."""
         try:
-            finished = False
-            while not finished and th.is_alive():
-                events = sel.select()
-                for key, _mask in events:
-                    if key.data == "done":
-                        finished = True
-                        continue
+            for msg, files in iter(chunks.get, None):
+                t0 = time.perf_counter()
+                specs = []
+                for spec in msg.get("specs", []):
                     try:
-                        kind, _ = recv_frame(conn)
-                    except (FrameError, OSError):
-                        return False
-                    if kind == PING:
-                        send_frame(conn, PONG, {})
-                    elif kind == DONE:
-                        return False
+                        spec = self._local_spec(spec, files)
+                    except ReproError:
+                        pass  # evaluating the spec reports it, naming its point
+                    specs.append(spec)
+                rows, exc = eval_specs(specs)
+                result = {"chunk_id": msg["chunk_id"], "rows": rows}
+                if exc is not None:
+                    result["error"] = {"message": f"{type(exc).__name__}: {exc}"}
+                result["elapsed"] = time.perf_counter() - t0
+                with lock:
+                    send_frame(conn, RESULT, result)
+                    owed.remove(msg)  # else the session's end settles it
+                with self._drain_lock:  # every session's evaluator counts here
+                    self.chunks_served += 1
+                    self.points_served += len(rows)
+                self._settle(1)
+                if self._draining.is_set():
+                    self._log("drained: RESULT sent, closing")
+                    return
+                with lock:
+                    send_frame(conn, NEXT, {})
+        except OSError:
+            pass  # the session is over
         finally:
-            sel.close()
-            done_r.close()
-            done_w.close()
-            conn.settimeout(self.idle_timeout)
-            with self._drain_lock:
-                self._active_chunks -= 1
-                if self._draining.is_set() and self._active_chunks == 0:
-                    self._halt()
-        th.join()
-        send_frame(conn, RESULT, {"chunk_id": msg["chunk_id"], **box})
-        self.chunks_served += 1
-        self.points_served += len(box.get("rows", []))
-        if self._draining.is_set():
-            self._log("drained: RESULT sent, closing")
-            return False
-        send_frame(conn, NEXT, {})
-        return True
-
-    def _eval_chunk(self, msg: dict, box: dict, done_w, files: dict) -> None:
-        t0 = time.perf_counter()
-        try:
-            specs = []
-            for spec in msg.get("specs", []):
+            with lock:
                 try:
-                    spec = self._local_spec(spec, files)
-                except ReproError:
-                    pass  # evaluating the spec reports it, naming its point
-                specs.append(spec)
-            rows, exc = eval_specs(specs)
-            box["rows"] = rows
-            if exc is not None:
-                box["error"] = {"message": f"{type(exc).__name__}: {exc}"}
-        finally:
-            box.setdefault("rows", [])
-            box["elapsed"] = time.perf_counter() - t0
-            try:
-                done_w.send(b"x")
-            except OSError:
-                pass
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # closed already
 
     def _local_spec(self, spec_dict: dict, files: dict) -> dict:
         """``spec_dict`` as this worker evaluates it: a generated

@@ -128,6 +128,34 @@ class TestCountsAgree:
         assert counts("em2ra") == counts("analytical")
 
 
+@pytest.mark.parametrize("fast_path", [True, False], ids=["fast-path", "no-fast-path"])
+def test_em2ra_under_a_static_scheme_is_the_fixed_machine(fast_path):
+    """EM²-RA that never migrates is the remote-access machine, and
+    EM²-RA that always migrates is EM², evictions included: on
+    pingpong and the tiny stand-ins at 16 cores of the ``default``
+    preset (2 guest contexts a core), each pair returns the same
+    results dict, fast-path diagnostics aside."""
+    evictions = 0
+    for name, params in {"pingpong": {"rounds": 24, "run": 3}, **TINY_SPLASH}.items():
+
+        def result(machine, scheme="history"):
+            res = run(ExperimentSpec(
+                workload=WorkloadSpec(name=name, params={**params, "num_threads": 16}),
+                machine=MachineSpec(
+                    name=machine, cores=16, preset="default", fast_path=fast_path
+                ),
+                placement=PlacementSpec(name="first-touch"),
+                scheme=SchemeSpec(name=scheme),
+            ))
+            return {k: v for k, v in res.items() if k != "fast_path"}
+
+        assert result("em2ra", "never-migrate") == result("ra-only"), name
+        em2 = result("em2")
+        assert result("em2ra", "always-migrate") == em2, name
+        evictions += em2["evictions"]
+    assert evictions > 0  # the guest-context limit is part of what is compared
+
+
 @pytest.mark.parametrize("topology", TOPOLOGIES.names())
 def test_dp_optimum_bounds_every_scheme(topology):
     """On every registered topology, the per-thread DP optimum is a

@@ -24,9 +24,12 @@ streamed results), just without a second machine. Contracts:
 """
 
 import os
+import queue
+import random
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -35,8 +38,27 @@ import pytest
 import repro
 from repro import runner
 from repro.analysis import farm as farm_mod
+from repro.analysis import worker as worker_mod
 from repro.analysis.cache import canonical_rows
-from repro.analysis.farm import FarmCoordinator, FarmUnavailable, farm_sweep
+from repro.analysis.farm import (
+    BEGIN,
+    CHUNK,
+    DONE,
+    HELLO,
+    HELLO_ACK,
+    NEXT,
+    PING,
+    PONG,
+    PROTOCOL_VERSION,
+    RESULT,
+    FarmCoordinator,
+    FarmUnavailable,
+    FrameError,
+    farm_sweep,
+    recv_frame,
+    send_frame,
+    set_nodelay,
+)
 from repro.analysis.sweep import SweepPointError, eval_specs, sweep_specs
 from repro.analysis.worker import WorkerServer
 from repro.runner import clear_build_memo, merge_spec
@@ -343,6 +365,162 @@ def test_unstarted_server_serves_a_session_without_a_trace_store(tmp_path, monke
     assert not th.is_alive()
     assert server.store is None
     assert list(tmp_path.glob("repro-worker-traces-*")) == []
+
+
+# ------------------------------------------------------------ session threads
+@pytest.fixture
+def held_chunks(monkeypatch):
+    """The worker's chunk evaluation waits for ``release``; ``started``
+    receives the thread each chunk runs on as it begins."""
+    release, started = threading.Event(), queue.Queue()
+
+    def held(specs):
+        started.put(threading.current_thread())
+        release.wait(10.0)
+        return eval_specs(specs)
+
+    monkeypatch.setattr(worker_mod, "eval_specs", held)
+    yield release, started
+    release.set()
+
+
+def _open_session(server) -> socket.socket:
+    """A connection to ``server`` past HELLO and BEGIN, Nagle off as a
+    coordinator's is (else a DONE right after a CHUNK waits out the
+    worker's delayed ACK)."""
+    conn = set_nodelay(socket.create_connection(("127.0.0.1", server.port), timeout=10.0))
+    send_frame(conn, HELLO, {"protocol": PROTOCOL_VERSION, "points": 1, "auth": False})
+    assert recv_frame(conn)[0] == HELLO_ACK
+    send_frame(conn, BEGIN, {})
+    assert recv_frame(conn)[0] == NEXT
+    return conn
+
+
+def _chunk(chunk_id: int) -> dict:
+    spec = merge_spec(_base(), {"scheme": "history"}).to_dict()
+    return {"chunk_id": chunk_id, "indices": [0], "specs": [spec]}
+
+
+def test_ping_mid_chunk_gets_pong_before_result(held_chunks):
+    release, started = held_chunks
+    server = WorkerServer().start_background()
+    try:
+        with _open_session(server) as conn:
+            send_frame(conn, CHUNK, _chunk(1))
+            started.get(timeout=10.0)
+            send_frame(conn, PING, {})
+            assert recv_frame(conn)[0] == PONG
+            release.set()
+            kind, msg = recv_frame(conn)
+            assert kind == RESULT and msg["chunk_id"] == 1 and len(msg["rows"]) == 1
+            assert recv_frame(conn)[0] == NEXT
+            send_frame(conn, DONE, {})
+    finally:
+        server.stop()
+
+
+def test_done_mid_chunk_ends_the_session_without_a_result(held_chunks):
+    """DONE while a chunk runs ends the session at once: the connection
+    closes with no RESULT, the evaluator's late RESULT fails to send
+    and it exits, the chunk no longer counts as in flight, and the
+    server takes the next session."""
+    release, started = held_chunks
+    server = WorkerServer().start_background()
+    try:
+        with _open_session(server) as conn:
+            send_frame(conn, CHUNK, _chunk(1))
+            evaluator = started.get(timeout=10.0)
+            send_frame(conn, DONE, {})
+            assert conn.recv(1) == b""
+        release.set()
+        evaluator.join(timeout=10.0)
+        assert not evaluator.is_alive()
+        assert server._active_chunks == 0
+        with _open_session(server) as conn:
+            send_frame(conn, CHUNK, _chunk(2))
+            kind, msg = recv_frame(conn)
+            assert kind == RESULT and msg["chunk_id"] == 2
+            send_frame(conn, DONE, {})
+    finally:
+        server.stop()
+    assert server.chunks_served == 1
+
+
+def test_one_session_evaluates_every_chunk_on_one_thread(held_chunks):
+    """A session starts one evaluator, not one thread per chunk, and
+    stops it when the session ends. Thread objects are compared, not
+    idents, which a finished thread hands on."""
+    release, started = held_chunks
+    release.set()
+    server = WorkerServer().start_background()
+    try:
+        with _open_session(server) as conn:
+            for chunk_id in (1, 2, 3):
+                send_frame(conn, CHUNK, _chunk(chunk_id))
+                assert recv_frame(conn)[0] == RESULT
+                assert recv_frame(conn)[0] == NEXT
+            send_frame(conn, DONE, {})
+            assert conn.recv(1) == b""
+    finally:
+        server.stop()
+    threads = [started.get_nowait() for _ in range(3)]
+    assert threads[0] is threads[1] is threads[2]
+    threads[0].join(timeout=10.0)
+    assert not threads[0].is_alive()
+
+
+def test_racing_done_and_result_count_each_chunk_out_once(monkeypatch):
+    """Eight client threads race DONE against their chunk's RESULT, 25
+    sessions each, under a short switch interval. Half the
+    chunks take 20 ms and half the clients wait 10 ms before DONE, so
+    each side wins some races, and some are close. Whichever side wins,
+    the reader or the evaluator counts the chunk out exactly once: none
+    is left in flight, and every RESULT a client read was counted as
+    served."""
+
+    def quick(specs):
+        if random.random() < 0.5:
+            time.sleep(0.02)
+        return [{"total_cost": 1.0}] * len(specs), None
+
+    monkeypatch.setattr(worker_mod, "eval_specs", quick)
+    server = WorkerServer().start_background()
+    received = []
+
+    def client(seed):
+        rng = random.Random(seed)
+        for i in range(25):
+            with _open_session(server) as conn:
+                send_frame(conn, CHUNK, _chunk(i))
+                time.sleep(rng.choice([0.0, 0.01]))
+                send_frame(conn, DONE, {})
+                while True:  # whatever the session sent before it closed
+                    try:
+                        kind, _ = recv_frame(conn)
+                    except (FrameError, OSError):
+                        break
+                    received.append(kind == RESULT)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+        for th in clients:
+            th.start()
+        for th in clients:
+            th.join(timeout=60.0)
+        assert not any(th.is_alive() for th in clients)
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and (
+            server._active_chunks or server.chunks_served != sum(received)
+        ):
+            time.sleep(0.01)
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop()
+    assert 0 < sum(received) < 200  # both sides won races
+    assert server._active_chunks == 0
+    assert server.chunks_served == sum(received)
 
 
 # ------------------------------------------------------------ wire latency

@@ -31,12 +31,17 @@ from repro.analysis import farm as farm_mod
 from repro.analysis.cache import ResultCache, canonical_rows, row_keys
 from repro.analysis.chaos import ChaosSpec, chaos_soak
 from repro.analysis.farm import (
+    AUTH_CHALLENGE,
+    AUTH_RESPONSE,
     ERROR,
+    HEADER,
     HELLO,
     HELLO_ACK,
+    MAGIC,
     PROTOCOL_VERSION,
     TRACE_PUT,
     AuthError,
+    FrameError,
     encode_frame,
     farm_sweep,
     recv_frame,
@@ -349,6 +354,102 @@ def test_trace_put_that_is_not_a_container_installs_nothing(tmp_path):
         assert runner.memoized_workload(put["key"]) is None
     finally:
         server.stop()
+
+
+def _refused_unread(conn, kind: int) -> None:
+    """Send only the header of an 8 MB ``kind`` frame on ``conn``: the
+    worker must answer with the auth ERROR or close within 2 s, not
+    wait for the body."""
+    conn.sendall(HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, 8 * 1024 * 1024))
+    conn.settimeout(2.0)
+    try:
+        reply, msg = recv_frame(conn)
+    except FrameError:
+        return  # closed from the header alone
+    assert reply == ERROR and msg["auth_failed"]
+
+
+def test_gated_worker_reads_no_large_body_before_authentication():
+    """Until the challenge succeeds a gated worker reads bodies of at
+    most PREAUTH_MAX_FRAME bytes: a larger TRACE_PUT first frame, or a
+    larger AUTH_RESPONSE, is refused from its header."""
+    server = WorkerServer(auth_token="secret").start_background()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as conn:
+            _refused_unread(conn, TRACE_PUT)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as conn:
+            conn.settimeout(5.0)
+            send_frame(conn, HELLO, {"protocol": PROTOCOL_VERSION, "points": 1, "auth": True})
+            assert recv_frame(conn)[0] == AUTH_CHALLENGE
+            _refused_unread(conn, AUTH_RESPONSE)
+        assert server.auth_failures == 1
+        assert server.traces_installed == 0
+        assert server.store.entries() == []
+    finally:
+        server.stop()
+
+
+def _bad_put(tmp_path, case: str) -> dict:
+    """A TRACE_PUT body with a decodable container that no coordinator
+    sends."""
+    put = _trace_put(tmp_path)
+    if case == "no-workload":
+        del put["workload"]
+    elif case == "no-key":
+        del put["key"]
+    elif case == "made-up-workload":
+        put.update(key="0" * 64, workload={"name": "nope"})
+    elif case == "another-traces-key":
+        put["key"] = WorkloadSpec(name="uniform").cache_key()
+    else:  # a trace file goes by its content digest, not its cache key
+        wspec = WorkloadSpec(trace_path=str(tmp_path / "put.npz"))
+        put.update(key=wspec.cache_key(), workload=wspec.to_dict())
+    return put
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no-workload",
+        "no-key",
+        "made-up-workload",
+        "another-traces-key",
+        "trace-file-under-its-cache-key",
+    ],
+)
+def test_trace_put_under_a_key_no_coordinator_sends_installs_nothing(
+    tmp_path, monkeypatch, case
+):
+    """A push is checked before anything is stored: its workload must
+    parse, and its key must be the generated workload's cache key or
+    the trace file's digest, so no push plants bytes under another
+    trace's key. Any other body gets ERROR, leaves the store empty and
+    ends the session with no exception escaping its thread."""
+    put = _bad_put(tmp_path, case)
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    clear_build_memo()
+    server = WorkerServer().start()
+    coord_end, worker_end = socket.socketpair()
+    session = threading.Thread(target=server.serve_connection, args=(worker_end,))
+    session.start()
+    try:
+        coord_end.settimeout(5.0)
+        send_frame(coord_end, HELLO, {"protocol": PROTOCOL_VERSION, "points": 1, "auth": False})
+        assert recv_frame(coord_end)[0] == HELLO_ACK
+        send_frame(coord_end, TRACE_PUT, put)
+        kind, msg = recv_frame(coord_end)
+        assert kind == ERROR and "bad TRACE_PUT" in msg["message"]
+        assert coord_end.recv(1) == b""  # the session ended
+        session.join(timeout=5.0)
+        assert server.store.entries() == []
+    finally:
+        coord_end.close()
+        session.join(timeout=5.0)
+        server.stop()
+    assert not session.is_alive()
+    assert escaped == []
+    assert server.traces_installed == 0
 
 
 def test_authenticated_sweep_matches_serial_with_one_trace_push(

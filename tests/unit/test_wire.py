@@ -167,6 +167,32 @@ def test_oversized_declared_length_rejected_before_read():
         b.close()
 
 
+def test_max_body_refuses_a_longer_frame_from_its_header():
+    """A caller's own ceiling is checked like MAX_FRAME: from the
+    header, before any body byte is read (none is ever sent here, so a
+    read would block until the timeout)."""
+    a, b = _pair()
+    try:
+        a.sendall(HEADER.pack(MAGIC, PROTOCOL_VERSION, TRACE_PUT, 1025))
+        with pytest.raises(FrameError, match="1024-byte ceiling"):
+            recv_frame(b, max_body=1024)
+    finally:
+        a.close()
+        b.close()
+
+
+@pytest.mark.parametrize("body", [b"[]", b"null", b"7", b'"HELLO"'])
+def test_body_that_is_not_a_json_object_raises_frame_error(body):
+    a, b = _pair()
+    try:
+        a.sendall(HEADER.pack(MAGIC, PROTOCOL_VERSION, HELLO, len(body)) + body)
+        with pytest.raises(FrameError, match="not a JSON object"):
+            recv_frame(b)
+    finally:
+        a.close()
+        b.close()
+
+
 def test_oversized_body_rejected_on_encode(monkeypatch):
     import repro.analysis.farm as farm
 

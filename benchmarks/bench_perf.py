@@ -588,7 +588,6 @@ def run_chaos(mode: str, num_workers: int = 2) -> dict:
         "farm_chaos_applied": applied,
         "farm_chaos_reconnects": sum(s["reconnects"] for s in sweeps),
         "farm_chaos_requeues": sum(s["requeues"] for s in sweeps),
-        "farm_chaos_hedges": sum(s["hedges"] for s in sweeps),
     }
 
 

@@ -404,8 +404,8 @@ def chaos_soak(
     the result store honors. Returns a summary dict with
     ``rows_identical`` (the gate), the spec-pure ``schedule_digest``,
     ``digest_stable`` (every sweep re-derived the same digest), and
-    per-sweep stats (elapsed, points/s, applied chaos events, requeue/
-    reconnect/hedge counts).
+    per-sweep stats (elapsed, points/s, applied chaos events, requeue
+    and reconnect counts).
     """
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"chaos soak needs >= 1 worker, got {workers!r}")
@@ -471,7 +471,6 @@ def chaos_soak(
                     "unplanned_connections": proxy.unplanned_connections,
                     "requeues": stats.get("requeues", 0),
                     "reconnects": stats.get("reconnects", 0),
-                    "hedges": stats.get("hedges", 0),
                     "local_leftovers": stats.get("local_leftovers", 0),
                 }
             )

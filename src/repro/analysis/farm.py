@@ -60,13 +60,15 @@ Session, coordinator's view of one worker::
     -> DONE
 
 Pull-based stealing: workers ask (``NEXT``) whenever idle, so a fast
-host simply asks more often — there is no static shard. A chunk is
-a quarter of a fair share of the grid (:data:`MAX_CHUNK` points at
-most), and once a worker's speed is known, from an EMA of its
-observed seconds/point, no more than :data:`CHUNK_TARGET_SECONDS` of
-its work. Results stream back incrementally and are placed by point index
-(first result wins), so the final row order is deterministic no matter
-which worker computed what.
+host simply asks more often — there is no static shard. A chunk is one
+point while ``point_timeout`` is set; otherwise it is a quarter of a
+fair share of the grid (⌈N/4L⌉ for N points on L links, and
+:data:`MAX_CHUNK` points at most), and once a worker's speed is known,
+from an EMA of its observed seconds/point, no more than
+:data:`CHUNK_TARGET_SECONDS` of its work. Each point is in flight on
+one link at a time. Results stream back incrementally and are placed by
+point index, so the final row order is deterministic no matter which
+worker computed what.
 
 Local links: the same coordinator feeds local worker processes
 (``local=N``, which ``sweep_specs`` sets from ``workers``). Each runs
@@ -84,12 +86,12 @@ declared dead and its in-flight chunk is re-queued to the survivors.
 Dropped socket links are then *redialed* with jittered exponential
 backoff (``reconnect`` attempts per outage) — the worker's persistent
 :class:`~repro.trace.store.TraceStore` answers the re-run trace
-negotiation from disk, so a reconnect never re-ships a trace. An idle
-worker with nothing pending *hedges* the oldest overdue in-flight
-chunk of another worker (at most one hedge per chunk);
-first-result-wins discards whichever copy loses. While
-``point_timeout`` is set every chunk is one point, and the
-coordinator keeps its deadline: a point still running past it raises
+negotiation from disk, so a reconnect never re-ships a trace. A worker
+that answers its PINGs is alive however long its chunk runs, so only
+``point_timeout`` bounds a slow point on a live worker (without it,
+idle links wait for the point, or for a requeue to take on). While it
+is set every chunk is one point and the coordinator keeps its
+deadline; a point still running past it raises
 :class:`~repro.analysis.sweep.SweepPointError` naming that point (a
 local process running it is killed). A point that fails on a worker
 raises the same error, naming the point. Zero reachable workers
@@ -98,7 +100,7 @@ evaluating locally with a warning; if every worker dies mid-sweep, the
 leftover points are finished in this process instead of being lost.
 
 Durability: ``on_row(i, row)`` is called with every completed row as
-it lands (first result wins, so once per point);
+it lands, once per point;
 :func:`~repro.analysis.sweep.sweep_specs` records it in its result
 stores, so a restarted sweep dispatches only the missing points.
 """
@@ -307,7 +309,7 @@ LIVENESS_TIMEOUT = 15.0
 CHUNK_TARGET_SECONDS = 0.5
 MAX_CHUNK = 64
 #: a link asking for work while the rest is in flight elsewhere
-#: re-checks requeues and hedge eligibility this often
+#: re-checks for requeued points this often
 IDLE_POLL_SECONDS = 0.05
 #: seconds an idle local process gets to exit before it is killed
 LOCAL_EXIT_SECONDS = 5.0
@@ -315,14 +317,8 @@ LOCAL_EXIT_SECONDS = 5.0
 RECONNECT_ATTEMPTS = 2
 RECONNECT_BASE_SECONDS = 0.1
 RECONNECT_MAX_SECONDS = 10.0
-#: an idle worker hedges another's in-flight chunk only when the chunk
-#: is older than both this floor and HEDGE_FACTOR x its expected time
-HEDGE_MIN_SECONDS = 1.0
-HEDGE_FACTOR = 3.0
 
-_FARM_KEYS = frozenset(
-    {"addrs", "auth_token", "heartbeat", "liveness", "reconnect", "chunk"}
-)
+_FARM_KEYS = frozenset({"addrs", "auth_token", "heartbeat", "liveness", "reconnect"})
 
 
 def normalize_farm(farm) -> dict | None:
@@ -330,7 +326,7 @@ def normalize_farm(farm) -> dict | None:
 
     Accepts the historical list of ``"host:port"`` strings, or a
     mapping with ``addrs`` plus optional ``auth_token`` / ``heartbeat``
-    / ``liveness`` / ``reconnect`` / ``chunk`` overrides. Unknown keys
+    / ``liveness`` / ``reconnect`` overrides. Unknown keys
     raise :class:`~repro.util.errors.ConfigError` naming the options.
     """
     if not farm:
@@ -410,13 +406,13 @@ class FarmCoordinator:
     A link is a socket to a ``repro worker`` (one per ``farm``
     address) or a local worker process (``local`` of them, started for
     this sweep and stopped when it ends). Every link pulls its chunks
-    from one pending queue, so chunk sizing, requeue, ``point_timeout``,
-    hedging and first-result-wins placement are the same for both.
+    from one pending queue, so chunk sizing, requeue, ``point_timeout``
+    and placement by point index are the same for both.
 
     ``run()`` returns the list of metrics dicts (JSON-canonical, one
     per spec, in spec order) and fills :attr:`stats` with per-worker
     accounting — chunk counts, points, trace pushes, requeues,
-    reconnects, hedges — which the tests and the bench read directly.
+    reconnects — which the tests and the bench read directly.
     """
 
     def __init__(
@@ -424,7 +420,6 @@ class FarmCoordinator:
         spec_dicts: list[dict],
         farm: list[str] = (),
         point_timeout: float | None = None,
-        chunk: int | None = None,
         heartbeat: float = HEARTBEAT_INTERVAL,
         liveness: float = LIVENESS_TIMEOUT,
         reconnect: int = RECONNECT_ATTEMPTS,
@@ -438,13 +433,10 @@ class FarmCoordinator:
             raise ConfigError(
                 f"farm reconnect must be a non-negative int, got {reconnect!r}"
             )
-        if chunk is not None and (not isinstance(chunk, int) or chunk < 1):
-            raise ConfigError(f"farm chunk must be an int >= 1, got {chunk!r}")
         self.spec_dicts = list(spec_dicts)
         self.farm = list(farm)
         self.local = local
         self.point_timeout = point_timeout
-        self.fixed_chunk = chunk
         self.heartbeat, self.liveness = _check_intervals(heartbeat, liveness)
         self.reconnect = reconnect
         self.auth_token = auth_token
@@ -462,11 +454,9 @@ class FarmCoordinator:
         # traces this process encoded
         self._containers: dict[str, bytes] = {}
         self._rng = random.Random(0xFA12)  # reconnect jitter only
-        # in-flight accounting shared across serve threads so idle
-        # workers can hedge stragglers: link -> (chunk_id, indices,
-        # issued_at, expected_seconds)
-        self._inflight: dict[_WorkerLink, tuple[int, list[int], float, float]] = {}
-        self._hedged: set[int] = set()  # chunk ids already hedged once
+        # the point indices of each link's chunk awaiting RESULT: a link
+        # that fails has them requeued, a busy local process is killed
+        self._inflight: dict[_WorkerLink, list[int]] = {}
         self.pending: deque[int] = deque(range(n))
         if self.remaining == 0:
             self.done_evt.set()
@@ -485,7 +475,6 @@ class FarmCoordinator:
             "trace_pushes": {},
             "local_leftovers": 0,
             "reconnects": 0,
-            "hedges": 0,
         }
 
     # -- public entry ------------------------------------------------------
@@ -585,8 +574,8 @@ class FarmCoordinator:
 
     def _stop_local(self, link: _LocalLink) -> None:
         """End a local process: closing the coordinator's end ends its
-        session, so an idle one exits; a busy one (a hung point, a moot
-        hedge, an aborted sweep) is killed."""
+        session, so an idle one exits; a busy one (a hung point, an
+        aborted sweep) is killed."""
         with self.lock:
             busy = link in self._inflight
         link.sock.close()
@@ -775,7 +764,7 @@ class FarmCoordinator:
         """The next ``(chunk_id, indices)`` for ``link``, or None once
         the sweep has ended or aborted. While the rest of the grid is in
         flight elsewhere, wait on the sweep's end (which also wakes on
-        an abort), re-checking requeues and hedge eligibility."""
+        an abort), re-checking for requeued points."""
         assigned = None
         while not self.done_evt.is_set():
             assigned = self._next_chunk(link)
@@ -784,68 +773,33 @@ class FarmCoordinator:
         return assigned
 
     def _next_chunk(self, link: _WorkerLink):
+        """Take the next ``(chunk_id, indices)`` off the pending queue
+        and register it as in flight on ``link``, so a link that fails
+        from here on has it requeued; None while the queue is empty."""
         with self.lock:
-            if self.pending:
-                if self.point_timeout is not None:
-                    n = 1  # a deadline then names exactly one point
-                elif self.fixed_chunk is not None:
-                    n = self.fixed_chunk
-                else:
-                    # a quarter of a fair share of the grid: few chunk
-                    # boundaries, so points that share a trace mostly
-                    # stay on one worker; once the link's speed is
-                    # known, about CHUNK_TARGET_SECONDS of work at most
-                    n = min(self._share, MAX_CHUNK)
-                    spp = link.sec_per_point
-                    if spp is not None:
-                        n = min(n, max(1, int(CHUNK_TARGET_SECONDS / max(spp, 1e-6))))
-                n = min(n, len(self.pending))
-                indices = [self.pending.popleft() for _ in range(n)]
-                self._chunk_ctr += 1
-                self.stats["chunks"] += 1
-                return self._chunk_ctr, indices
-            if self.remaining > 0:
-                return self._hedge_chunk(link)
-        return None
-
-    def _hedge_chunk(self, link: _WorkerLink):
-        """Duplicate the oldest overdue in-flight chunk of another
-        worker onto this idle one. First result wins; each chunk is
-        hedged at most once. Caller holds :attr:`lock`."""
-        now = time.monotonic()
-        best = None
-        for other, (cid, idxs, t0, expect) in self._inflight.items():
-            if other is link or cid in self._hedged:
-                continue
-            undone = [i for i in idxs if self.rows[i] is None]
-            if not undone:
-                continue
-            if now - t0 < max(HEDGE_MIN_SECONDS, HEDGE_FACTOR * expect):
-                continue
-            if best is None or t0 < best[2]:
-                best = (cid, undone, t0)
-        if best is None:
-            return None
-        self._hedged.add(best[0])
-        self._chunk_ctr += 1
-        self.stats["chunks"] += 1
-        self.stats["hedges"] += 1
-        return self._chunk_ctr, best[1]
-
-    def _issue(self, link: _WorkerLink, chunk_id: int, indices: list[int]):
-        """Register a chunk as in flight on ``link`` before it is sent,
-        so a link that fails from here on has it requeued. Returns the
-        chunk's ``point_timeout`` deadline (None without a timeout)."""
-        now = time.monotonic()
-        expect = max(len(indices) * (link.sec_per_point or 0.0), HEDGE_MIN_SECONDS)
-        with self.lock:
-            self._inflight[link] = (chunk_id, indices, now, expect)
-        return None if self.point_timeout is None else now + self.point_timeout
+            if not self.pending:
+                return None
+            if self.point_timeout is not None:
+                n = 1  # a deadline then names exactly one point
+            else:
+                # a quarter of a fair share of the grid: few chunk
+                # boundaries, so points that share a trace mostly stay
+                # on one worker; once the link's speed is known, about
+                # CHUNK_TARGET_SECONDS of work at most
+                n = min(self._share, MAX_CHUNK)
+                spp = link.sec_per_point
+                if spp is not None:
+                    n = min(n, max(1, int(CHUNK_TARGET_SECONDS / max(spp, 1e-6))))
+            indices = [self.pending.popleft() for _ in range(min(n, len(self.pending)))]
+            self._inflight[link] = indices
+            self._chunk_ctr += 1
+            self.stats["chunks"] += 1
+            return self._chunk_ctr, indices
 
     def _finish(self, link: _WorkerLink, indices, rows, error, elapsed) -> bool:
-        """Land a chunk's rows, first result wins. The worker stops at
-        a failing point and names its error: the rows before it land,
-        then the sweep aborts naming that point. False once aborted."""
+        """Land a chunk's rows. The worker stops at a failing point and
+        names its error: the rows before it land, then the sweep aborts
+        naming that point. False once aborted."""
         if len(rows) > len(indices) or (error is None and len(rows) < len(indices)):
             raise FarmError(
                 f"worker {link.addr} returned {len(rows)} rows for "
@@ -875,9 +829,8 @@ class FarmCoordinator:
     def _record(self, link: _WorkerLink, indices: list[int], rows: list, elapsed) -> None:
         with self.lock:
             for i, row in zip(indices, rows):
-                if self.rows[i] is None:  # first result wins after a requeue/hedge
-                    self._land(i, row)
-                    self.remaining -= 1
+                self._land(i, row)
+                self.remaining -= 1
             if self.remaining == 0:
                 self.done_evt.set()
         spp = float(elapsed) / max(len(indices), 1)
@@ -894,9 +847,9 @@ class FarmCoordinator:
         shared registry is authoritative) to the head of the queue."""
         with self.lock:
             link.dead = True
-            entry = self._inflight.pop(link, None)
-            if entry is not None:
-                undone = [i for i in entry[1] if self.rows[i] is None]
+            indices = self._inflight.pop(link, None)
+            if indices is not None:
+                undone = [i for i in indices if self.rows[i] is None]
                 self.pending.extendleft(reversed(undone))
                 if undone:
                     self.stats["requeues"] += 1
@@ -1002,22 +955,20 @@ class FarmCoordinator:
                     if now - last_frame > self.liveness:
                         raise FarmError(
                             f"worker {link.addr} silent for more than "
-                            f"{self.liveness:.0f}s"
+                            f"{self.liveness:g}s"
                         )
                     send_frame(link.sock, PING, {})
                     continue
                 last_frame = time.monotonic()
                 if kind == PONG:
                     continue
-                if kind == PING:
-                    send_frame(link.sock, PONG, {})
-                    continue
                 if kind == NEXT:
                     assigned = self._await_chunk(link)
                     if assigned is None:
                         break
                     chunk_id, inflight = assigned
-                    deadline = self._issue(link, chunk_id, inflight)
+                    if self.point_timeout is not None:
+                        deadline = time.monotonic() + self.point_timeout
                     send_frame(
                         link.sock,
                         CHUNK,
@@ -1084,9 +1035,8 @@ def farm_sweep(
     :class:`FarmUnavailable` when no worker is reachable — callers
     (``sweep_specs``) catch that and evaluate locally. ``stats_out``,
     when given, is updated with the coordinator's accounting (chunk
-    counts, trace pushes, requeues, reconnects, hedges). ``on_row(i,
-    row)`` is called with each completed row as it lands, once per
-    point.
+    counts, trace pushes, requeues, reconnects). ``on_row(i, row)`` is
+    called with each completed row as it lands, once per point.
     """
     cfg = normalize_farm(farm) or {}
     coord = FarmCoordinator(

@@ -227,7 +227,7 @@ def sweep_specs(
     * ``farm`` is a list of ``"host:port"`` addresses of running
       ``repro worker`` processes — or a mapping with ``addrs`` plus
       optional ``auth_token`` / ``heartbeat`` / ``liveness`` /
-      ``reconnect`` / ``chunk`` (see
+      ``reconnect`` (see
       :func:`repro.analysis.farm.normalize_farm`): the misses are
       dispatched to them over sockets with pull-based work-stealing
       and trace-by-reference distribution

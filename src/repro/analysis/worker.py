@@ -15,7 +15,9 @@ PONGs, the evaluator each RESULT and NEXT), so heartbeat PINGs are
 answered while a long point runs; the coordinator tells "slow but
 alive" from "dead" by those PONGs. The session's end closes the
 connection under the lock, so a chunk still running fails to send its
-RESULT and the evaluator exits.
+RESULT and the evaluator exits. The reader checks the shape of each
+TRACE_QUERY and CHUNK body before it looks anything up or queues a
+chunk; a body no coordinator sends gets ERROR and ends the session.
 
 Traces arrive by reference: the coordinator sends digests
 (``WorkloadSpec.cache_key`` for a generated workload, the content
@@ -316,15 +318,14 @@ class WorkerServer:
                     },
                 )
                 return
+            elif kind in (TRACE_QUERY, CHUNK) and (bad := _malformed(kind, msg)):
+                send(ERROR, {"message": f"bad {name}: {bad}"})
+                return
             elif kind == PING:
                 send(PONG, {})
             elif kind == TRACE_QUERY and self.store is not None:
-                files = dict(msg.get("files", {}))
-                have = [
-                    k
-                    for k in msg.get("digests", [])
-                    if self.store.contains(k)
-                ]
+                files = msg.get("files", {})
+                have = [k for k in msg.get("digests", []) if self.store.contains(k)]
                 send(TRACE_HAVE, {"have": have})
             elif kind == TRACE_PUT and self.store is not None:
                 if not self._install_trace(send, msg):
@@ -449,7 +450,7 @@ class WorkerServer:
             for msg, files in iter(chunks.get, None):
                 t0 = time.perf_counter()
                 specs = []
-                for spec in msg.get("specs", []):
+                for spec in msg["specs"]:
                     try:
                         spec = self._local_spec(spec, files)
                     except ReproError:
@@ -507,6 +508,26 @@ class WorkerServer:
     def _stored_file(self, wdict: dict, digest: str) -> dict:
         """``wdict`` naming the store's copy of trace file ``digest``."""
         return {**wdict, "trace_path": str(self.store.path_for(digest))}
+
+
+def _malformed(kind: int, msg: dict) -> str | None:
+    """Why a TRACE_QUERY or CHUNK body is not one a coordinator sends,
+    or None when it is. The reader checks it before it looks anything
+    up or queues a chunk, so a bad body gets ERROR rather than raising
+    in a session thread. (A JSON object's keys are always strings.)"""
+    if kind == TRACE_QUERY:
+        digests, files = msg.get("digests", []), msg.get("files", {})
+        if not isinstance(digests, list) or not all(isinstance(d, str) for d in digests):
+            return "digests is not a list of strings"
+        if not isinstance(files, dict) or not all(isinstance(d, str) for d in files.values()):
+            return "files is not an object of strings"
+        return None
+    if not isinstance(msg.get("chunk_id"), int):
+        return "chunk_id is not an int"
+    specs = msg.get("specs")
+    if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
+        return "specs is not a list of objects"
+    return None
 
 
 def main(args) -> int:

@@ -4,7 +4,8 @@ The hierarchy is mostly-inclusive and blocking: the trace-driven core
 issues one access at a time, so MSHRs are unnecessary. An access
 returns an :class:`AccessResult` with the service level and latency;
 DRAM fills are reported so the tile can charge the memory-controller
-round trip.
+round trip. A dirty line evicted from L2 is dropped: its write-back to
+memory is not modeled (docs/model.md).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class ServiceLevel(Enum):
 class AccessResult:
     level: ServiceLevel
     latency: int
-    writebacks_to_memory: int = 0  # dirty L2 victims created by this access
 
     @property
     def hit(self) -> bool:
@@ -60,10 +60,9 @@ class CacheHierarchy:
         self.l1 = CacheArray(l1, store=l1_store, core=core)
         self.l2 = CacheArray(l2, store=l2_store, core=core)
         self._l1_cfg = l1
-        self._l2_cfg = l2
         self.memory_fills = 0
-        # AccessResult is frozen, so the zero-writeback results can be
-        # shared across accesses — the common case allocates nothing
+        # AccessResult is frozen, so every access returns one of these
+        # three and allocates nothing
         self._l1_hit = AccessResult(ServiceLevel.L1, l1.hit_latency)
         self._l2_hit = AccessResult(ServiceLevel.L2, l1.hit_latency + l2.hit_latency)
         self._mem_fill = AccessResult(
@@ -111,29 +110,15 @@ class CacheHierarchy:
             # fill into L1 from L2; dirtiness stays with the L1 copy
             dirty = bool(l2.dirty[l2_slot]) or write
             l2.dirty[l2_slot] = False
-            wb_mem = self._fill_l1(addr, dirty)
-            if wb_mem == 0:
-                return self._l2_hit
-            return AccessResult(
-                ServiceLevel.L2,
-                self._l1_cfg.hit_latency + self._l2_cfg.hit_latency,
-                writebacks_to_memory=wb_mem,
-            )
+            self._fill_l1(addr, dirty)
+            return self._l2_hit
 
-        # memory fill -> L2 then L1
+        # memory fill -> L2 then L1 (a dirty L2 victim is dropped: its
+        # write-back is not modeled)
         self.memory_fills += 1
-        wb_mem = 0
-        victim = l2.fill(addr, dirty=False)
-        if victim is not None and victim.dirty:
-            wb_mem += 1
-        wb_mem += self._fill_l1(addr, write)
-        if wb_mem == 0:
-            return self._mem_fill
-        return AccessResult(
-            ServiceLevel.MEMORY,
-            self._l1_cfg.hit_latency + self._l2_cfg.hit_latency,
-            writebacks_to_memory=wb_mem,
-        )
+        l2.fill(addr, dirty=False)
+        self._fill_l1(addr, write)
+        return self._mem_fill
 
     def access_no_mem(self, addr: int, write: bool) -> AccessResult | None:
         """Like :meth:`access`, unless the access would fill from memory.
@@ -172,18 +157,11 @@ class CacheHierarchy:
         l2._touch(l2_slot)
         dirty = bool(l2.dirty[l2_slot]) or write
         l2.dirty[l2_slot] = False
-        wb_mem = self._fill_l1(addr, dirty)
-        if wb_mem == 0:
-            return self._l2_hit
-        return AccessResult(
-            ServiceLevel.L2,
-            self._l1_cfg.hit_latency + self._l2_cfg.hit_latency,
-            writebacks_to_memory=wb_mem,
-        )
+        self._fill_l1(addr, dirty)
+        return self._l2_hit
 
-    def _fill_l1(self, addr: int, dirty: bool) -> int:
-        """Fill L1; spill a dirty victim down into L2. Returns dirty-L2-victim count."""
-        wb_mem = 0
+    def _fill_l1(self, addr: int, dirty: bool) -> None:
+        """Fill L1; spill a dirty victim down into L2."""
         victim = self.l1.fill(addr, dirty=dirty)
         if victim is not None and victim.dirty:
             # reconstruct the victim's address within its set
@@ -191,10 +169,7 @@ class CacheHierarchy:
             victim_addr = (victim.tag * self.l1.num_sets + si) << (
                 self._l1_cfg.line_bytes.bit_length() - 1
             )  # line_bytes is a validated power of two
-            l2_victim = self.l2.fill(victim_addr, dirty=True)
-            if l2_victim is not None and l2_victim.dirty:
-                wb_mem += 1
-        return wb_mem
+            self.l2.fill(victim_addr, dirty=True)
 
     def contains(self, addr: int) -> bool:
         """True when the line is resident at either level (no side effects)."""

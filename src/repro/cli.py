@@ -612,7 +612,6 @@ def cmd_chaos_soak(args) -> int:
             "partitions": s["applied"]["partition"],
             "requeues": s["requeues"],
             "reconnects": s["reconnects"],
-            "hedges": s["hedges"],
         }
         for s in summary["sweeps"]
     ]

@@ -6,8 +6,11 @@ in for remote hosts over loopback sockets — the full protocol runs
 streamed results), just without a second machine. Contracts:
 
 * farm rows are bit-identical to the canonical serial rows, in order;
-* a worker killed mid-chunk gets its points requeued to survivors and
-  the sweep still completes exactly;
+* a worker killed mid-chunk, or silent past ``liveness`` after taking
+  a chunk, gets its points requeued to survivors and the sweep still
+  completes exactly;
+* each point is in flight on one link at a time, so a straggler point
+  is evaluated once;
 * each trace digest is pushed to a given worker at most once, and a
   second sweep against a warm worker pushes nothing;
 * a trace file travels by content, so a worker evaluates the
@@ -51,6 +54,8 @@ from repro.analysis.farm import (
     PONG,
     PROTOCOL_VERSION,
     RESULT,
+    TRACE_HAVE,
+    TRACE_QUERY,
     FarmCoordinator,
     FarmUnavailable,
     FrameError,
@@ -147,20 +152,22 @@ def test_farm_streams_results_in_spec_order(workers):
 
 
 # ----------------------------------------------------------- death mid-chunk
-def test_worker_death_mid_chunk_requeues_to_survivor():
-    """One of two workers drops its connection after its second CHUNK
-    (the test hook simulates a crash: no RESULT, no FIN handshake
-    beyond the reset). The survivor must absorb the requeued points
-    and the rows must still be exactly the serial rows. Redial is off:
-    with it, whether the flaky worker ends dead depends on whether the
-    steady one finishes during a redial sleep (the ``test_reconnect_*``
-    tests in ``test_farm_robustness.py`` cover redial)."""
+def test_worker_death_mid_chunk_requeues_to_survivor(monkeypatch):
+    """One of two workers drops its connection after its second
+    one-point CHUNK (the test hook simulates a crash: no RESULT, no FIN
+    handshake beyond the reset). The survivor must absorb the requeued
+    points and the rows must still be exactly the serial rows. Redial
+    is off: with it, whether the flaky worker ends dead depends on
+    whether the steady one finishes during a redial sleep (the
+    ``test_reconnect_*`` tests in ``test_farm_robustness.py`` cover
+    redial)."""
     base, points = _base(), _points(
         ("never-migrate", "always-migrate", "history", "costaware",
          "random", "distance-1", "distance-2", "addr-history")
     )
     spec_dicts = [merge_spec(base, p).to_dict() for p in points]
     serial = canonical_rows(sweep_specs(base, points))
+    monkeypatch.setattr(farm_mod, "MAX_CHUNK", 1)
 
     flaky = WorkerServer(port=0, fail_after_chunks=2).start_background()
     steady = WorkerServer(port=0).start_background()
@@ -169,7 +176,7 @@ def test_worker_death_mid_chunk_requeues_to_survivor():
         with pytest.warns(RuntimeWarning, match="dropped"):
             metrics = farm_sweep(
                 spec_dicts,
-                {"addrs": [flaky.address, steady.address], "chunk": 1, "reconnect": 0},
+                {"addrs": [flaky.address, steady.address], "reconnect": 0},
                 stats_out=stats,
             )
     finally:
@@ -184,6 +191,109 @@ def test_worker_death_mid_chunk_requeues_to_survivor():
     assert stats["requeues"] >= 1
     assert stats["workers"][flaky.address]["dead"] is True
     assert stats["workers"][steady.address]["dead"] is False
+
+
+def _silent_worker(listener, took_chunk: threading.Event, pings: list) -> None:
+    """A fake worker: it completes the handshake, claims every trace,
+    takes one CHUNK and from then on sends nothing, PINGs included."""
+    conn, _ = listener.accept()
+    with conn:
+        conn.settimeout(10.0)
+        try:
+            while True:
+                kind, msg = recv_frame(conn)
+                if kind == HELLO:
+                    send_frame(conn, HELLO_ACK, {"protocol": PROTOCOL_VERSION})
+                elif kind == TRACE_QUERY:
+                    send_frame(conn, TRACE_HAVE, {"have": msg["digests"]})
+                elif kind == BEGIN:
+                    send_frame(conn, NEXT, {})
+                elif kind == CHUNK:
+                    took_chunk.set()
+                elif kind == PING:
+                    pings.append(time.monotonic())
+                elif kind == DONE:
+                    return
+        except (FrameError, OSError):
+            pass  # the coordinator closed the connection
+
+
+def test_silent_worker_is_declared_dead_and_its_chunk_requeued(workers, monkeypatch):
+    """The failure detector: a worker that takes a CHUNK and then answers
+    nothing, not even a PING, is declared dead once it has been silent
+    past ``liveness``; its chunk is requeued to a live worker and the
+    rows are the serial rows."""
+    spec_dicts = [merge_spec(_base(), p).to_dict() for p in _points()]
+    reference, _ = eval_specs(spec_dicts)
+    took_chunk, pings = threading.Event(), []
+    real = runner.run_spec_dict
+
+    def after_the_silent_worker_takes_a_chunk(spec):
+        took_chunk.wait(10.0)
+        return real(spec)
+
+    monkeypatch.setattr(runner, "run_spec_dict", after_the_silent_worker_takes_a_chunk)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        silent = f"127.0.0.1:{listener.getsockname()[1]}"
+        fake = threading.Thread(target=_silent_worker, args=(listener, took_chunk, pings))
+        fake.start()
+        stats: dict = {}
+        t0 = time.monotonic()
+        try:
+            with pytest.warns(RuntimeWarning, match="silent for more than 0.3s"):
+                rows = farm_sweep(
+                    spec_dicts,
+                    {
+                        "addrs": [silent, workers[0].address],
+                        "heartbeat": 0.05,
+                        "liveness": 0.3,
+                        "reconnect": 0,
+                    },
+                    stats_out=stats,
+                )
+        finally:
+            took_chunk.set()
+            fake.join(timeout=10.0)
+    assert rows == reference
+    assert time.monotonic() - t0 < 5.0
+    assert pings  # pinged while silent, then declared dead
+    assert stats["requeues"] == 1
+    assert stats["workers"][silent]["dead"] is True
+    assert stats["workers"][workers[0].address]["points"] == len(spec_dicts)
+
+
+# ------------------------------------------------------------------ straggler
+def test_straggler_point_is_evaluated_once(workers, monkeypatch):
+    """A point is in flight on one link at a time: while one worker runs
+    a slow point, the other serves the rest of the grid and then waits,
+    so the two workers evaluate each point once between them."""
+    spec_dicts = [
+        merge_spec(_base(), p).to_dict()
+        for p in _points(
+            ("never-migrate", "always-migrate", "history", "costaware",
+             "random", "distance-1", "distance-2", "addr-history")
+        )
+    ]
+    reference, _ = eval_specs(spec_dicts)
+    real = runner.run_spec_dict
+    evaluated: list[int] = []
+
+    def slow_first(spec):
+        evaluated.append(spec_dicts.index(spec))
+        if spec == spec_dicts[0]:
+            time.sleep(0.5)
+        return real(spec)
+
+    monkeypatch.setattr(runner, "run_spec_dict", slow_first)
+    assert farm_sweep(spec_dicts, _addrs(workers)) == reference
+    assert sorted(evaluated) == list(range(len(spec_dicts)))
+    # a worker counts a point served once its RESULT is on the wire
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline and (
+        sum(s.points_served for s in workers) < len(spec_dicts)
+    ):
+        time.sleep(0.01)
+    assert sum(s.points_served for s in workers) == len(spec_dicts)
 
 
 # -------------------------------------------------------- trace-by-reference
@@ -302,8 +412,7 @@ def test_worker_side_error_surfaces_as_sweep_point_error(workers):
 def test_point_timeout_names_the_slow_point(workers, monkeypatch):
     """Under ``point_timeout`` every chunk is one point and the
     coordinator keeps the deadline, so the error names the point that
-    overran it, never a later point of the same chunk, even when the
-    farm asks for 4-point chunks."""
+    overran it, never a later point of the same chunk."""
     spec_dicts = [merge_spec(_base(), p).to_dict() for p in _points()]
     real = runner.run_spec_dict
 
@@ -317,7 +426,7 @@ def test_point_timeout_names_the_slow_point(workers, monkeypatch):
     with pytest.raises(SweepPointError, match="point_timeout") as err:
         farm_sweep(
             spec_dicts,
-            {"addrs": [workers[0].address], "chunk": 4},
+            [workers[0].address],
             point_timeout=1.0,
         )
     assert err.value.point == spec_dicts[0]
@@ -556,8 +665,7 @@ def test_sweep_returns_as_soon_as_its_last_row_lands(workers, monkeypatch):
     """A worker that asks for work while the other holds the last chunk
     waits on the sweep's end, not out a fixed idle period: with that
     period stretched to 2 s, the sweep still returns right after its
-    last row. The slow point stays well under HEDGE_MIN_SECONDS, so it
-    is never hedged."""
+    last row."""
     monkeypatch.setattr(farm_mod, "IDLE_POLL_SECONDS", 2.0)
     slow = {
         "machine": {"name": "em2", "cores": 4, "preset": "small-test"},
@@ -569,14 +677,11 @@ def test_sweep_returns_as_soon_as_its_last_row_lands(workers, monkeypatch):
     base = _base()
     spec_dicts = [merge_spec(base, p).to_dict() for p in (slow, {"scheme": "history"})]
     landed: list[float] = []
-    stats: dict = {}
     farm_sweep(
         spec_dicts,
-        {"addrs": _addrs(workers), "chunk": 1},
-        stats_out=stats,
+        _addrs(workers),
         on_row=lambda i, row: landed.append(time.monotonic()),
     )
     returned = time.monotonic()
     assert len(landed) == 2
-    assert stats["hedges"] == 0
     assert returned - landed[-1] < 0.1

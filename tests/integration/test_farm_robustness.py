@@ -33,13 +33,16 @@ from repro.analysis.chaos import ChaosSpec, chaos_soak
 from repro.analysis.farm import (
     AUTH_CHALLENGE,
     AUTH_RESPONSE,
+    CHUNK,
     ERROR,
     HEADER,
     HELLO,
     HELLO_ACK,
+    KIND_NAMES,
     MAGIC,
     PROTOCOL_VERSION,
     TRACE_PUT,
+    TRACE_QUERY,
     AuthError,
     FrameError,
     encode_frame,
@@ -211,23 +214,24 @@ def test_sweep_specs_resume_checkpoints_each_local_point(tmp_path, monkeypatch):
 
 
 # -------------------------------------------------------------- reconnect
-def test_reconnect_resumes_trace_store_trace_pushed_once():
-    """A worker that drops every connection after 3 chunks is redialed
-    (backoff, same address) and finishes the sweep alone; its
-    persistent store answers every post-reconnect trace negotiation,
-    so the trace crosses the wire exactly once in total."""
+def test_reconnect_resumes_trace_store_trace_pushed_once(monkeypatch):
+    """A worker that drops every connection after 3 one-point chunks
+    is redialed (backoff, same address) and finishes the sweep alone;
+    its persistent store answers every post-reconnect trace
+    negotiation, so the trace crosses the wire exactly once in total."""
     spec_dicts = _spec_dicts()
     steady = WorkerServer().start_background()
     try:
         reference = farm_sweep(spec_dicts, [steady.address])
     finally:
         steady.stop()
+    monkeypatch.setattr(farm_mod, "MAX_CHUNK", 1)
     flaky = WorkerServer(fail_after_chunks=3).start_background()
     stats: dict = {}
     try:
         metrics = farm_sweep(
             spec_dicts,
-            {"addrs": [flaky.address], "chunk": 1, "reconnect": 4},
+            {"addrs": [flaky.address], "reconnect": 4},
             stats_out=stats,
         )
     finally:
@@ -239,10 +243,11 @@ def test_reconnect_resumes_trace_store_trace_pushed_once():
     assert stats["trace_pushes"][flaky.address] == 1
 
 
-def test_reconnect_zero_keeps_old_die_fast_semantics():
+def test_reconnect_zero_keeps_old_die_fast_semantics(monkeypatch):
     """``reconnect=0`` restores the pre-ISSUE-10 behaviour: a dropped
     worker stays dead and survivors absorb the requeue."""
     spec_dicts = _spec_dicts()
+    monkeypatch.setattr(farm_mod, "MAX_CHUNK", 1)
     flaky = WorkerServer(fail_after_chunks=2).start_background()
     steady = WorkerServer().start_background()
     stats: dict = {}
@@ -250,11 +255,7 @@ def test_reconnect_zero_keeps_old_die_fast_semantics():
         with pytest.warns(RuntimeWarning, match="dropped"):
             farm_sweep(
                 spec_dicts,
-                {
-                    "addrs": [flaky.address, steady.address],
-                    "chunk": 1,
-                    "reconnect": 0,
-                },
+                {"addrs": [flaky.address, steady.address], "reconnect": 0},
                 stats_out=stats,
             )
     finally:
@@ -407,6 +408,28 @@ def _bad_put(tmp_path, case: str) -> dict:
     return put
 
 
+def _refused_in_session(server, kind: int, body: dict) -> str:
+    """Send ``body`` as a ``kind`` frame in a session of ``server`` on a
+    socket pair, after HELLO: the worker must answer ERROR and end the
+    session. Returns the ERROR's message."""
+    coord_end, worker_end = socket.socketpair()
+    session = threading.Thread(target=server.serve_connection, args=(worker_end,))
+    session.start()
+    try:
+        coord_end.settimeout(5.0)
+        send_frame(coord_end, HELLO, {"protocol": PROTOCOL_VERSION, "points": 1, "auth": False})
+        assert recv_frame(coord_end)[0] == HELLO_ACK
+        send_frame(coord_end, kind, body)
+        reply, msg = recv_frame(coord_end)
+        assert reply == ERROR
+        assert coord_end.recv(1) == b""  # the session ended
+    finally:
+        coord_end.close()
+        session.join(timeout=5.0)
+    assert not session.is_alive()
+    return msg["message"]
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -430,26 +453,55 @@ def test_trace_put_under_a_key_no_coordinator_sends_installs_nothing(
     monkeypatch.setattr(threading, "excepthook", escaped.append)
     clear_build_memo()
     server = WorkerServer().start()
-    coord_end, worker_end = socket.socketpair()
-    session = threading.Thread(target=server.serve_connection, args=(worker_end,))
-    session.start()
     try:
-        coord_end.settimeout(5.0)
-        send_frame(coord_end, HELLO, {"protocol": PROTOCOL_VERSION, "points": 1, "auth": False})
-        assert recv_frame(coord_end)[0] == HELLO_ACK
-        send_frame(coord_end, TRACE_PUT, put)
-        kind, msg = recv_frame(coord_end)
-        assert kind == ERROR and "bad TRACE_PUT" in msg["message"]
-        assert coord_end.recv(1) == b""  # the session ended
-        session.join(timeout=5.0)
+        assert "bad TRACE_PUT" in _refused_in_session(server, TRACE_PUT, put)
         assert server.store.entries() == []
     finally:
-        coord_end.close()
-        session.join(timeout=5.0)
         server.stop()
-    assert not session.is_alive()
     assert escaped == []
     assert server.traces_installed == 0
+
+
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        (TRACE_QUERY, {"digests": 5, "files": {}}),
+        (TRACE_QUERY, {"digests": [5], "files": {}}),
+        (TRACE_QUERY, {"digests": [], "files": 5}),
+        (TRACE_QUERY, {"digests": [], "files": {"key": 5}}),
+        (CHUNK, {"indices": [0], "specs": [{}]}),
+        (CHUNK, {"chunk_id": "1", "indices": [0], "specs": [{}]}),
+        (CHUNK, {"chunk_id": 1, "indices": [0], "specs": {}}),
+        (CHUNK, {"chunk_id": 1, "indices": [0], "specs": [5]}),
+    ],
+    ids=[
+        "query-digests-not-a-list",
+        "query-digests-not-strings",
+        "query-files-not-an-object",
+        "query-files-not-strings",
+        "chunk-without-chunk-id",
+        "chunk-id-not-an-int",
+        "chunk-specs-not-a-list",
+        "chunk-specs-not-objects",
+    ],
+)
+def test_malformed_query_or_chunk_gets_error_and_ends_the_session(
+    monkeypatch, kind, body
+):
+    """The reader checks a TRACE_QUERY's ``digests`` and ``files`` and a
+    CHUNK's ``chunk_id`` and ``specs`` before it looks anything up or
+    queues a chunk: a body no coordinator sends gets ERROR, the session
+    ends, no chunk stays in flight, and no exception escapes a thread."""
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    server = WorkerServer().start()
+    try:
+        message = _refused_in_session(server, kind, body)
+    finally:
+        server.stop()
+    assert message.startswith(f"bad {KIND_NAMES[kind]}: ")
+    assert escaped == []
+    assert server._active_chunks == 0 and server.chunks_served == 0
 
 
 def test_authenticated_sweep_matches_serial_with_one_trace_push(

@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro import runner
+from repro.analysis import farm as farm_mod
 from repro.analysis.farm import FarmCoordinator, farm_sweep
 from repro.analysis.sweep import (
     LOCAL_MIN_POINTS,
@@ -110,9 +111,10 @@ class TestParallelMatchesSerial:
             }
         assert repr(par) == repr(serial)
 
-    def test_ordering_with_explicit_chunks(self):
+    def test_ordering_with_explicit_chunks(self, monkeypatch):
+        monkeypatch.setattr(farm_mod, "MAX_CHUNK", 2)
         spec_dicts = _spec_dicts(_seed_points(13))
-        coord = FarmCoordinator(spec_dicts, local=3, chunk=2)
+        coord = FarmCoordinator(spec_dicts, local=3)
         assert coord.run() == _serial_rows(spec_dicts)
         assert coord.stats["chunks"] == 7
 
@@ -194,14 +196,20 @@ class TestDegradation:
         assert sweep_specs(_base(), points, workers=None) == sweep_specs(_base(), points)
 
     def test_bad_workers_and_chunk_rejected(self):
+        """Chunk size has one rule, so there is no chunk option: a
+        farm config that names one is refused with the known keys."""
         with pytest.raises(ConfigError, match="workers"):
             sweep_specs(_base(), _seed_points(1), workers=0)
-        with pytest.raises(ConfigError, match="chunk"):
-            FarmCoordinator(_spec_dicts(_seed_points(2)), local=2, chunk=0)
-        with pytest.raises(ConfigError, match="chunk"):
+        with pytest.raises(TypeError, match="chunk"):
+            FarmCoordinator(_spec_dicts(_seed_points(2)), local=2, chunk=2)
+        with pytest.raises(ConfigError) as err:
             farm_sweep(
-                _spec_dicts(_seed_points(2)), {"addrs": ["127.0.0.1:1"], "chunk": 0}
+                _spec_dicts(_seed_points(2)), {"addrs": ["127.0.0.1:1"], "chunk": 2}
             )
+        assert str(err.value) == (
+            "unknown farm option(s) 'chunk'; "
+            "known: addrs, auth_token, heartbeat, liveness, reconnect"
+        )
 
 
 class TestScheduling:
@@ -269,9 +277,10 @@ class TestHardening:
 
     def test_point_timeout_defaults_chunk_to_one(self):
         """With a timeout, every chunk is a single point so the error
-        attributes exactly (no innocent chunk-mates blamed)."""
+        attributes exactly (no innocent chunk-mates blamed); without
+        one these 12 points on 2 links go two to a chunk."""
         spec_dicts = _spec_dicts(_seed_points(12))
-        coord = FarmCoordinator(spec_dicts, local=2, chunk=4, point_timeout=30.0)
+        coord = FarmCoordinator(spec_dicts, local=2, point_timeout=30.0)
         assert coord.run() == _serial_rows(spec_dicts)
         assert coord.stats["chunks"] == 12
 

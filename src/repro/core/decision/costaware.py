@@ -67,5 +67,10 @@ class CostAwareHistory(RunLengthScheme):
 
 
 @SCHEMES.register("costaware", "run-length prediction + per-pair break-even test")
-def _make_costaware(cost, **params):
-    return CostAwareHistory(cost, **params)
+def _make_costaware(
+    cost,
+    table_size: int = 64,
+    initial_prediction: float = 1.0,
+    write_fraction_hint: float = 0.2,
+):
+    return CostAwareHistory(cost, table_size, initial_prediction, write_fraction_hint)

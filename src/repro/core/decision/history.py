@@ -47,44 +47,49 @@ class PerHomePredictor:
 
 
 class RunLengthScheme(DecisionScheme):
-    """A per-home last-run-length predictor that learns at run boundaries.
+    """A last-run-length predictor that learns at run boundaries.
 
     The scheme watches the stream of homes via :meth:`observe`. A run at
     home h starts when the thread begins accessing home h and ends at
     the first access homed elsewhere, where its length updates the
-    predictor. The update lands *after* the ``decide`` of that next
-    run's first access, because ``observe`` follows ``decide``. Between
-    boundaries the predictor is fixed, so the per-access ``observe``
-    calls of a run amount to one :meth:`observe_run`, which the
-    evaluator's segment kernel calls instead. Subclasses supply
-    ``decide`` as a function of (current, home, write) and
-    :attr:`predictor` alone; the kernel serves every subclass.
+    predictor entry the run is keyed by (:meth:`_key`: its home, here).
+    The update lands *after* the ``decide`` of that next run's first
+    access, because ``observe`` follows ``decide``. Between boundaries
+    the predictor is fixed, so the per-access ``observe`` calls of a run
+    amount to one :meth:`observe_run`, which the evaluator calls
+    instead. Subclasses supply ``decide`` from the predictor; one whose
+    ``decide`` reads the address declares ``decides_per_access``.
     """
 
     def __init__(self, table_size: int, initial_prediction: float) -> None:
         self.table_size = table_size
         self.initial_prediction = initial_prediction
         self.predictor = PerHomePredictor(table_size, initial_prediction)
-        self._run_home: int | None = None
-        self._run_len = 0
+        self.reset()
+
+    def _key(self, home: int, addr: int) -> int:
+        """The predictor entry a run starting at ``addr`` updates."""
+        return home
 
     def observe(self, current: int, home: int, addr: int, write: bool, decision: Decision) -> None:
         if home == self._run_home:
             self._run_len += 1
         else:
-            self.observe_run(home, 1)
+            self.observe_run(home, 1, addr)
 
-    def observe_run(self, home: int, length: int) -> None:
-        """A run of ``length`` accesses at ``home`` begins: the previous
-        run's length updates the predictor."""
+    def observe_run(self, home: int, length: int, addr: int) -> None:
+        """A run of ``length`` accesses at ``home`` begins at ``addr``:
+        the previous run's length updates the predictor."""
         if self._run_home is not None:
-            self.predictor.update(self._run_home, self._run_len)
+            self.predictor.update(self._run_key, self._run_len)
         self._run_home = home
+        self._run_key = self._key(home, addr)
         self._run_len = length
 
     def reset(self) -> None:
         self.predictor.reset()
         self._run_home = None
+        self._run_key = 0
         self._run_len = 0
 
 
@@ -118,7 +123,7 @@ class HistoryRunLength(RunLengthScheme):
         return HistoryRunLength(self.threshold, self.table_size, self.initial_prediction)
 
 
-class AddressIndexedHistory(DecisionScheme):
+class AddressIndexedHistory(RunLengthScheme):
     """Run-length prediction indexed by address *block*, not home core.
 
     The EM² hardware predictors index their tables by instruction or
@@ -126,12 +131,13 @@ class AddressIndexedHistory(DecisionScheme):
     structures homed at the same core can have very different run
     behaviours (e.g. a lock word vs a boundary row), which a per-home
     table conflates. The table is direct-mapped over address blocks
-    (aliasing models finite hardware), and runs are tracked per
-    (block-of-first-access) so a run's length updates the entry that
-    predicted it.
+    (aliasing models finite hardware). A run's length updates the entry
+    of the block of its first access; each access is decided by the
+    entry of its own block.
     """
 
     name = "addr-history"
+    decides_per_access = True
 
     def __init__(
         self,
@@ -144,38 +150,17 @@ class AddressIndexedHistory(DecisionScheme):
             raise ConfigError("threshold must be >= 0")
         if block_words <= 0:
             raise ConfigError("block_words must be positive")
+        super().__init__(table_size, initial_prediction)
         self.threshold = threshold
-        self.table_size = table_size
         self.block_words = block_words
-        self.initial_prediction = initial_prediction
-        self.predictor = PerHomePredictor(table_size, initial_prediction)
-        self._run_home: int | None = None
-        self._run_len = 0
-        self._run_slot: int | None = None  # predictor slot the run updates
 
-    def _slot(self, addr: int) -> int:
+    def _key(self, home: int, addr: int) -> int:
         return (addr // self.block_words) % self.table_size
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
-        if self.predictor.predict(self._slot(addr)) >= self.threshold:
+        if self.predictor.predict(self._key(home, addr)) >= self.threshold:
             return Decision.MIGRATE
         return Decision.REMOTE
-
-    def observe(self, current: int, home: int, addr: int, write: bool, decision: Decision) -> None:
-        if home == self._run_home:
-            self._run_len += 1
-            return
-        if self._run_home is not None and self._run_slot is not None:
-            self.predictor.update(self._run_slot, self._run_len)
-        self._run_home = home
-        self._run_len = 1
-        self._run_slot = self._slot(addr)
-
-    def reset(self) -> None:
-        self.predictor.reset()
-        self._run_home = None
-        self._run_len = 0
-        self._run_slot = None
 
     def clone(self) -> "AddressIndexedHistory":
         return AddressIndexedHistory(
@@ -191,14 +176,25 @@ def _default_threshold(cost) -> float:
 
 
 @SCHEMES.register("history", "per-home last-run-length prediction vs break-even")
-def _make_history(cost, threshold: float | None = None, **params):
+def _make_history(
+    cost,
+    threshold: float | None = None,
+    table_size: int = 64,
+    initial_prediction: float = 1.0,
+):
     if threshold is None:
         threshold = _default_threshold(cost)
-    return HistoryRunLength(threshold=threshold, **params)
+    return HistoryRunLength(threshold, table_size, initial_prediction)
 
 
 @SCHEMES.register("addr-history", "run-length prediction indexed by address block")
-def _make_addr_history(cost, threshold: float | None = None, **params):
+def _make_addr_history(
+    cost,
+    threshold: float | None = None,
+    table_size: int = 256,
+    block_words: int = 16,
+    initial_prediction: float = 1.0,
+):
     if threshold is None:
         threshold = _default_threshold(cost)
-    return AddressIndexedHistory(threshold=threshold, **params)
+    return AddressIndexedHistory(threshold, table_size, block_words, initial_prediction)

@@ -59,24 +59,20 @@ class NativeFirst(DecisionScheme):
 
     The native core is latched at the first consultation: a thread can
     only move via a decision, so at first consult it is still at its
-    native core.
+    native core. ``reset`` clears the latch for the next thread.
     """
 
     name = "native-first"
 
-    def __init__(
-        self,
-        away: DecisionScheme | None = None,
-        native_core: int | None = None,
-    ) -> None:
+    def __init__(self, away: DecisionScheme | None = None) -> None:
         self.away = away if away is not None else NeverMigrate()
-        self.native_core = native_core
+        self.native_core: int | None = None
 
-    @property
-    def stateless(self) -> bool:
-        # the native-core latch is fixed after the first consult, so the
-        # composition is batchable exactly when the away policy is
-        return self.away.stateless
+    # the native-core latch is fixed after the first consult, so the
+    # composition is consulted and observed as its away policy is
+    stateless = property(lambda self: self.away.stateless)
+    decides_per_access = property(lambda self: self.away.decides_per_access)
+    observes_per_access = property(lambda self: self.away.observes_per_access)
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         if self.native_core is None:
@@ -87,6 +83,9 @@ class NativeFirst(DecisionScheme):
 
     def observe(self, current: int, home: int, addr: int, write: bool, decision: Decision) -> None:
         self.away.observe(current, home, addr, write, decision)
+
+    def observe_run(self, home: int, length: int, addr: int) -> None:
+        self.away.observe_run(home, length, addr)
 
     def reset(self) -> None:
         self.native_core = None
@@ -126,22 +125,39 @@ class DistanceThreshold(DecisionScheme):
 
 class RandomScheme(DecisionScheme):
     """Migrate with probability ``p`` — the sanity baseline every real
-    scheme must beat."""
+    scheme must beat.
+
+    ``seed`` must be an int: ``reset`` and ``clone`` replay one stream
+    per thread, so a spec's row is the same in every run. The uniforms
+    are drawn in blocks; ``Generator.random(n)`` yields the same stream
+    as ``n`` scalar draws, so the k-th consult sees the k-th uniform.
+    """
 
     name = "random"
+    decides_per_access = True
 
-    def __init__(self, p: float = 0.5, seed: int | None = 0) -> None:
+    _BLOCK = 1024
+
+    def __init__(self, p: float = 0.5, seed: int = 0) -> None:
         if not (0.0 <= p <= 1.0):
             raise ConfigError("p must be in [0, 1]")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ConfigError(
+                f"random scheme seed must be an int, got {seed!r}: an unseeded "
+                "stream would give a different row in every run"
+            )
         self.p = p
-        self.seed = seed
-        self._rng = as_generator(seed)
+        self.seed = int(seed)
+        self.reset()
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
-        return Decision.MIGRATE if self._rng.random() < self.p else Decision.REMOTE
+        if not self._draws:
+            self._draws = self._rng.random(self._BLOCK).tolist()[::-1]
+        return Decision.MIGRATE if self._draws.pop() < self.p else Decision.REMOTE
 
     def reset(self) -> None:
         self._rng = as_generator(self.seed)
+        self._draws = []
 
     def clone(self) -> "RandomScheme":
         return RandomScheme(self.p, self.seed)
@@ -152,30 +168,30 @@ class RandomScheme(DecisionScheme):
 # core-local hardware unit would be provisioned with) plus SchemeSpec
 # params, and return a fresh scheme instance.
 @SCHEMES.register("always-migrate", "pure EM2: migrate on every non-local access")
-def _make_always_migrate(cost, **params):
-    return AlwaysMigrate(**params)
+def _make_always_migrate(cost):
+    return AlwaysMigrate()
 
 
 @SCHEMES.register("never-migrate", "remote-access-only: never migrate")
-def _make_never_migrate(cost, **params):
-    return NeverMigrate(**params)
+def _make_never_migrate(cost):
+    return NeverMigrate()
 
 
 @SCHEMES.register("distance-1", "migrate when the home is within 1 hop")
-def _make_distance_1(cost, threshold: float = 1, **params):
-    return DistanceThreshold(cost.topology.distance_matrix, threshold, **params)
+def _make_distance_1(cost, threshold: float = 1):
+    return DistanceThreshold(cost.topology.distance_matrix, threshold)
 
 
 @SCHEMES.register("distance-2", "migrate when the home is within 2 hops")
-def _make_distance_2(cost, threshold: float = 2, **params):
-    return DistanceThreshold(cost.topology.distance_matrix, threshold, **params)
+def _make_distance_2(cost, threshold: float = 2):
+    return DistanceThreshold(cost.topology.distance_matrix, threshold)
 
 
 @SCHEMES.register("random", "migrate with probability p (sanity baseline)")
-def _make_random(cost, p: float = 0.5, seed: int | None = 0, **params):
-    return RandomScheme(p=p, seed=seed, **params)
+def _make_random(cost, p: float = 0.5, seed: int = 0):
+    return RandomScheme(p=p, seed=seed)
 
 
 @SCHEMES.register("native-first", "always migrate home; RA when homed away")
-def _make_native_first(cost, **params):
-    return NativeFirst(**params)
+def _make_native_first(cost):
+    return NativeFirst()

@@ -1,45 +1,65 @@
 """Apply a decision scheme to whole application traces.
 
 This is the O(N) "computing the equivalent cost of a specific
-decision" procedure of §3, wrapped for multi-threaded traces. For each
-thread it finds the core each access executes at (the home for
-MIGRATE/LOCAL, the thread's position for REMOTE); :func:`_score` then
-charges the cost model and gathers the statistics every bench in this
-repo reports (cost, migration/RA counts, network traffic in bits) from
-that core sequence with a few vectorized gathers. Every cost is a whole
-number (the configs reject non-integral latencies), so these sums equal
-the access-by-access ones exactly, whatever the order of addition.
+decision" procedure of §3, wrapped for multi-threaded traces. A thread's
+accesses are taken one *home run* at a time: a maximal stretch of
+consecutive accesses homed at one core.
 
-The cores come from one of three routes:
+Homes depend only on the trace and the placement, so each thread's run
+table (:class:`HomeRuns`) is built once per (trace, placement) pair and
+kept while the placement lives (:func:`home_run_tables`). Every scheme,
+and the Figure 2 histogram, reads it: ``placement.home_of`` runs once
+per trace, not once per scheme.
 
-* ``AlwaysMigrate`` and ``NeverMigrate`` need no walk: the cores are
-  the homes, or the start core throughout.
-* Stateless schemes (``DecisionScheme.stateless``: decide depends only
-  on (current, home, write), observe is a no-op) and run-learned ones
-  (subclasses of :class:`~repro.core.decision.history.RunLengthScheme`:
-  the history schemes, whose predictor learns only where a home run
-  begins) take the segment kernel :func:`evaluate_thread_batched`. It
-  consults the scheme a few times per *home run* instead of once per
-  access, so its Python work is O(R) for R runs, not O(N).
-* Any other scheme (random, address-indexed history) takes the
-  sequential walk, one decide/observe per access on plain Python lists.
+:func:`_walk` scores a scheme in one pass over a thread's runs. A run
+homed where the thread sits is local. In a run homed elsewhere the
+thread goes remote up to the first access it migrates on, and the rest
+of the run is local at the home. So each run is charged in a few
+operations from the cost-matrix rows of the thread's core, and the walk
+consults the scheme as rarely as its declared properties
+(:class:`~repro.core.decision.base.DecisionScheme`) allow:
+
+* ``stateless`` (``decide`` reads only the current core, the home and
+  the write flag): once per (current, home) pair of a thread, for both
+  write flags;
+* ``decides_per_access`` (``decide`` reads the address or draws a
+  random number): access by access, only inside runs homed away from
+  the thread, until it migrates;
+* any other scheme (the history schemes, whose ``decide`` reads state
+  that changes only where a run begins): at a run's first access, then
+  once more for the rest of the run (once per write flag the rest
+  holds).
+
+A scheme that is not stateless learns each run once, through
+``observe_run``, after its first access is decided: that is where its
+per-access ``observe`` would have learned it. Every cost is a whole
+number (the configs reject non-integral latencies), so these per-run
+sums equal the access-by-access ones exactly, whatever the order of
+addition.
+
+:func:`evaluate_thread` is that access-by-access walk. It is the test
+oracle, and the route for a scheme that overrides ``observe`` with no
+per-run form (``observes_per_access``).
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.costs import CostModel
 from repro.core.decision.base import Decision, DecisionScheme
-from repro.core.decision.history import RunLengthScheme
-from repro.core.decision.static import AlwaysMigrate, NeverMigrate
 from repro.placement.base import Placement
 from repro.registry import MACHINES
 from repro.sim.stats import Histogram
 from repro.trace.events import MultiTrace
-from repro.trace.runlength import home_runs, merge_histograms, run_length_histogram
+from repro.trace.runlength import home_runs, merge_histograms, runs_histogram
+
+MIGRATE = Decision.MIGRATE
 
 
 @dataclass
@@ -81,40 +101,12 @@ class EvalResult:
         }
 
 
-def _score(
-    homes: np.ndarray,
-    writes: np.ndarray,
-    start_core: int,
-    exec_cores: np.ndarray,
-    cost_model: CostModel,
-) -> tuple[float, int, int, int, int, np.ndarray]:
-    """One thread's statistics from the core each access executed at.
-
-    The thread sits at ``exec_cores[k]`` after access k, so access k
-    migrated exactly when that differs from where the thread sat before
-    it, and went remote exactly when ``exec_cores[k]`` is not its home.
-    Returns (cost, migrations, remote, local, traffic_bits, exec_cores).
-    """
-    n = homes.size
-    if n == 0:
-        return 0.0, 0, 0, 0, 0, exec_cores
-    prev = np.concatenate(([start_core], exec_cores[:-1]))
-    moved = np.flatnonzero(prev != exec_cores)
-    remote = np.flatnonzero(exec_cores != homes)
-    w = writes[remote]
-    src, dst = exec_cores[remote], homes[remote]
-    cost = (
-        cost_model.migration[prev[moved], exec_cores[moved]].sum()
-        + cost_model.remote_read[src[~w], dst[~w]].sum()
-        + cost_model.remote_write[src[w], dst[w]].sum()
-    )
-    n_mig, n_ra, n_w = moved.size, remote.size, int(w.sum())
-    bits = (
+def _traffic_bits(cost_model: CostModel, n_mig: int, n_ra: int, n_ra_writes: int) -> int:
+    return (
         n_mig * cost_model.migration_bits()
-        + (n_ra - n_w) * cost_model.remote_access_bits(write=False)
-        + n_w * cost_model.remote_access_bits(write=True)
+        + (n_ra - n_ra_writes) * cost_model.remote_access_bits(write=False)
+        + n_ra_writes * cost_model.remote_access_bits(write=True)
     )
-    return float(cost), n_mig, n_ra, n - n_mig - n_ra, bits, exec_cores
 
 
 def evaluate_thread(
@@ -125,7 +117,8 @@ def evaluate_thread(
     cost_model: CostModel,
     addrs: np.ndarray | None = None,
 ) -> tuple[float, int, int, int, int, np.ndarray]:
-    """Sequential evaluation of one thread.
+    """Sequential evaluation of one thread, one decide/observe per access:
+    the oracle the walk is tested against.
 
     Returns (cost, migrations, remote, local, traffic_bits, exec_cores)
     where ``exec_cores[k]`` is the core where access k executed (home
@@ -138,104 +131,184 @@ def evaluate_thread(
         addrs_l = [0] * homes.size
     else:
         addrs_l = np.asarray(addrs, dtype=np.int64).tolist()
-    MIGRATE, LOCAL = Decision.MIGRATE, Decision.LOCAL
     decide, observe = scheme.decide, scheme.observe
+    mig, ra = cost_model.migration, (cost_model.remote_read, cost_model.remote_write)
 
-    # hot loop: plain lists keep every per-access operation in native
-    # Python objects; costs are charged afterwards by _score
     cur = int(start_core)
+    cost = 0.0
+    n_mig = n_ra = n_ra_w = 0
     exec_list: list[int] = []
-    append = exec_list.append
     for h, w, a in zip(homes.tolist(), writes.tolist(), addrs_l):
         if h == cur:
-            d = LOCAL
+            d = Decision.LOCAL
         else:
             d = decide(cur, h, a, w)
             if d == MIGRATE:
+                cost += float(mig[cur, h])
+                n_mig += 1
                 cur = h
-        append(cur)
+            else:
+                cost += float(ra[w][cur, h])
+                n_ra += 1
+                n_ra_w += w
+        exec_list.append(cur)
         observe(cur, h, a, w, d)
-    exec_cores = np.array(exec_list, dtype=np.int64)
-    return _score(homes, writes, start_core, exec_cores, cost_model)
+    bits = _traffic_bits(cost_model, n_mig, n_ra, n_ra_w)
+    n_loc = homes.size - n_mig - n_ra
+    return cost, n_mig, n_ra, n_loc, bits, np.array(exec_list, dtype=np.int64)
 
 
-def _first_migrating(decide, cur, h, writes, lo, e, n_w):
-    """First access in ``[lo, e)`` (all homed at ``h``, the thread at
-    ``cur``, ``n_w`` of them writes) the scheme migrates on; ``e`` if
-    none. Only the read and write flavours of the decision can differ."""
-    has_r, has_w = n_w < e - lo, n_w > 0
-    mig_r = has_r and decide(cur, h, 0, False) == Decision.MIGRATE
-    mig_w = has_w and decide(cur, h, 0, True) == Decision.MIGRATE
+# ------------------------------------------------------------ home runs
+class HomeRuns(NamedTuple):
+    """One thread's home runs, in trace order: run ``i`` is the
+    ``lengths[i]`` accesses from ``starts[i]`` on, all homed at
+    ``homes[i]``, ``writes[i]`` of them writes, the first a write when
+    ``first_write[i]``."""
+
+    homes: list[int]
+    starts: np.ndarray
+    lengths: list[int]
+    writes: list[int]
+    first_write: list[bool]
+
+
+#: placement -> (trace, the trace's HomeRuns under it); an entry is
+#: dropped with its placement
+_runs_memo: "weakref.WeakKeyDictionary[Placement, tuple[MultiTrace, list[HomeRuns]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _thread_runs(homes: np.ndarray, writes: np.ndarray) -> HomeRuns:
+    run_homes, lengths, n_w = home_runs(homes, writes)
+    starts = np.cumsum(lengths) - lengths
+    return HomeRuns(
+        run_homes.tolist(), starts, lengths.tolist(), n_w.tolist(), writes[starts].tolist()
+    )
+
+
+def home_run_tables(trace: MultiTrace, placement: Placement) -> list[HomeRuns]:
+    """Every thread's :class:`HomeRuns` under ``placement``.
+
+    Built once per (trace, placement) pair, both checked by identity,
+    and kept as long as the placement lives; traces and placements are
+    immutable."""
+    hit = _runs_memo.get(placement)
+    if hit is not None and hit[0] is trace:
+        return hit[1]
+    tables = [
+        _thread_runs(placement.home_of(tr["addr"]), tr["write"].astype(bool))
+        for tr in trace.threads
+    ]
+    _runs_memo[placement] = (trace, tables)
+    return tables
+
+
+# ----------------------------------------------------------------- walk
+class _CostRows(dict):
+    """core -> its (migration, remote read, remote write) cost rows as
+    lists, taken when a walk first visits the core, so no whole P x P
+    matrix becomes Python lists."""
+
+    def __init__(self, cost_model: CostModel) -> None:
+        super().__init__()
+        self.matrices = (cost_model.migration, cost_model.remote_read, cost_model.remote_write)
+
+    def __missing__(self, core: int) -> tuple[list[float], list[float], list[float]]:
+        rows = self[core] = tuple(m[core].tolist() for m in self.matrices)
+        return rows
+
+
+def _first_at_home(m: int, lo: int, e: int, n_w: int, writes: np.ndarray) -> int:
+    """The first access in ``[lo, e)`` (one run's, ``n_w`` of them
+    writes) whose write flag migrates under ``m`` (bit 0 set: reads
+    migrate; bit 1: writes), or ``e`` if none."""
+    mig_r = m & 1 and n_w < e - lo
+    mig_w = m & 2 and n_w > 0
     if not (mig_r or mig_w):
         return e
-    if mig_r == mig_w or not (has_r and has_w):
+    if mig_r and mig_w or n_w in (0, e - lo):
         return lo
-    # one flavour migrates, the other goes remote until it comes up
-    return lo + int(np.argmax(writes[lo:e] if mig_w else ~writes[lo:e]))
+    # one flag migrates, the other goes remote until it comes up
+    return lo + int(np.argmax(writes[lo:e] == bool(mig_w)))
 
 
-def evaluate_thread_batched(
-    homes: np.ndarray,
-    writes: np.ndarray,
-    start_core: int,
-    scheme: DecisionScheme,
-    cost_model: CostModel,
-) -> tuple[float, int, int, int, int, np.ndarray]:
-    """Segment-batched evaluation for stateless and run-learned schemes.
+def _walk(runs: HomeRuns, start: int, scheme: DecisionScheme, rows: _CostRows, tr: np.ndarray):
+    """One thread's (cost, migrations, remote accesses, remote writes,
+    local accesses) under ``scheme``, from the thread's start core."""
+    decide, learn = scheme.decide, scheme.observe_run
+    stateless, per_access = scheme.stateless, scheme.decides_per_access
+    writes = tr["write"]
+    if stateless:
+        first_addrs = itertools.repeat(0)
+        pairs: dict[int, dict[int, int]] = {}  # current -> home -> flavours
+    else:
+        first_addrs = tr["addr"][runs.starts].astype(np.int64).tolist()
+    if per_access:
+        addr_l = tr["addr"].astype(np.int64).tolist()
+        write_l = writes.astype(bool).tolist()
 
-    While the thread and the home stay put, a stateless scheme's
-    decision can change only with the write flag. A run-learned scheme
-    decides a run's first access before it learns the run before
-    (``observe`` follows ``decide``) and every later access after, so
-    its decision can change once more, after the first access. The
-    trace is therefore processed one *home run* at a time: each run
-    splits into an RA part and a part executed at the home, found with
-    at most three consultations, and a run-learned scheme observes the
-    run once (:meth:`~repro.core.decision.history.RunLengthScheme.observe_run`).
-    Python work is O(runs), not O(accesses); exact parity with
-    :func:`evaluate_thread` is enforced by the unit tests.
-    """
-    learns = isinstance(scheme, RunLengthScheme)
-    if not (scheme.stateless or learns):
-        raise ValueError(
-            f"scheme {scheme.name!r} is not stateless and does not learn per run"
-        )
-    homes = np.asarray(homes, dtype=np.int64)
-    writes = np.asarray(writes, dtype=bool)
-    run_homes, lengths, n_w = home_runs(homes, writes)
-
-    decide = scheme.decide
-    MIGRATE = Decision.MIGRATE
-    cur = int(start_core)
-    seg_core: list[int] = []  # the exec cores, as (core, length) segments
-    seg_len: list[int] = []
+    cur = start
+    mig, rr, rw = rows[cur]
+    if stateless:
+        at_cur = pairs[cur] = {}
+    cost = 0.0
+    n_mig = n_ra = n_ra_w = n_loc = 0
     e = 0
-    for h, length, nw in zip(run_homes.tolist(), lengths.tolist(), n_w.tolist()):
-        s, e = e, e + length
-        lo, k = s, None  # k: the first access executed at the home
+    for h, n, n_w, w0, a0 in zip(
+        runs.homes, runs.lengths, runs.writes, runs.first_write, first_addrs
+    ):
+        s = e
+        e += n
         if h == cur:
-            k = s
-        elif learns:
-            # the first access is decided before the scheme learns the
-            # previous run, the rest of the run after
-            w = bool(writes[s])
-            if decide(cur, h, 0, w) == MIGRATE:
+            n_loc += n
+            if not stateless:
+                learn(h, n, a0)
+            continue
+        # k: the first access of the run executed at the home
+        if stateless:
+            m = at_cur.get(h)
+            if m is None:
+                m = at_cur[h] = (decide(cur, h, 0, False) == MIGRATE) | (
+                    decide(cur, h, 0, True) == MIGRATE
+                ) << 1
+            k = s if m == 3 else e if m == 0 else _first_at_home(m, s, e, n_w, writes)
+        else:
+            # the first access is decided before the scheme learns the run
+            first = decide(cur, h, a0, w0) == MIGRATE
+            learn(h, n, a0)
+            if first:
                 k = s
+            elif per_access:
+                k = e
+                for j in range(s + 1, e):
+                    if decide(cur, h, addr_l[j], write_l[j]) == MIGRATE:
+                        k = j
+                        break
             else:
-                lo, nw = s + 1, nw - w
-        if learns:
-            scheme.observe_run(h, length)
-        if k is None:
-            k = _first_migrating(decide, cur, h, writes, lo, e, nw)
+                # the rest: consulted once for each write flag it holds
+                rest_w = n_w - w0
+                m = (rest_w < n - 1 and decide(cur, h, 0, False) == MIGRATE) | (
+                    rest_w > 0 and decide(cur, h, 0, True) == MIGRATE
+                ) << 1
+                k = e if m == 0 else _first_at_home(m, s + 1, e, rest_w, writes)
         if k > s:
-            seg_core.append(cur)
-            seg_len.append(k - s)
+            ra = k - s
+            ra_w = n_w if k == e else w0 if ra == 1 else int(np.count_nonzero(writes[s:k]))
+            cost += (ra - ra_w) * rr[h] + ra_w * rw[h]
+            n_ra += ra
+            n_ra_w += ra_w
         if k < e:
+            cost += mig[h]
+            n_mig += 1
+            n_loc += e - k - 1
             cur = h
-            seg_core.append(h)
-            seg_len.append(e - k)
-    exec_cores = np.repeat(np.array(seg_core, dtype=np.int64), seg_len)
-    return _score(homes, writes, start_core, exec_cores, cost_model)
+            mig, rr, rw = rows[cur]
+            if stateless:
+                at_cur = pairs.get(cur)
+                if at_cur is None:
+                    at_cur = pairs[cur] = {}
+    return cost, n_mig, n_ra, n_ra_w, n_loc
 
 
 def evaluate_scheme(
@@ -245,37 +318,23 @@ def evaluate_scheme(
     cost_model: CostModel,
     collect_run_lengths: bool = False,
 ) -> EvalResult:
-    """Evaluate ``scheme`` over every thread of ``trace``."""
+    """Evaluate ``scheme`` over every thread of ``trace``, each thread
+    on a fresh clone."""
     result = EvalResult(scheme=scheme.name)
+    rows = _CostRows(cost_model)
     hists = []
-    for t, tr in enumerate(trace.threads):
-        if tr.size == 0:
-            result.per_thread_cost.append(0.0)
-            continue
-        homes = np.asarray(placement.home_of(tr["addr"]), dtype=np.int64)
-        writes = tr["write"].astype(bool)
+    for t, (tr, runs) in enumerate(zip(trace.threads, home_run_tables(trace, placement))):
         start = trace.thread_native_core[t] % cost_model.config.num_cores
-        if isinstance(scheme, AlwaysMigrate):
-            out = _score(homes, writes, start, homes, cost_model)
-        elif isinstance(scheme, NeverMigrate):
-            stay = np.full(homes.size, start, dtype=np.int64)
-            out = _score(homes, writes, start, stay, cost_model)
-        elif scheme.stateless or isinstance(scheme, RunLengthScheme):
-            per_thread = scheme.clone()
-            per_thread.reset()
-            out = evaluate_thread_batched(homes, writes, start, per_thread, cost_model)
-        else:
-            per_thread = scheme.clone()
-            per_thread.reset()
-            out = evaluate_thread(
-                homes,
-                writes,
-                start,
-                per_thread,
-                cost_model,
-                addrs=tr["addr"].astype(np.int64),
+        per_thread = scheme.clone()
+        per_thread.reset()
+        if per_thread.observes_per_access:
+            homes = np.repeat(runs.homes, runs.lengths)
+            cost, n_mig, n_ra, n_loc, bits, _ = evaluate_thread(
+                homes, tr["write"], start, per_thread, cost_model, addrs=tr["addr"]
             )
-        cost, n_mig, n_ra, n_loc, bits, _cores = out
+        else:
+            cost, n_mig, n_ra, n_ra_w, n_loc = _walk(runs, start, per_thread, rows, tr)
+            bits = _traffic_bits(cost_model, n_mig, n_ra, n_ra_w)
         result.total_cost += cost
         result.migrations += n_mig
         result.remote_accesses += n_ra
@@ -283,7 +342,7 @@ def evaluate_scheme(
         result.traffic_bits += bits
         result.per_thread_cost.append(cost)
         if collect_run_lengths:
-            hists.append(run_length_histogram(homes, start))
+            hists.append(runs_histogram(runs.homes, runs.lengths, start))
     if collect_run_lengths:
         result.run_length_hist = merge_histograms(hists)
     return result

@@ -25,5 +25,5 @@ def striped(num_cores: int, block_words: int = 16) -> StripedPlacement:
 
 
 @PLACEMENTS.register("striped", "round-robin blocks over cores (pessimal baseline)")
-def _make_striped(trace, num_cores: int, **params) -> StripedPlacement:
-    return striped(num_cores, **params)
+def _make_striped(trace, num_cores: int, block_words: int = 16) -> StripedPlacement:
+    return striped(num_cores, block_words)

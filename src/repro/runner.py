@@ -30,6 +30,7 @@ machine, which the golden-fixture parity tests enforce.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -96,6 +97,20 @@ def _memo_key(workload: WorkloadSpec) -> str:
 
 
 # ---------------------------------------------------------------- builders
+def _construct(kind: str, name: str, factory, *args, **params):
+    """``factory(*args, **params)``, where ``params`` are a spec's
+    component params: a key the factory does not take is a
+    :class:`ConfigError` naming the component and the key."""
+    known = list(inspect.signature(factory).parameters)[len(args):]
+    unknown = [key for key in params if key not in known]
+    if unknown:
+        raise ConfigError(
+            f"{kind} {name!r} has no parameter {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(known) or 'none'}"
+        )
+    return factory(*args, **params)
+
+
 def build_system_config(machine: MachineSpec) -> SystemConfig:
     """The :class:`SystemConfig` a machine spec describes, via the
     preset registry (``default``/``small-test``/``mesh-1024``/...).
@@ -157,7 +172,9 @@ def build_workload(workload: WorkloadSpec):
         trace = store.get(key) if store is not None else None
         if trace is None:
             generator_cls = WORKLOADS.get(workload.name)
-            trace = generator_cls(**workload.params).generate()
+            trace = _construct(
+                "workload", workload.name, generator_cls, **workload.params
+            ).generate()
             if store is not None:
                 store.put(key, trace)
     _memo_put(_workload_memo, key, trace)
@@ -188,15 +205,18 @@ def memoized_workload(workload_key: str):
 
 def build_placement(placement: PlacementSpec, trace, num_cores: int, *, memo_key: str | None = None):
     """The spec's :class:`~repro.placement.base.Placement` over ``trace``."""
-    factory = PLACEMENTS.get(placement.name)
-    if memo_key is None:
-        return factory(trace, num_cores, **placement.params)
-    from repro.analysis.cache import stable_key
+    if memo_key is not None:
+        from repro.analysis.cache import stable_key
 
-    key = stable_key({"w": memo_key, "p": placement.to_dict(), "cores": num_cores})
-    built = _memo_get(_placement_memo, key)
-    if built is None:
-        built = factory(trace, num_cores, **placement.params)
+        key = stable_key({"w": memo_key, "p": placement.to_dict(), "cores": num_cores})
+        built = _memo_get(_placement_memo, key)
+        if built is not None:
+            return built
+    built = _construct(
+        "placement", placement.name, PLACEMENTS.get(placement.name),
+        trace, num_cores, **placement.params,
+    )
+    if memo_key is not None:
         _memo_put(_placement_memo, key, built)
     return built
 
@@ -213,12 +233,14 @@ def build_topology(topology: TopologySpec, config: SystemConfig):
                 "to parameterize it"
             )
         return None
-    return TOPOLOGIES.get(topology.name)(config, **topology.params)
+    return _construct(
+        "topology", topology.name, TOPOLOGIES.get(topology.name), config, **topology.params
+    )
 
 
 def build_scheme(scheme: SchemeSpec, cost: CostModel):
     """A fresh decision-scheme instance for this experiment's cost model."""
-    return SCHEMES.get(scheme.name)(cost, **scheme.params)
+    return _construct("scheme", scheme.name, SCHEMES.get(scheme.name), cost, **scheme.params)
 
 
 @dataclass

@@ -62,10 +62,23 @@ def run_length_histogram(
     otherwise it contributes 1 (run-count histogram).
     """
     cores, lengths = run_lengths(home_seq)
-    mask = cores != native_core
+    return runs_histogram(
+        cores.tolist(), lengths.tolist(), native_core, max_bin, weight_by_accesses
+    )
+
+
+def runs_histogram(
+    cores: list[int],
+    lengths: list[int],
+    native_core: int,
+    max_bin: int = 4096,
+    weight_by_accesses: bool = True,
+) -> Histogram:
+    """:func:`run_length_histogram` of a thread already cut into runs."""
     hist = Histogram(max_bin=max_bin)
-    for ln in lengths[mask]:
-        hist.add(int(ln), weight=int(ln) if weight_by_accesses else 1)
+    for core, ln in zip(cores, lengths):
+        if core != native_core:
+            hist.add(ln, weight=ln if weight_by_accesses else 1)
     return hist
 
 

@@ -61,6 +61,21 @@ class TestStatic:
         with pytest.raises(ConfigError):
             RandomScheme(p=1.5)
 
+    @pytest.mark.parametrize("seed", [None, np.random.default_rng(0), 2.0, False])
+    def test_random_seed_must_be_an_int(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an int"):
+            RandomScheme(p=0.5, seed=seed)
+
+    def test_random_draws_the_scalar_stream(self):
+        """Uniforms drawn in blocks are the stream of scalar draws, across
+        a block boundary."""
+        s = RandomScheme(p=0.5, seed=9)
+        rng = np.random.default_rng(9)
+        n = 3 * RandomScheme._BLOCK // 2
+        got = [s.decide(0, 1, 0, False) for _ in range(n)]
+        want = [Decision.MIGRATE if rng.random() < 0.5 else Decision.REMOTE for _ in range(n)]
+        assert got == want
+
     def test_clone_preserves_params(self):
         m = Mesh2D(2, 2)
         s = DistanceThreshold(m.distance_matrix, 3)

@@ -1,5 +1,8 @@
 """Unit tests for the scheme evaluator (the O(N) procedure of §3)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,16 +17,16 @@ from repro.core.decision import (
     NeverMigrate,
     RandomScheme,
 )
+from repro.core import evaluation
 from repro.core.decision import NativeFirst
 from repro.core.decision.base import Decision, DecisionScheme
 from repro.core.decision.history import RunLengthScheme
-from repro.core.evaluation import (
-    evaluate_scheme,
-    evaluate_thread,
-    evaluate_thread_batched,
-)
+from repro.core.evaluation import evaluate_scheme, evaluate_thread
 from repro.placement import first_touch, striped
+from repro.placement.dynamic import evaluate_dynamic_placement
+from repro.registry import SCHEMES
 from repro.trace.events import MultiTrace, make_trace
+from repro.trace.synthetic import make_workload
 
 
 @pytest.fixture
@@ -69,9 +72,8 @@ class TestEvaluateThread:
 
 
 class TestFastPathsMatchSequential:
-    """evaluate_scheme scores AlwaysMigrate/NeverMigrate without a walk
-    (the cores are the homes, or the start core throughout); it must
-    agree with the generic sequential evaluator on every statistic."""
+    """AlwaysMigrate and NeverMigrate, which once took a route of their
+    own, must agree with the sequential evaluator on every statistic."""
 
     def _check(self, scheme, addrs, writes, start, pl, cm):
         mt = MultiTrace(
@@ -129,6 +131,25 @@ class _ReadMigrates(DecisionScheme):
         return _ReadMigrates()
 
 
+class _EveryThirdMigrates(DecisionScheme):
+    """Learns from every access, with no per-run form: every third
+    access the thread makes migrates, if it is non-local."""
+
+    name = "every-third"
+
+    def __init__(self):
+        self.seen = 0
+
+    def decide(self, current, home, addr, write):
+        return Decision.MIGRATE if self.seen % 3 == 2 else Decision.REMOTE
+
+    def observe(self, current, home, addr, write, decision):
+        self.seen += 1
+
+    def reset(self):
+        self.seen = 0
+
+
 class _RWGatedHistory(RunLengthScheme):
     """Run-learned test scheme whose decision depends on the write flag:
     a write migrates once the predicted run length reaches ``write_at``,
@@ -150,17 +171,23 @@ class _RWGatedHistory(RunLengthScheme):
         return _RWGatedHistory(self.write_at, self.read_at, self.table_size)
 
 
-class TestBatchedMatchesSequential:
-    """evaluate_thread_batched must agree with the sequential walk on
+def _walked(scheme, homes, writes, start, cm):
+    """evaluate_scheme on one thread whose address k is homed at k % P."""
+    mt = MultiTrace(threads=[make_trace(homes, writes=writes)], thread_native_core=[start])
+    return evaluate_scheme(mt, striped(cm.config.num_cores, block_words=1), scheme, cm)
+
+
+class TestWalkMatchesSequential:
+    """The walk over home runs must agree with the sequential walk on
     every statistic, exactly: costs are whole numbers, so the order in
     which they are summed cannot change the total."""
 
     def _check(self, scheme_factory, homes, writes, start, cm):
-        fast = evaluate_thread_batched(homes, writes, start, scheme_factory(), cm)
-        slow = evaluate_thread(homes, writes, start, scheme_factory(), cm)
-        assert fast[0] == slow[0]
-        assert fast[1:5] == slow[1:5]
-        assert (fast[5] == slow[5]).all()
+        r = _walked(scheme_factory(), homes, writes, start, cm)
+        slow = evaluate_thread(homes, writes, start, scheme_factory(), cm, addrs=homes)
+        assert (r.total_cost, r.migrations, r.remote_accesses, r.local_accesses,
+                r.traffic_bits) == slow[:5]
+        assert r.per_thread_cost == [slow[0]]
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("threshold", [0, 1, 2, 100])
@@ -232,18 +259,22 @@ class TestBatchedMatchesSequential:
         )
 
     def test_empty_thread(self, cm):
-        out = evaluate_thread_batched(
-            np.empty(0, np.int64), np.empty(0, bool), 0, _WriteMigrates(), cm
-        )
-        assert out[:5] == (0.0, 0, 0, 0, 0) and out[5].size == 0
+        r = _walked(_WriteMigrates(), np.empty(0, np.int64), np.empty(0, bool), 0, cm)
+        assert (r.total_cost, r.total_accesses, r.traffic_bits) == (0.0, 0, 0)
+        assert r.per_thread_cost == [0.0]
 
-    def test_stateful_scheme_rejected(self, cm):
-        # history now learns per run and is served; these are not
-        for scheme in (RandomScheme(p=0.5), AddressIndexedHistory(threshold=2.0)):
-            with pytest.raises(ValueError, match="not stateless"):
-                evaluate_thread_batched(
-                    np.array([1]), np.array([False]), 0, scheme, cm
-                )
+    def test_per_access_observer_takes_the_sequential_walk(self, cm):
+        """A scheme that overrides ``observe`` with no per-run form gets
+        exactly the per-access walk's results, thread by thread."""
+        homes, writes = _runny_trace(90)
+        scheme = _EveryThirdMigrates()
+        assert scheme.observes_per_access
+        r = _walked(scheme, homes, writes, 2, cm)
+        slow = evaluate_thread(homes, writes, 2, _EveryThirdMigrates(), cm)
+        assert (r.total_cost, r.migrations, r.remote_accesses, r.local_accesses,
+                r.traffic_bits) == slow[:5]
+        assert r.per_thread_cost == [slow[0]]
+        assert 0 < r.migrations < r.migrations + r.remote_accesses
 
     def test_stateless_flags(self, cm):
         dm = cm.topology.distance_matrix
@@ -251,6 +282,14 @@ class TestBatchedMatchesSequential:
         assert NativeFirst(away=DistanceThreshold(dm, 1)).stateless
         assert not NativeFirst(away=HistoryRunLength(threshold=2.0)).stateless
         assert not HistoryRunLength(threshold=2.0).stateless
+        assert RandomScheme().decides_per_access
+        assert AddressIndexedHistory(threshold=2.0).decides_per_access
+        assert NativeFirst(away=RandomScheme()).decides_per_access
+        assert not HistoryRunLength(threshold=2.0).decides_per_access
+        assert not NativeFirst(away=_EveryThirdMigrates()).stateless
+        assert NativeFirst(away=_EveryThirdMigrates()).observes_per_access
+        for name in SCHEMES.names():  # every registered scheme has a per-run form
+            assert not SCHEMES.get(name)(cm).observes_per_access, name
 
     def test_evaluate_scheme_dispatch_matches_sequential(self, cm):
         """Whole-trace totals through the stateless fast path equal a
@@ -302,9 +341,10 @@ def charged_walk(homes, writes, start, scheme, cm):
 
 
 class TestScoringMatchesChargedWalk:
-    """Every evaluation route scores the core sequence in one
-    vectorized pass; it must equal charging access by access, on links
-    narrow enough that remote reads and writes cost differently."""
+    """The walk charges a run at a time and evaluate_thread an access at
+    a time, after the fact; both must equal charging each access as it
+    is decided, on links narrow enough that remote reads and writes
+    cost differently."""
 
     @pytest.fixture
     def narrow(self):
@@ -386,3 +426,79 @@ class TestEvaluateScheme:
         d = evaluate_scheme(pingpong_small, pl, AlwaysMigrate(), cm).as_dict()
         for key in ("scheme", "total_cost", "migrations", "traffic_bits"):
             assert key in d
+
+
+class _Forgetful:
+    """A home-run memo that never hits: every evaluation is fresh."""
+
+    def get(self, placement):
+        return None
+
+    def __setitem__(self, placement, entry):
+        pass
+
+
+def _rows(trace, placement, schemes, cm):
+    return [evaluate_scheme(trace, placement, s, cm).as_dict() for s in schemes]
+
+
+class TestHomeRunMemo:
+    """Home runs are built once per (trace, placement) pair and reused;
+    every evaluation must still give the rows of a fresh one."""
+
+    @pytest.fixture
+    def cm16(self):
+        return CostModel(small_test_config(num_cores=16))
+
+    @pytest.fixture
+    def trace(self):
+        return make_workload("hotspot", num_threads=8, accesses_per_thread=200, burst=2)
+
+    def _fresh(self, monkeypatch, fn):
+        with monkeypatch.context() as m:
+            m.setattr(evaluation, "_runs_memo", _Forgetful())
+            return fn()
+
+    def test_two_placements_over_one_trace(self, monkeypatch, cm16, trace):
+        schemes = [SCHEMES.get(n)(cm16) for n in SCHEMES.names()]
+        a, b = first_touch(trace, 16), striped(16)
+        got = [_rows(trace, pl, schemes, cm16) for pl in (a, b, a, b)]
+        want = [self._fresh(monkeypatch, lambda pl=pl: _rows(trace, pl, schemes, cm16))
+                for pl in (a, b)]
+        assert got == want + want
+        assert want[0] != want[1]
+
+    def test_schemes_in_reverse_order(self, monkeypatch, cm16, trace):
+        pl = first_touch(trace, 16)
+        schemes = [SCHEMES.get(n)(cm16) for n in SCHEMES.names()]
+        forward = _rows(trace, pl, schemes, cm16)
+        backward = _rows(trace, pl, schemes[::-1], cm16)[::-1]
+        fresh = self._fresh(monkeypatch, lambda: _rows(trace, pl, schemes, cm16))
+        assert forward == backward == fresh
+
+    def test_dynamic_placement_epochs(self, monkeypatch, cm16, trace):
+        """The static placement scores the whole trace, then its first
+        epoch: one placement over two traces."""
+        def run():
+            return evaluate_dynamic_placement(
+                trace, 16, HistoryRunLength(2.0), cm16, num_epochs=4
+            )
+        assert run() == self._fresh(monkeypatch, run)
+
+    def test_home_of_runs_once_per_trace(self, cm16, trace):
+        pl = first_touch(trace, 16)
+        calls = []
+        home_of = pl.home_of
+        pl.home_of = lambda addrs: calls.append(1) or home_of(addrs)
+        for name in SCHEMES.names():
+            evaluate_scheme(trace, pl, SCHEMES.get(name)(cm16), cm16, collect_run_lengths=True)
+        assert len(calls) == trace.num_threads
+
+    def test_memo_entry_dropped_with_its_placement(self, cm16, trace):
+        pl = first_touch(trace, 16)
+        evaluate_scheme(trace, pl, AlwaysMigrate(), cm16)
+        assert pl in evaluation._runs_memo
+        n, ref = len(evaluation._runs_memo), weakref.ref(pl)
+        del pl
+        gc.collect()
+        assert ref() is None and len(evaluation._runs_memo) < n

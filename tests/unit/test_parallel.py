@@ -132,7 +132,7 @@ class TestFailureAttribution:
         with pytest.raises(SweepPointError) as ei:
             sweep_specs(_base(), points, workers=workers)
         assert ei.value.point == _spec_dicts(points)[2]
-        assert "unexpected keyword argument 'distance'" in str(ei.value)
+        assert "scheme 'distance-1' has no parameter 'distance'" in str(ei.value)
 
     def test_unpicklable_exception_still_attributed(self, monkeypatch):
         """An exception that cannot cross a process boundary is still

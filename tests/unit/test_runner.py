@@ -189,6 +189,64 @@ class TestConfigOverrides:
             run(_config_spec(config))
 
 
+class TestComponentParams:
+    """A param the named component does not take is a ConfigError naming
+    the component and the key, one check for every family."""
+
+    def test_unknown_scheme_param(self):
+        for name in ("native-first", "history", "always-migrate"):
+            spec = _spec().replace(scheme=SchemeSpec(name=name, params={"bogus": 1}))
+            with pytest.raises(ConfigError, match=f"scheme '{name}' has no parameter 'bogus'"):
+                build(spec)
+
+    def test_unknown_placement_param(self):
+        for name in ("first-touch", "striped"):
+            spec = _spec().replace(placement=PlacementSpec(name=name, params={"bogus": 1}))
+            with pytest.raises(ConfigError, match=f"placement '{name}' has no parameter 'bogus'"):
+                build(spec)
+
+    def test_unknown_workload_param(self):
+        workload = WorkloadSpec(name="uniform", params={"num_threads": 4, "bogus": 1})
+        with pytest.raises(ConfigError, match="workload 'uniform' has no parameter 'bogus'"):
+            build(_spec().replace(workload=workload))
+
+    def test_every_registered_factory_names_its_params(self):
+        """The check reads the factory's signature, so no factory may
+        hide its params behind ``**kwargs``."""
+        import inspect
+
+        from repro.registry import PLACEMENTS, SCHEMES, TOPOLOGIES, WORKLOADS
+
+        for registry in (SCHEMES, PLACEMENTS, WORKLOADS, TOPOLOGIES):
+            for entry in registry.items():
+                kinds = {p.kind for p in inspect.signature(entry.obj).parameters.values()}
+                assert inspect.Parameter.VAR_KEYWORD not in kinds, entry.name
+
+    def test_native_first_takes_no_native_core(self):
+        """The latch is the thread's start core; a spec that names a
+        native core would only key a duplicate row."""
+        spec = _spec(scheme="native-first").replace(
+            scheme=SchemeSpec(name="native-first", params={"native_core": 3})
+        )
+        with pytest.raises(ConfigError, match="'native-first' has no parameter 'native_core'"):
+            run(spec)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True, "7"])
+    def test_random_seed_must_be_an_int(self, seed):
+        spec = _spec().replace(scheme=SchemeSpec(name="random", params={"seed": seed}))
+        with pytest.raises(ConfigError, match="seed"):
+            run(spec)
+
+    def test_random_rows_repeat(self):
+        spec = _spec().replace(
+            workload=WorkloadSpec(name="uniform", params={"num_threads": 4, "accesses_per_thread": 256}),
+            scheme=SchemeSpec(name="random", params={"seed": 11}),
+        )
+        rows = [run(spec) for _ in range(3)]
+        assert rows[0] == rows[1] == rows[2]
+        assert rows[0]["migrations"] > 0
+
+
 class TestMergeSpec:
     def test_string_swaps_component_with_defaults(self):
         merged = merge_spec(_spec(), {"scheme": "never-migrate"})

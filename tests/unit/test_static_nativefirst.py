@@ -29,9 +29,9 @@ class TestNativeFirst:
     def test_home_rule_beats_away_policy(self):
         from repro.core.decision import AlwaysMigrate
 
-        s = NativeFirst(away=AlwaysMigrate(), native_core=1)
+        s = NativeFirst(away=AlwaysMigrate())
+        assert s.decide(1, 3, 0, False) == Decision.MIGRATE  # away policy; native := 1
         assert s.decide(3, 1, 0, False) == Decision.MIGRATE  # home
-        assert s.decide(1, 3, 0, False) == Decision.MIGRATE  # away policy
 
     def test_default_away_is_never_migrate_degenerate(self, cm):
         """Documented degenerate case: away=NeverMigrate makes the whole

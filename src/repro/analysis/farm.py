@@ -14,16 +14,17 @@ since a path says nothing about the bytes behind it. ``TRACE_QUERY``'s
 evaluates this session's bytes even when it holds another version's
 under the same path, or cannot open the path at all.
 
-Wire format (RPFM v3): every frame is a fixed header ``!4sBBxxI`` —
+Wire format (RPFM v4): every frame is a fixed header ``!4sBBxxI`` —
 magic ``b"RPFM"``, protocol version, message kind, body length —
 followed by a JSON body (insertion-ordered, so RESULT rows keep the
 key order a local run produces). ``TRACE_PUT`` carries the trace
-container's bytes (:func:`~repro.trace.io.encode_multitrace`),
-base64-encoded, so nothing on the wire is ever unpickled. A frame with
-the wrong magic, an unknown kind, an oversized length, or a truncated
-or non-object body raises :class:`FrameError`; a version field other
-than :data:`PROTOCOL_VERSION` raises :class:`ProtocolMismatch` before the
-body is read, so incompatible peers are rejected at the first frame —
+container's bytes (:func:`~repro.trace.io.encode_multitrace`, one
+uncompressed record), base64-encoded, so nothing on the wire is ever
+unpickled. A frame with the wrong magic, an unknown kind, an oversized
+length, or a truncated or non-object body raises :class:`FrameError`;
+a version field other than :data:`PROTOCOL_VERSION` raises
+:class:`ProtocolMismatch` before the body is read, so incompatible
+peers are rejected at the first frame —
 a live worker answers a foreign version with an ``ERROR`` frame naming
 its own version, which the coordinator surfaces as the same typed
 :class:`ProtocolMismatch`.
@@ -42,7 +43,7 @@ bad or missing proof is answered with a *permanent* typed ``ERROR``
 
 Session, coordinator's view of one worker::
 
-    connect  -> HELLO            {"protocol": 3, "points": N, "auth": bool}
+    connect  -> HELLO            {"protocol": 4, "points": N, "auth": bool}
     <- AUTH_CHALLENGE            {"nonce"}              (token-gated workers)
     -> AUTH_RESPONSE             {"mac"}
     <- HELLO_ACK                 {"pid", "cpu_count", ["auth"], ...}
@@ -125,10 +126,10 @@ from repro.util.errors import ConfigError, ReproError
 
 # -------------------------------------------------------------- wire layer
 #: v2 added the AUTH_CHALLENGE/AUTH_RESPONSE handshake leg; v3 makes
-#: every body JSON (TRACE_PUT carries container bytes, base64). Older
-#: peers are rejected with a typed :class:`ProtocolMismatch` at the
-#: first frame.
-PROTOCOL_VERSION = 3
+#: every body JSON (TRACE_PUT carries container bytes, base64); v4's
+#: TRACE_PUT carries the one-record container. Older peers are
+#: rejected with a typed :class:`ProtocolMismatch` at the first frame.
+PROTOCOL_VERSION = 4
 MAGIC = b"RPFM"
 HEADER = struct.Struct("!4sBBxxI")  # magic, version, kind, pad, body length
 MAX_FRAME = 256 * 1024 * 1024

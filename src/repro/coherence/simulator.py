@@ -496,18 +496,14 @@ def cc_results(sim: DirectoryCCSimulator) -> dict:
 
 
 @MACHINES.register("cc-msi", "directory-MSI coherence baseline (detailed DES)")
-def _run_cc_msi(trace, placement, config, scheme=None, topology=None, **params):
-    params.pop("fast_path", None)  # the EM² stepper's knob; no-op here
-    sim = DirectoryCCSimulator(
-        trace, placement, config, topology=topology, protocol="msi", **params
-    )
+def _run_cc_msi(trace, placement, config, scheme=None, topology=None, faults=None, fast_path=True):
+    # fast_path is the EM² stepper's knob; a no-op here
+    sim = DirectoryCCSimulator(trace, placement, config, topology, protocol="msi", faults=faults)
     return cc_results(sim)
 
 
 @MACHINES.register("cc-mesi", "directory-MESI coherence baseline (detailed DES)")
-def _run_cc_mesi(trace, placement, config, scheme=None, topology=None, **params):
-    params.pop("fast_path", None)  # the EM² stepper's knob; no-op here
-    sim = DirectoryCCSimulator(
-        trace, placement, config, topology=topology, protocol="mesi", **params
-    )
+def _run_cc_mesi(trace, placement, config, scheme=None, topology=None, faults=None, fast_path=True):
+    # fast_path is the EM² stepper's knob; a no-op here
+    sim = DirectoryCCSimulator(trace, placement, config, topology, protocol="mesi", faults=faults)
     return cc_results(sim)

@@ -27,6 +27,21 @@ from repro.arch.config import SystemConfig
 from repro.arch.topology import Topology, topology_for
 
 
+class MatrixRows(dict):
+    """core -> that core's row of each given ``(P, P)`` matrix as a
+    list, converted the first time the core is looked up: per-access
+    code indexes Python lists, and only consulted cores' rows are
+    ever converted."""
+
+    def __init__(self, *matrices: np.ndarray) -> None:
+        super().__init__()
+        self.matrices = matrices
+
+    def __missing__(self, core: int) -> tuple[list[float], ...]:
+        rows = self[core] = tuple(m[core].tolist() for m in self.matrices)
+        return rows
+
+
 class CostModel:
     """Precomputed migration / remote-access cost matrices."""
 

@@ -21,9 +21,11 @@ scalar-threshold scheme across workloads.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
-from repro.core.costs import CostModel
+from repro.core.costs import CostModel, MatrixRows
 from repro.core.decision.base import Decision
 from repro.core.decision.history import RunLengthScheme
 from repro.registry import SCHEMES
@@ -50,20 +52,23 @@ class CostAwareHistory(RunLengthScheme):
         # expected per-access RA cost blends reads/writes by the hint
         self._ra = (1 - write_fraction_hint) * ra_r + write_fraction_hint * ra_w
         self._round_trip = mig + mig.T
+        self._rows = MatrixRows(self._ra, self._round_trip)
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
-        L = self.predictor.predict(home)
-        if L * self._ra[current, home] > self._round_trip[current, home]:
+        ra, round_trip = self._rows[current]
+        if self.predictor.predict(home) * ra[home] > round_trip[home]:
             return Decision.MIGRATE
         return Decision.REMOTE
 
     def clone(self) -> "CostAwareHistory":
-        return CostAwareHistory(
-            self.cost_model,
-            self.table_size,
-            self.initial_prediction,
-            self.write_fraction_hint,
-        )
+        """A fresh predictor over this scheme's read-only matrices,
+        which the analytical machine and em2ra would otherwise rebuild
+        once per thread. Each clone takes as lists only the rows of the
+        cores it consults."""
+        twin = copy.copy(self)
+        RunLengthScheme.__init__(twin, self.table_size, self.initial_prediction)
+        twin._rows = MatrixRows(self._ra, self._round_trip)
+        return twin
 
 
 @SCHEMES.register("costaware", "run-length prediction + per-pair break-even test")

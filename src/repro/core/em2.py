@@ -37,7 +37,7 @@ class EM2Machine(MigrationMachineBase):
 
 
 @MACHINES.register("em2", "pure migration machine (detailed DES, Figure 1)")
-def _run_em2(trace, placement, config, scheme=None, topology=None, **params):
-    m = EM2Machine(trace, placement, config, topology=topology, **params)
+def _run_em2(trace, placement, config, scheme=None, topology=None, faults=None, fast_path=True):
+    m = EM2Machine(trace, placement, config, topology, faults=faults, fast_path=fast_path)
     m.run()
     return m.results()

@@ -127,11 +127,11 @@ class EM2RAMachine(MigrationMachineBase):
 
 
 @MACHINES.register("em2ra", "hybrid migration / remote-access machine (detailed DES)")
-def _run_em2ra(trace, placement, config, scheme=None, topology=None, **params):
+def _run_em2ra(trace, placement, config, scheme=None, topology=None, faults=None, fast_path=True):
     if scheme is None:
         from repro.util.errors import ConfigError
 
         raise ConfigError("machine 'em2ra' requires a decision scheme")
-    m = EM2RAMachine(trace, placement, config, scheme, topology=topology, **params)
+    m = EM2RAMachine(trace, placement, config, scheme, topology, faults=faults, fast_path=fast_path)
     m.run()
     return m.results()

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.costs import CostModel
+from repro.core.costs import CostModel, MatrixRows
 from repro.core.decision.base import Decision, DecisionScheme
 from repro.placement.base import Placement
 from repro.registry import MACHINES
@@ -205,20 +205,6 @@ def home_run_tables(trace: MultiTrace, placement: Placement) -> list[HomeRuns]:
 
 
 # ----------------------------------------------------------------- walk
-class _CostRows(dict):
-    """core -> its (migration, remote read, remote write) cost rows as
-    lists, taken when a walk first visits the core, so no whole P x P
-    matrix becomes Python lists."""
-
-    def __init__(self, cost_model: CostModel) -> None:
-        super().__init__()
-        self.matrices = (cost_model.migration, cost_model.remote_read, cost_model.remote_write)
-
-    def __missing__(self, core: int) -> tuple[list[float], list[float], list[float]]:
-        rows = self[core] = tuple(m[core].tolist() for m in self.matrices)
-        return rows
-
-
 def _first_at_home(m: int, lo: int, e: int, n_w: int, writes: np.ndarray) -> int:
     """The first access in ``[lo, e)`` (one run's, ``n_w`` of them
     writes) whose write flag migrates under ``m`` (bit 0 set: reads
@@ -233,7 +219,7 @@ def _first_at_home(m: int, lo: int, e: int, n_w: int, writes: np.ndarray) -> int
     return lo + int(np.argmax(writes[lo:e] == bool(mig_w)))
 
 
-def _walk(runs: HomeRuns, start: int, scheme: DecisionScheme, rows: _CostRows, tr: np.ndarray):
+def _walk(runs: HomeRuns, start: int, scheme: DecisionScheme, rows: MatrixRows, tr: np.ndarray):
     """One thread's (cost, migrations, remote accesses, remote writes,
     local accesses) under ``scheme``, from the thread's start core."""
     decide, learn = scheme.decide, scheme.observe_run
@@ -321,7 +307,8 @@ def evaluate_scheme(
     """Evaluate ``scheme`` over every thread of ``trace``, each thread
     on a fresh clone."""
     result = EvalResult(scheme=scheme.name)
-    rows = _CostRows(cost_model)
+    # each core's cost rows as lists, taken when a walk first visits it
+    rows = MatrixRows(cost_model.migration, cost_model.remote_read, cost_model.remote_write)
     hists = []
     for t, (tr, runs) in enumerate(zip(trace.threads, home_run_tables(trace, placement))):
         start = trace.thread_native_core[t] % cost_model.config.num_cores
@@ -351,17 +338,21 @@ def evaluate_scheme(
 @MACHINES.register(
     "analytical", "fast trace-driven scheme evaluation (the paper's cost model)"
 )
-def _run_analytical(trace, placement, config, scheme=None, topology=None, **params):
+def _run_analytical(
+    trace, placement, config, scheme=None, topology=None, collect_run_lengths=False,
+    faults=None, fast_path=True,
+):
+    # fast_path is the EM² stepper's knob; a no-op here
     from repro.util.errors import ConfigError
 
     if scheme is None:
         raise ConfigError("machine 'analytical' requires a decision scheme")
-    if params.get("faults") is not None:
+    if faults is not None:
         raise ConfigError(
             "machine 'analytical' cannot model faults; use a detailed "
             "machine (em2, em2ra, ra-only, cc-msi, cc-mesi)"
         )
-    params.pop("faults", None)
-    params.pop("fast_path", None)  # the EM² stepper's knob; no-op here
     cost = CostModel(config, topology)
-    return evaluate_scheme(trace, placement, scheme, cost, **params).as_dict()
+    return evaluate_scheme(
+        trace, placement, scheme, cost, collect_run_lengths=collect_run_lengths
+    ).as_dict()

@@ -52,7 +52,7 @@ class RemoteAccessMachine(EM2RAMachine):
 
 
 @MACHINES.register("ra-only", "remote-access-only machine (detailed DES)")
-def _run_ra_only(trace, placement, config, scheme=None, topology=None, **params):
-    m = RemoteAccessMachine(trace, placement, config, topology=topology, **params)
+def _run_ra_only(trace, placement, config, scheme=None, topology=None, faults=None, fast_path=True):
+    m = RemoteAccessMachine(trace, placement, config, topology, faults=faults, fast_path=fast_path)
     m.run()
     return m.results()

@@ -286,7 +286,6 @@ def run(spec: ExperimentSpec) -> dict:
     reproduces the same fault schedule in any process.
     """
     built = build(spec)
-    machine_fn = MACHINES.get(spec.machine.name)
     kwargs = dict(spec.machine.params)
     if not spec.machine.fast_path:
         kwargs["fast_path"] = False
@@ -294,12 +293,15 @@ def run(spec: ExperimentSpec) -> dict:
         from repro.faults.injector import FaultInjector
 
         kwargs["faults"] = FaultInjector(spec.faults)
-    return machine_fn(
+    return _construct(
+        "machine",
+        spec.machine.name,
+        MACHINES.get(spec.machine.name),
         built.trace,
         built.placement,
         built.config,
-        scheme=built.scheme,
-        topology=built.topology,
+        built.scheme,
+        built.topology,
         **kwargs,
     )
 

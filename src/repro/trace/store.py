@@ -7,12 +7,13 @@ artifact — one NPZ per :meth:`repro.spec.WorkloadSpec.cache_key`, so a
 spec's trace is generated exactly once per machine and every later
 process (CLI run, sweep worker, bench) loads the columns from disk.
 
-Layout: ``<root>/<salt-mixed key>.npz`` (the trace container written
-by :func:`repro.trace.io.save_multitrace`) plus a tiny ``.json``
-sidecar with display metadata so ``repro trace ls`` never has to
-decompress traces. Writes are atomic (tempfile + rename); a corrupt or
-truncated entry is treated as a miss and deleted, never propagated —
-the generator is the source of truth, the store only a cache.
+Layout: ``<root>/<salt-mixed key>.npz`` (the one-record trace
+container of :mod:`repro.trace.io`, as a trace file holds it) plus a
+tiny ``.json`` sidecar with display metadata so ``repro trace ls``
+never has to open traces. Writes are atomic (tempfile + rename); a
+corrupt or truncated entry is treated as a miss and deleted, never
+propagated — the generator is the source of truth, the store only a
+cache.
 
 Eviction is LRU by file mtime under a byte-size cap (``gc``); reads
 touch the mtime so hot traces survive. The store is off by default and
@@ -33,8 +34,9 @@ from repro.trace.io import decode_multitrace, encode_multitrace
 from repro.util.errors import ConfigError, TraceFormatError
 
 #: Bump when a deliberate generator-semantics change invalidates stored
-#: traces (the golden-trace fixture changes in the same commit).
-TRACE_STORE_SCHEMA = 1
+#: traces (the golden-trace fixture changes in the same commit), or
+#: when the container changes: 2 is the one-record layout.
+TRACE_STORE_SCHEMA = 2
 
 _ENV_DIR = "REPRO_TRACE_DIR"
 

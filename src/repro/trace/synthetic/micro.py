@@ -3,6 +3,17 @@
 Used by unit tests and the decision-scheme benchmarks: each generator's
 migration/RA trade-off can be computed by hand, so they pin down the
 simulators and the DP independent of the SPLASH-like generators.
+
+Every generator emits each thread's accesses as whole columns:
+``uniform`` and ``private`` from array draws, ``pingpong`` with no
+draws at all. ``hotspot`` cannot draw whole columns: a uniform picks
+hot or private for each access (or burst), and the offsets and write
+flags drawn next depend on that pick, so each value's place in the
+PCG64 stream depends on the picks before it. It draws one scalar per
+value in that order into lists, emitted once per thread. Drawing each
+kind up front would reorder the stream and change every ``hotspot``
+trace; a scalar ``integers`` call costs about a third of the size-1
+array draw it replaces.
 """
 
 from __future__ import annotations
@@ -106,18 +117,19 @@ class HotspotGenerator(WorkloadGenerator):
                 writes=1,
                 icounts=1,
             )
+        rand, randint = self.rng.random, self.rng.integers
+        hot, hot_words, burst = self.hot_base, self.hot_words, self.burst
         priv = self.space.private_base(thread)
-        emitted = 0
-        while emitted < self.apt:
-            if self.rng.random() < self.hot_fraction:
-                offs = self.rng.integers(0, self.hot_words, self.burst, dtype=np.int64)
-                wr = (self.rng.random(self.burst) < 0.5).astype(np.uint8)
-                b.emit(self.hot_base + offs, writes=wr, icounts=3)
-                emitted += self.burst
+        addrs: list[int] = []
+        writes: list[bool] = []
+        while len(addrs) < self.apt:
+            if rand() < self.hot_fraction:
+                addrs += [hot + randint(0, hot_words) for _ in range(burst)]
+                writes += [rand() < 0.5 for _ in range(burst)]
             else:
-                off = int(self.rng.integers(0, 1024))
-                b.emit_one(priv + off, write=self.rng.random() < 0.3, icount=3)
-                emitted += 1
+                addrs.append(priv + randint(0, 1024))
+                writes.append(rand() < 0.3)
+        b.emit(addrs, writes=np.array(writes, dtype=np.uint8), icounts=3)
 
 
 @WORKLOADS.register("private")
@@ -200,22 +212,20 @@ class PingPongGenerator(WorkloadGenerator):
         }
 
     def _thread_trace(self, thread: int, b: TraceBuilder) -> None:
-        pair = thread // 2
-        base = self.buf_base[pair]
-        priv = self.space.private_base(thread)
+        base = self.buf_base[thread // 2]
         if thread % 2 == 0:
             # producer: first-touch the buffer, then long local write runs
             b.emit(
                 base + np.arange(self.buffer_words, dtype=np.int64), writes=1, icounts=1
             )
-            for r in range(self.rounds):
-                offs = np.arange(
-                    0, min(self.buffer_words, 8), dtype=np.int64
-                )
-                b.emit(base + offs, writes=1, icounts=2)
+            offs = np.arange(min(self.buffer_words, 8), dtype=np.int64)
+            b.emit(np.tile(base + offs, self.rounds), writes=1, icounts=2)
         else:
             # consumer: `run` buffer reads then a private write, repeated
-            for r in range(self.rounds):
-                offs = (r + np.arange(self.run, dtype=np.int64)) % self.buffer_words
-                b.emit(base + offs, writes=0, icounts=2)
-                b.emit_one(priv + (r % 64), write=True, icount=2)
+            rounds = np.arange(self.rounds, dtype=np.int64)
+            cols = np.empty((self.rounds, self.run + 1), dtype=np.int64)
+            cols[:, :-1] = base + (rounds[:, None] + np.arange(self.run)) % self.buffer_words
+            cols[:, -1] = self.space.private_base(thread) + rounds % 64
+            writes = np.zeros(cols.shape, dtype=np.uint8)
+            writes[:, -1] = 1
+            b.emit(cols.ravel(), writes=writes.ravel(), icounts=2)

@@ -152,15 +152,54 @@ def test_farm_streams_results_in_spec_order(workers):
 
 
 # ----------------------------------------------------------- death mid-chunk
+class FlakyWorker(WorkerServer):
+    """A worker whose session drops on its second CHUNK (the
+    ``fail_after_chunks`` hook: no RESULT ever comes); ``gone`` is set
+    once that session has ended."""
+
+    def __init__(self) -> None:
+        super().__init__(port=0, fail_after_chunks=2)
+        self.gone = threading.Event()
+
+    def serve_connection(self, conn) -> None:
+        try:
+            super().serve_connection(conn)
+        finally:
+            self.gone.set()
+
+
+class HeldWorker(WorkerServer):
+    """A steady worker whose evaluator starts only once ``release`` is
+    set. With one-point chunks it holds at most one point until then,
+    so a flaky peer is sure to take its second chunk whichever worker
+    the coordinator serves first; its reader still answers PINGs."""
+
+    def __init__(self, release: threading.Event) -> None:
+        super().__init__(port=0)
+        self.release = release
+
+    def _evaluate(self, *args) -> None:
+        self.release.wait(60.0)  # a guard against a hang, not a delay
+        super()._evaluate(*args)
+
+
+def flaky_and_held_workers() -> tuple[FlakyWorker, HeldWorker]:
+    """A started flaky worker, and a steady one held until the flaky
+    one's session has dropped."""
+    flaky = FlakyWorker().start_background()
+    return flaky, HeldWorker(flaky.gone).start_background()
+
+
 def test_worker_death_mid_chunk_requeues_to_survivor(monkeypatch):
     """One of two workers drops its connection after its second
     one-point CHUNK (the test hook simulates a crash: no RESULT, no FIN
     handshake beyond the reset). The survivor must absorb the requeued
-    points and the rows must still be exactly the serial rows. Redial
-    is off: with it, whether the flaky worker ends dead depends on
-    whether the steady one finishes during a redial sleep (the
-    ``test_reconnect_*`` tests in ``test_farm_robustness.py`` cover
-    redial)."""
+    points and the rows must still be exactly the serial rows. The
+    survivor evaluates nothing until the drop, so it cannot drain the
+    grid first. Redial is off: with it, whether the flaky worker ends
+    dead depends on whether the steady one finishes during a redial
+    sleep (the ``test_reconnect_*`` tests in
+    ``test_farm_robustness.py`` cover redial)."""
     base, points = _base(), _points(
         ("never-migrate", "always-migrate", "history", "costaware",
          "random", "distance-1", "distance-2", "addr-history")
@@ -169,8 +208,7 @@ def test_worker_death_mid_chunk_requeues_to_survivor(monkeypatch):
     serial = canonical_rows(sweep_specs(base, points))
     monkeypatch.setattr(farm_mod, "MAX_CHUNK", 1)
 
-    flaky = WorkerServer(port=0, fail_after_chunks=2).start_background()
-    steady = WorkerServer(port=0).start_background()
+    flaky, steady = flaky_and_held_workers()
     stats: dict = {}
     try:
         with pytest.warns(RuntimeWarning, match="dropped"):

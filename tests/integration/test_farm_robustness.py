@@ -58,6 +58,7 @@ from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, WorkloadSpec
 from repro.trace import store as store_mod
 from repro.trace.io import save_multitrace
 from repro.trace.store import TraceStore
+from tests.integration.test_farm import flaky_and_held_workers
 
 SCHEMES = (
     "never-migrate",
@@ -245,11 +246,12 @@ def test_reconnect_resumes_trace_store_trace_pushed_once(monkeypatch):
 
 def test_reconnect_zero_keeps_old_die_fast_semantics(monkeypatch):
     """``reconnect=0`` restores the pre-ISSUE-10 behaviour: a dropped
-    worker stays dead and survivors absorb the requeue."""
+    worker stays dead and survivors absorb the requeue. The survivor
+    evaluates nothing until the drop, so it cannot drain the grid
+    before the flaky worker takes its second chunk."""
     spec_dicts = _spec_dicts()
     monkeypatch.setattr(farm_mod, "MAX_CHUNK", 1)
-    flaky = WorkerServer(fail_after_chunks=2).start_background()
-    steady = WorkerServer().start_background()
+    flaky, steady = flaky_and_held_workers()
     stats: dict = {}
     try:
         with pytest.warns(RuntimeWarning, match="dropped"):
@@ -262,7 +264,9 @@ def test_reconnect_zero_keeps_old_die_fast_semantics(monkeypatch):
         flaky.stop()
         steady.stop()
     assert stats["reconnects"] == 0
+    assert stats["requeues"] >= 1
     assert stats["workers"][flaky.address]["dead"] is True
+    assert stats["workers"][steady.address]["dead"] is False
 
 
 # ------------------------------------------------------------------- auth

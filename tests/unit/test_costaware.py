@@ -48,6 +48,32 @@ class TestDecisionRule:
         d_far = s.decide(0, 15, 0, False)
         assert {d_near, d_far} == {Decision.MIGRATE, Decision.REMOTE}
 
+    def test_clone_reuses_the_parents_matrices(self, cm):
+        s = CostAwareHistory(cm)
+        c = s.clone()
+        assert c._ra is s._ra and c._round_trip is s._round_trip
+        assert c.predictor is not s.predictor and c._rows is not s._rows
+        assert c.write_fraction_hint == s.write_fraction_hint
+        assert c.clone()._ra is s._ra
+
+    def test_list_rows_decide_as_the_matrices_do(self, cm):
+        """Every (current, home) pair at several predictions decides as
+        the numpy expression over the blended matrices does, on the
+        parent and on a clone that took its rows afresh."""
+        hint = 0.3
+        s = CostAwareHistory(cm, write_fraction_hint=hint)
+        ra = (1 - hint) * np.asarray(cm.remote_read) + hint * np.asarray(cm.remote_write)
+        mig = np.asarray(cm.migration)
+        rt = mig + mig.T
+        for scheme in (s, s.clone()):
+            for L in (1, 2, 3, 5, 8, 40):
+                for home in range(16):
+                    scheme.predictor.update(home, L)
+                for cur in range(16):
+                    for home in range(16):
+                        want = Decision.MIGRATE if L * ra[cur, home] > rt[cur, home] else Decision.REMOTE
+                        assert scheme.decide(cur, home, 0, False) == want
+
     def test_reset_and_clone(self, cm):
         s = CostAwareHistory(cm)
         for _ in range(20):

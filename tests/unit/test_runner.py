@@ -1,5 +1,7 @@
 """Unit tests for the spec -> live-objects construction path."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch.config import small_test_config
@@ -210,14 +212,40 @@ class TestComponentParams:
         with pytest.raises(ConfigError, match="workload 'uniform' has no parameter 'bogus'"):
             build(_spec().replace(workload=workload))
 
+    def _machine_spec(self, machine: str, params: dict) -> ExperimentSpec:
+        spec = _spec(machine)
+        return spec.replace(machine=dataclasses.replace(spec.machine, params=params))
+
+    def test_unknown_analytical_machine_param(self):
+        with pytest.raises(
+            ConfigError, match="machine 'analytical' has no parameter 'bogus'; known: "
+        ):
+            run(self._machine_spec("analytical", {"bogus": 1}))
+
+    @pytest.mark.parametrize("machine", ["em2", "em2ra", "ra-only"])
+    def test_unknown_migration_machine_param(self, machine):
+        with pytest.raises(ConfigError, match=f"machine '{machine}' has no parameter 'bogus'"):
+            run(self._machine_spec(machine, {"bogus": 1}))
+
+    @pytest.mark.parametrize("machine", ["cc-msi", "cc-mesi"])
+    def test_unknown_coherence_machine_param(self, machine):
+        with pytest.raises(ConfigError, match=f"machine '{machine}' has no parameter 'bogus'"):
+            run(self._machine_spec(machine, {"bogus": 1}))
+
+    def test_known_machine_params_pass(self):
+        assert run(self._machine_spec("analytical", {"collect_run_lengths": True})) == run(_spec())
+        slow = run(self._machine_spec("em2", {"fast_path": False}))
+        assert slow.pop("fast_path") == {"engaged": False, "disabled_reason": "off"}
+        assert slow == {k: v for k, v in run(_spec("em2")).items() if k != "fast_path"}
+
     def test_every_registered_factory_names_its_params(self):
         """The check reads the factory's signature, so no factory may
         hide its params behind ``**kwargs``."""
         import inspect
 
-        from repro.registry import PLACEMENTS, SCHEMES, TOPOLOGIES, WORKLOADS
+        from repro.registry import MACHINES, PLACEMENTS, SCHEMES, TOPOLOGIES, WORKLOADS
 
-        for registry in (SCHEMES, PLACEMENTS, WORKLOADS, TOPOLOGIES):
+        for registry in (SCHEMES, PLACEMENTS, WORKLOADS, TOPOLOGIES, MACHINES):
             for entry in registry.items():
                 kinds = {p.kind for p in inspect.signature(entry.obj).parameters.values()}
                 assert inspect.Parameter.VAR_KEYWORD not in kinds, entry.name

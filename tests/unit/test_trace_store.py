@@ -67,7 +67,7 @@ class TestRoundTrip:
         store = TraceStore(tmp_path)
         assert "k1" not in str(store.path_for("k1"))
         assert store.path_for("k1") != store.path_for("k2")
-        assert TRACE_STORE_SCHEMA == 1
+        assert TRACE_STORE_SCHEMA == 2
 
 
 class TestCorruption:

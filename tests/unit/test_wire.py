@@ -266,6 +266,30 @@ def test_v2_peer_refused_with_protocol_mismatch():
         th.join(timeout=5.0)
 
 
+def test_v3_peer_refused_at_hello():
+    """v4 is the one-record trace container's protocol: a v3 peer, whose
+    TRACE_PUT would carry one member per thread, is refused at its
+    HELLO's header, and a live worker answers it with ERROR naming v4."""
+    from repro.analysis.farm import ERROR
+    from repro.analysis.worker import WorkerServer
+
+    assert PROTOCOL_VERSION == 4
+    server = WorkerServer(port=0).start_background()
+    try:
+        conn = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        conn.settimeout(5.0)
+        try:
+            body = b'{"protocol": 3, "points": 1, "auth": false}'
+            conn.sendall(HEADER.pack(MAGIC, 3, HELLO, len(body)) + body)
+            kind, msg = recv_frame(conn)
+            assert kind == ERROR
+            assert msg["protocol"] == 4 and "v3" in msg["message"]
+        finally:
+            conn.close()
+    finally:
+        server.stop()
+
+
 def test_worker_rejects_foreign_protocol_version():
     """A live worker answers a foreign-version HELLO with ERROR naming
     its own version, then drops the connection."""

@@ -339,8 +339,7 @@ def evaluate_scheme(
     "analytical", "fast trace-driven scheme evaluation (the paper's cost model)"
 )
 def _run_analytical(
-    trace, placement, config, scheme=None, topology=None, collect_run_lengths=False,
-    faults=None, fast_path=True,
+    trace, placement, config, scheme=None, topology=None, faults=None, fast_path=True
 ):
     # fast_path is the EM² stepper's knob; a no-op here
     from repro.util.errors import ConfigError
@@ -353,6 +352,4 @@ def _run_analytical(
             "machine (em2, em2ra, ra-only, cc-msi, cc-mesi)"
         )
     cost = CostModel(config, topology)
-    return evaluate_scheme(
-        trace, placement, scheme, cost, collect_run_lengths=collect_run_lengths
-    ).as_dict()
+    return evaluate_scheme(trace, placement, scheme, cost).as_dict()

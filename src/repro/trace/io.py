@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.trace.events import STACK_TRACE_DTYPE, TRACE_DTYPE, MultiTrace
+from repro.trace.events import TRACE_DTYPE, MultiTrace, validate_trace
 from repro.util.errors import TraceFormatError
 
 _MEMBERS = frozenset({"accesses", "lengths", "native_cores", "meta_json"})
@@ -101,11 +101,6 @@ def decode_multitrace(data: bytes, source: object = "trace container") -> MultiT
         raise
     except _CORRUPT_ERRORS as exc:
         raise TraceFormatError(f"corrupt trace container {source}: {exc}") from exc
-    if accesses.dtype not in (TRACE_DTYPE, STACK_TRACE_DTYPE) or accesses.ndim != 1:
-        raise TraceFormatError(
-            f"{source}: accesses must be a 1-D TRACE_DTYPE or STACK_TRACE_DTYPE "
-            f"record, got {accesses.dtype} of shape {accesses.shape}"
-        )
     for what, col in (("lengths", lengths), ("native_cores", native)):
         if col.ndim != 1 or col.dtype.kind not in "iu" or col.size != n:
             raise TraceFormatError(
@@ -119,6 +114,7 @@ def decode_multitrace(data: bytes, source: object = "trace container") -> MultiT
             f"{accesses.size} accesses, got {counts}"
         )
     try:
+        validate_trace(accesses)  # before slicing: a 0-d record has no threads to slice
         return MultiTrace(
             threads=[accesses[e - k : e] for e, k in zip(itertools.accumulate(counts), counts)],
             thread_native_core=native.tolist(),

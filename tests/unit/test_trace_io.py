@@ -250,14 +250,15 @@ def _tampered(**members) -> bytes:
         ({"lengths": np.array([3, 3])}, "non-negative and sum to the record's 5"),
         ({"lengths": np.array([2**64 - 1, 6], dtype=np.uint64)}, "sum to the record's 5"),
         ({"native_cores": np.array([0])}, "native_cores must be a 1-D integer array of 2"),
-        ({"accesses": np.zeros(5, dtype=[("addr", "<u8"), ("write", "u1")])}, "accesses must be"),
-        ({"accesses": np.zeros((5, 1), dtype=TRACE_DTYPE)}, "accesses must be"),
+        ({"accesses": np.zeros(5, dtype=[("addr", "<u8"), ("write", "u1")])}, "neither TRACE_DTYPE"),
+        ({"accesses": np.zeros((5, 1), dtype=TRACE_DTYPE)}, "must be 1-D"),
+        ({"accesses": np.zeros((), dtype=TRACE_DTYPE), "lengths": np.array([1, 0])}, "must be 1-D"),
         ({"accesses": np.array([None] * 5, dtype=object)}, "corrupt trace container"),
-        ({"accesses": make_trace([1, 2, 3, 4, 5], writes=[0, 2, 0, 0, 0])}, "thread 0"),
+        ({"accesses": make_trace([1, 2, 3, 4, 5], writes=[0, 2, 0, 0, 0])}, "'write' field must be 0/1"),
     ],
     ids=["lengths-2d", "lengths-float", "lengths-short", "lengths-long", "lengths-negative",
-         "lengths-sum", "lengths-wrapping-sum", "native-short", "foreign-dtype", "record-2d", "pickled-member",
-         "write-flag"],
+         "lengths-sum", "lengths-wrapping-sum", "native-short", "foreign-dtype", "record-2d",
+         "record-0d", "pickled-member", "write-flag"],
 )
 def test_decode_refuses_a_malformed_record(members, match):
     with pytest.raises(TraceFormatError, match=match) as err:

@@ -34,11 +34,14 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from repro import __version__
 from repro.analysis.cache import ResultCache
 from repro.analysis.reports import format_table, runlength_table
 from repro.analysis.sweep import sweep_specs
 from repro.core.decision.optimal import optimal_cost, optimal_decisions
+from repro.core.evaluation import home_run_tables
 from repro.registry import (
     ALL_REGISTRIES,
     MACHINES,
@@ -59,7 +62,7 @@ from repro.trace.io import save_multitrace
 from repro.trace.runlength import (
     fraction_single_access_runs,
     merge_histograms,
-    run_length_histogram,
+    runs_histogram,
 )
 from repro.util.errors import ConfigError, ReproError
 
@@ -195,10 +198,10 @@ def cmd_fig2(args) -> int:
         placement=PlacementSpec(name="first-touch"),
     )
     built = build(spec)
-    trace, placement = built.trace, built.placement
+    trace = built.trace
     hists = [
-        run_length_histogram(placement.home_of(tr["addr"]), trace.thread_native_core[t])
-        for t, tr in enumerate(trace.threads)
+        runs_histogram(runs.homes, runs.lengths, trace.thread_native_core[t])
+        for t, runs in enumerate(home_run_tables(trace, built.placement))
     ]
     hist = merge_histograms(hists)
     print(runlength_table(hist, max_rows=args.rows))
@@ -279,15 +282,17 @@ def cmd_optimal(args) -> int:
 def cmd_shootout(args) -> int:
     base = _base_spec(args)
     built = build(base)
-    trace, placement, cost = built.trace, built.placement, built.cost
+    trace = built.trace
+    # the evaluator's home runs, which the serial scheme sweep reuses
+    tables = home_run_tables(trace, built.placement)
     opt = sum(
         optimal_cost(
-            placement.home_of(tr["addr"]),
+            np.repeat(runs.homes, runs.lengths),
             tr["write"],
             trace.thread_native_core[t] % args.cores,
-            cost,
+            built.cost,
         )
-        for t, tr in enumerate(trace.threads)
+        for t, (tr, runs) in enumerate(zip(trace.threads, tables))
         if tr.size
     )
     cache = _cache_for(args)

@@ -33,10 +33,14 @@ class DecisionScheme(ABC):
 
     name = "abstract"
 
-    #: True for schemes whose ``decide`` is a pure function of
-    #: (current, home, write) — no address sensitivity, no history, no
-    #: randomness — and whose ``observe`` is a no-op. The evaluator
-    #: consults such a scheme once per (current, home) pair of a thread.
+    #: True for schemes whose ``decide`` is, within one thread, a pure
+    #: function of (current, home, write) — no address sensitivity, no
+    #: history, no randomness — and whose ``observe`` is a no-op. Only
+    #: within one thread: ``native-first`` is stateless, yet its
+    #: ``decide`` also reads the native core it latched at the thread's
+    #: first consult, so one pair can be decided differently in two
+    #: threads. The evaluator therefore keeps one (current, home) table
+    #: per thread and consults such a scheme once per pair of a thread.
     stateless = False
 
     #: True for schemes whose ``decide`` reads the address or draws a

@@ -101,12 +101,20 @@ class EvalResult:
         }
 
 
-def _traffic_bits(cost_model: CostModel, n_mig: int, n_ra: int, n_ra_writes: int) -> int:
+def _message_bits(cost_model: CostModel) -> tuple[int, int, int]:
+    """Bits on the network per migration, remote read and remote write."""
     return (
-        n_mig * cost_model.migration_bits()
-        + (n_ra - n_ra_writes) * cost_model.remote_access_bits(write=False)
-        + n_ra_writes * cost_model.remote_access_bits(write=True)
+        cost_model.migration_bits(),
+        cost_model.remote_access_bits(write=False),
+        cost_model.remote_access_bits(write=True),
     )
+
+
+def _traffic_bits(
+    message_bits: tuple[int, int, int], n_mig: int, n_ra: int, n_ra_writes: int
+) -> int:
+    mig, ra_r, ra_w = message_bits
+    return n_mig * mig + (n_ra - n_ra_writes) * ra_r + n_ra_writes * ra_w
 
 
 def evaluate_thread(
@@ -153,7 +161,7 @@ def evaluate_thread(
                 n_ra_w += w
         exec_list.append(cur)
         observe(cur, h, a, w, d)
-    bits = _traffic_bits(cost_model, n_mig, n_ra, n_ra_w)
+    bits = _traffic_bits(_message_bits(cost_model), n_mig, n_ra, n_ra_w)
     n_loc = homes.size - n_mig - n_ra
     return cost, n_mig, n_ra, n_loc, bits, np.array(exec_list, dtype=np.int64)
 
@@ -309,6 +317,7 @@ def evaluate_scheme(
     result = EvalResult(scheme=scheme.name)
     # each core's cost rows as lists, taken when a walk first visits it
     rows = MatrixRows(cost_model.migration, cost_model.remote_read, cost_model.remote_write)
+    message_bits = _message_bits(cost_model)
     hists = []
     for t, (tr, runs) in enumerate(zip(trace.threads, home_run_tables(trace, placement))):
         start = trace.thread_native_core[t] % cost_model.config.num_cores
@@ -321,7 +330,7 @@ def evaluate_scheme(
             )
         else:
             cost, n_mig, n_ra, n_ra_w, n_loc = _walk(runs, start, per_thread, rows, tr)
-            bits = _traffic_bits(cost_model, n_mig, n_ra, n_ra_w)
+            bits = _traffic_bits(message_bits, n_mig, n_ra, n_ra_w)
         result.total_cost += cost
         result.migrations += n_mig
         result.remote_accesses += n_ra
@@ -351,5 +360,7 @@ def _run_analytical(
             "machine 'analytical' cannot model faults; use a detailed "
             "machine (em2, em2ra, ra-only, cc-msi, cc-mesi)"
         )
-    cost = CostModel(config, topology)
+    from repro.runner import machine_cost_model
+
+    cost = machine_cost_model(config, topology)
     return evaluate_scheme(trace, placement, scheme, cost).as_dict()

@@ -18,18 +18,21 @@ component names through :mod:`repro.registry` *here* and nowhere else.
   workers receive serialized spec dicts, never closures, so any spec
   the parent can describe, a worker can reproduce.
 
-Workload generation and placement construction are memoized per
-process (specs are deterministic, so rebuilding is pure waste when a
-sweep evaluates ten schemes on one trace). The memo is keyed by the
-canonical spec dict — plus, for a trace file, the file's size and
-modification time, so a file rewritten in place is read again — and
-bounded; traces and placements are treated as immutable by every
-machine, which the golden-fixture parity tests enforce.
+Workload generation, placement construction and the machine (system
+config, topology and cost model) are memoized per process (specs are
+deterministic, so rebuilding is pure waste when a sweep evaluates ten
+schemes on one trace). The memo is keyed by the canonical spec dict —
+plus, for a trace file, the file's size and modification time, so a
+file rewritten in place is read again — and bounded; traces,
+placements, configs, topologies and cost models are treated as
+immutable by every machine, which the golden-fixture parity tests
+enforce (the cost model's matrices are read-only arrays).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import os
 from collections import OrderedDict
@@ -58,6 +61,8 @@ from repro.util.errors import ConfigError
 _MEMO_CAP = 8
 _workload_memo: "OrderedDict[str, object]" = OrderedDict()
 _placement_memo: "OrderedDict[str, object]" = OrderedDict()
+#: machine + topology spec -> (config, topology, cost model)
+_machine_memo: "OrderedDict[str, tuple]" = OrderedDict()
 
 
 def _memo_get(memo: OrderedDict, key: str):
@@ -76,9 +81,11 @@ def _memo_put(memo: OrderedDict, key: str, value) -> None:
 
 
 def clear_build_memo() -> None:
-    """Drop memoized traces/placements (tests; long-lived processes)."""
+    """Drop memoized traces, placements and machines (tests;
+    long-lived processes)."""
     _workload_memo.clear()
     _placement_memo.clear()
+    _machine_memo.clear()
 
 
 def _memo_key(workload: WorkloadSpec) -> str:
@@ -97,11 +104,18 @@ def _memo_key(workload: WorkloadSpec) -> str:
 
 
 # ---------------------------------------------------------------- builders
+@functools.cache
+def _param_names(factory) -> tuple[str, ...]:
+    """The names of ``factory``'s parameters (registry factories are few
+    and live as long as the process)."""
+    return tuple(inspect.signature(factory).parameters)
+
+
 def _construct(kind: str, name: str, factory, *args, **params):
     """``factory(*args, **params)``, where ``params`` are a spec's
     component params: a key the factory does not take is a
     :class:`ConfigError` naming the component and the key."""
-    known = list(inspect.signature(factory).parameters)[len(args):]
+    known = _param_names(factory)[len(args):]
     unknown = [key for key in params if key not in known]
     if unknown:
         raise ConfigError(
@@ -238,6 +252,41 @@ def build_topology(topology: TopologySpec, config: SystemConfig):
     )
 
 
+def build_machine(
+    machine: MachineSpec, topology: TopologySpec
+) -> tuple[SystemConfig, object | None, CostModel]:
+    """The ``(config, topology, cost model)`` of a machine spec on a
+    topology spec, built once per process for each distinct preset,
+    core count, config overrides and topology: every point of a sweep
+    over one machine shares one cost model and its matrices."""
+    from repro.analysis.cache import stable_key
+
+    key = stable_key(
+        {
+            "preset": machine.preset,
+            "cores": machine.cores,
+            "config": machine.config,
+            "topology": topology.to_dict(),
+        }
+    )
+    built = _memo_get(_machine_memo, key)
+    if built is None:
+        config = build_system_config(machine)
+        topo = build_topology(topology, config)
+        built = (config, topo, CostModel(config, topo))
+        _memo_put(_machine_memo, key, built)
+    return built
+
+
+def machine_cost_model(config: SystemConfig, topology) -> CostModel:
+    """The memoized cost model of this very ``config`` and ``topology``
+    (the objects :func:`build_machine` returned), else a new one."""
+    for memo_config, memo_topology, cost in _machine_memo.values():
+        if memo_config is config and memo_topology is topology:
+            return cost
+    return CostModel(config, topology)
+
+
 def build_scheme(scheme: SchemeSpec, cost: CostModel):
     """A fresh decision-scheme instance for this experiment's cost model."""
     return _construct("scheme", scheme.name, SCHEMES.get(scheme.name), cost, **scheme.params)
@@ -258,13 +307,11 @@ class BuiltExperiment:
 
 def build(spec: ExperimentSpec) -> BuiltExperiment:
     """Construct every component the spec names, via the registries."""
-    config = build_system_config(spec.machine)
+    config, topology, cost = build_machine(spec.machine, spec.topology)
     trace = build_workload(spec.workload)
     placement = build_placement(
         spec.placement, trace, config.num_cores, memo_key=_memo_key(spec.workload)
     )
-    topology = build_topology(spec.topology, config)
-    cost = CostModel(config, topology)
     scheme = build_scheme(spec.scheme, cost)
     return BuiltExperiment(
         spec=spec,

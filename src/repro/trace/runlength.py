@@ -62,23 +62,27 @@ def run_length_histogram(
     otherwise it contributes 1 (run-count histogram).
     """
     cores, lengths = run_lengths(home_seq)
-    return runs_histogram(
-        cores.tolist(), lengths.tolist(), native_core, max_bin, weight_by_accesses
-    )
+    return runs_histogram(cores, lengths, native_core, max_bin, weight_by_accesses)
 
 
 def runs_histogram(
-    cores: list[int],
-    lengths: list[int],
+    cores: np.ndarray | list[int],
+    lengths: np.ndarray | list[int],
     native_core: int,
     max_bin: int = 4096,
     weight_by_accesses: bool = True,
 ) -> Histogram:
-    """:func:`run_length_histogram` of a thread already cut into runs."""
+    """:func:`run_length_histogram` of a thread already cut into runs
+    (``cores`` and ``lengths`` as arrays or lists): the runs away from
+    ``native_core`` binned by length with one ``np.unique``, each bin
+    added once with the weight of all its runs."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    away = lengths[np.asarray(cores) != native_core]
+    values, counts = np.unique(away, return_counts=True)
+    weights = values * counts if weight_by_accesses else counts
     hist = Histogram(max_bin=max_bin)
-    for core, ln in zip(cores, lengths):
-        if core != native_core:
-            hist.add(ln, weight=ln if weight_by_accesses else 1)
+    for value, weight in zip(values.tolist(), weights.tolist()):
+        hist.add(value, weight=weight)
     return hist
 
 

@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis.cache import canonical_rows
 from repro.registry import SCHEMES
-from repro.runner import run
+from repro.runner import build, clear_build_memo, run
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, SchemeSpec, WorkloadSpec
 
 PIN_FILE = Path(__file__).resolve().parents[1] / "fixtures" / "analytical_pins.json"
@@ -74,6 +74,19 @@ def pins() -> dict:
 @pytest.mark.parametrize("sid", SCENARIOS)
 def test_analytical_row_pinned(sid, pins):
     assert scenario_row(sid) == pins[sid]
+
+
+@pytest.mark.parametrize("point", POINTS[::3], ids=lambda p: f"{p[0]}-{p[1]}")
+def test_rows_pinned_with_one_cost_model_per_point(point, pins):
+    """Every scheme of a point, in reverse order, shares the build
+    memo's one cost model and still gives the pinned rows."""
+    workload, cores, _ = point
+    clear_build_memo()
+    sids = [f"{workload}-{cores}-{s}" for s in reversed(SCHEMES.names())]
+    models = {id(build(scenario_spec(sid)).cost) for sid in sids}
+    assert len(models) == 1
+    assert [scenario_row(sid) for sid in sids] == [pins[sid] for sid in sids]
+    clear_build_memo()
 
 
 def test_every_scenario_is_pinned(pins):

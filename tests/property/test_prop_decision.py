@@ -21,6 +21,7 @@ from repro.core.decision import (
 from repro.core.decision.optimal import decision_cost, optimal_cost, optimal_decisions
 from repro.core.decision.stack_optimal import fixed_depth_cost, optimal_stack_depths
 from repro.core.evaluation import evaluate_thread
+from tests.unit.test_optimal_dp import narrow_link_costs, per_access_dp
 
 CM = CostModel(small_test_config(num_cores=4))
 CM9 = CostModel(small_test_config(num_cores=9))
@@ -78,6 +79,35 @@ def test_dp_lower_bounds_every_scheme(tr, start, scheme_id):
     opt = optimal_cost(homes, writes, start, CM)
     cost, *_ = evaluate_thread(homes, writes, start, schemes[scheme_id], CM)
     assert opt <= cost + 1e-6
+
+
+CM64 = narrow_link_costs(64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(0, 63), min_size=1, max_size=14, unique=True),
+    st.lists(
+        st.tuples(st.integers(0, 13), st.integers(1, 6), st.integers(0, 63)),
+        max_size=60,
+    ),
+    st.integers(0, 63),
+)
+def test_dp_on_confined_threads_matches_per_access(cores, runs, start):
+    """A thread confined to 1..14 of 64 cores (start core among them or
+    not, so both DP steps run) gets the per-access DP's total,
+    decisions, cores and end core exactly."""
+    homes = np.array(
+        [cores[i % len(cores)] for i, n, _ in runs for _ in range(n)], dtype=np.int64
+    )
+    writes = np.array([bool(bits >> j & 1) for _, n, bits in runs for j in range(n)], dtype=bool)
+    total, decisions, exec_cores, end_core = per_access_dp(homes, writes, start, CM64)
+    res = optimal_decisions(homes, writes, start, CM64)
+    assert optimal_cost(homes, writes, start, CM64) == total
+    assert res.total_cost == total
+    assert res.decisions.tolist() == decisions.tolist()
+    assert res.cores.tolist() == exec_cores.tolist()
+    assert res.end_core == end_core
 
 
 @settings(max_examples=30)

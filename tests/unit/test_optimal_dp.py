@@ -13,6 +13,7 @@ import pytest
 
 from repro.arch.config import NocConfig, small_test_config
 from repro.core.costs import CostModel
+from repro.core.decision import optimal
 from repro.core.decision import (
     AlwaysMigrate,
     DistanceThreshold,
@@ -23,6 +24,7 @@ from repro.core.decision import (
 from repro.core.decision.base import Decision
 from repro.core.decision.optimal import decision_cost, optimal_cost, optimal_decisions
 from repro.core.evaluation import evaluate_thread
+from repro.trace.runlength import home_runs
 from repro.util.errors import ConfigError
 
 
@@ -101,6 +103,21 @@ def run_heavy_trace(rng, cores, runs, max_len):
     mixed inside each run."""
     homes = np.repeat(rng.integers(0, cores, runs), rng.integers(1, max_len + 1, runs))
     return homes.astype(np.int64), rng.random(homes.size) < 0.4
+
+
+def confined_trace(rng, homes_at, runs, max_len):
+    """:func:`run_heavy_trace` with every home drawn from ``homes_at``."""
+    homes = np.repeat(rng.choice(homes_at, runs), rng.integers(1, max_len + 1, runs))
+    return homes.astype(np.int64), rng.random(homes.size) < 0.4
+
+
+@pytest.fixture(params=["occupied", "all"])
+def step(request, monkeypatch):
+    """Run the DP through one step whatever the occupied-core count:
+    ``occupied`` (the scalar step over the thread's cores) or ``all``
+    (the numpy step over every core)."""
+    monkeypatch.setattr(optimal, "_FEW_CORES", 1 << 20 if request.param == "occupied" else 0)
+    return request.param
 
 
 @pytest.fixture
@@ -182,6 +199,56 @@ class TestRunSteppedMatchesPerAccess:
         homes, writes = run_heavy_trace(rng, cores, runs=40, max_len=8)
         cm = narrow_link_costs(cores)
         self._check(homes, writes, int(homes[0]), cm)
+
+    @pytest.mark.parametrize("start_inside", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 4, 7, 12, 13])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threads_confined_to_few_cores(self, k, start_inside, seed):
+        # 1..13 of 64 cores, the start core among them or not: with the
+        # crossover at 12, both steps run, each on its own side
+        rng = np.random.default_rng(100 * k + seed)
+        cores = rng.choice(64, k + 1, replace=False)
+        homes, writes = confined_trace(rng, cores[:k], runs=60, max_len=6)
+        start = int(cores[0] if start_inside else cores[k])
+        self._check(homes, writes, start, narrow_link_costs(64))
+
+    @pytest.mark.parametrize("k", [1, 3, 6, 12, 20])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_step_on_confined_threads(self, step, k, seed):
+        rng = np.random.default_rng(1000 * k + seed)
+        cores = rng.choice(64, k, replace=False)
+        homes, writes = confined_trace(rng, cores, runs=80, max_len=5)
+        self._check(homes, writes, int(rng.integers(0, 64)), narrow_link_costs(64))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ties_between_equidistant_homes(self, step, seed):
+        # 4x4 mesh, start at core 5 = (1, 1): cores 1, 4, 6 and 9 sit one
+        # hop away and 0, 2, 8 and 10 two, so equal arrivals abound
+        # (reads and writes cost the same); lower cores must win them
+        # and staying must win a tie with an arrival
+        rng = np.random.default_rng(seed)
+        runs = 120
+        homes = np.repeat(
+            rng.choice([5, 1, 4, 6, 9, 0, 2, 8, 10], runs), rng.integers(1, 4, runs)
+        ).astype(np.int64)
+        writes = rng.random(homes.size) < 0.5
+        self._check(homes, writes, 5, CostModel(small_test_config(num_cores=16)))
+
+    def test_few_cores_cross_several_row_blocks(self, step, monkeypatch):
+        # a block of 4 cells holds one run of a 4-core thread: the prefix
+        # sum (or the cost vector) is carried across hundreds of blocks
+        monkeypatch.setattr(optimal, "_BLOCK_CELLS", 4)
+        rng = np.random.default_rng(4)
+        homes, writes = confined_trace(rng, [3, 17, 42], runs=700, max_len=4)
+        self._check(homes, writes, 60, narrow_link_costs(64))
+
+    def test_few_cores_trace_crosses_the_default_block(self):
+        # over 4 cores of 64, the scalar step's block boundary (16,384
+        # runs) falls inside the trace
+        rng = np.random.default_rng(5)
+        homes, writes = confined_trace(rng, [0, 9, 27, 63], runs=24_000, max_len=2)
+        assert home_runs(homes, writes)[0].size > optimal._BLOCK_CELLS // 4
+        self._check(homes, writes, 9, narrow_link_costs(64))
 
 
 class TestReconstruction:

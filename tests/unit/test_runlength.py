@@ -9,6 +9,7 @@ from repro.trace.runlength import (
     merge_histograms,
     run_length_histogram,
     run_lengths,
+    runs_histogram,
 )
 
 
@@ -57,6 +58,50 @@ class TestRunLengthHistogram:
     def test_all_native_empty(self):
         h = run_length_histogram(np.array([2, 2, 2]), native_core=2)
         assert h.count == 0
+
+
+def per_run_histogram(cores, lengths, native_core, max_bin, weight_by_accesses):
+    """The Figure 2 binning one run at a time: the reference."""
+    hist = Histogram(max_bin=max_bin)
+    for core, ln in zip(cores, lengths):
+        if core != native_core:
+            hist.add(ln, weight=ln if weight_by_accesses else 1)
+    return hist
+
+
+class TestBinningMatchesPerRun:
+    @pytest.mark.parametrize("weight_by_accesses", [True, False])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_runs(self, seed, weight_by_accesses):
+        # lengths straddle max_bin, so some runs land in the overflow
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 300))
+        cores = rng.integers(0, 6, n)
+        lengths = rng.integers(1, 40, n)
+        native, max_bin = int(rng.integers(0, 6)), int(rng.integers(1, 30))
+        expect = per_run_histogram(
+            cores.tolist(), lengths.tolist(), native, max_bin, weight_by_accesses
+        )
+        for got in (
+            runs_histogram(cores, lengths, native, max_bin, weight_by_accesses),
+            runs_histogram(cores.tolist(), lengths.tolist(), native, max_bin, weight_by_accesses),
+        ):
+            assert got.bins() == expect.bins()
+            assert (got.count, got.total, got.overflow) == (
+                expect.count, expect.total, expect.overflow
+            )
+            assert all(type(v) is int for v in (got.count, got.total, got.overflow))
+
+    def test_run_length_histogram_bins_the_same_runs(self):
+        rng = np.random.default_rng(9)
+        seq = np.repeat(rng.integers(0, 4, 200), rng.integers(1, 9, 200))
+        cores, lengths = run_lengths(seq)
+        got = run_length_histogram(seq, native_core=2, max_bin=5)
+        expect = per_run_histogram(cores.tolist(), lengths.tolist(), 2, 5, True)
+        assert got.bins() == expect.bins()
+        assert (got.count, got.total, got.overflow) == (
+            expect.count, expect.total, expect.overflow
+        )
 
 
 class TestMergeAndFractions:

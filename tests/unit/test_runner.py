@@ -129,6 +129,63 @@ class TestBuild:
         assert build_workload(WORKLOAD) is sentinel
         clear_build_memo()
 
+    def test_points_of_one_machine_share_one_cost_model(self):
+        clear_build_memo()
+        a = build(_spec())
+        b = build(_spec(machine="em2", scheme="always-migrate"))
+        assert b.cost is a.cost
+        assert b.config is a.config and b.topology is a.topology
+        clear_build_memo()
+
+    @pytest.mark.parametrize(
+        "machine, topology",
+        [
+            (MachineSpec(cores=4, preset="default"), TopologySpec()),
+            (MachineSpec(cores=16, preset="small-test"), TopologySpec()),
+            (
+                MachineSpec(cores=4, preset="small-test", config={"noc": {"flit_bits": 32}}),
+                TopologySpec(),
+            ),
+            (MachineSpec(cores=4, preset="small-test"), TopologySpec(name="mesh")),
+        ],
+        ids=["preset", "cores", "config", "topology"],
+    )
+    def test_another_machine_gets_its_own_cost_model(self, machine, topology):
+        clear_build_memo()
+        a = build(_spec())
+        b = build(_spec().replace(machine=machine, topology=topology))
+        assert b.cost is not a.cost
+        assert b.cost.config is b.config and b.cost.topology.num_cores == machine.cores
+        assert build(_spec()).cost is a.cost  # both stay memoized
+        clear_build_memo()
+
+    def test_clear_build_memo_drops_the_cost_model(self):
+        clear_build_memo()
+        a = build(_spec())
+        clear_build_memo()
+        assert build(_spec()).cost is not a.cost
+        clear_build_memo()
+
+    def test_analytical_machine_reuses_the_build_cost_model(self, monkeypatch):
+        import repro.runner as runner
+
+        built = []
+        init = CostModel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(CostModel, "__init__", counting_init)
+        clear_build_memo()
+        for scheme in ("history", "always-migrate", "distance-1"):
+            run(_spec(scheme=scheme))
+        assert len(built) == 1
+        # the memoized model serves its own config object, no other
+        other = runner.machine_cost_model(small_test_config(num_cores=4), None)
+        assert len(built) == 2 and other is built[1]
+        clear_build_memo()
+
     def test_unknown_names_raise_config_error(self):
         with pytest.raises(ConfigError, match="unknown machine"):
             run(_spec(machine="quantum"))

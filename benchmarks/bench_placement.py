@@ -12,7 +12,7 @@ import pytest
 from conftest import cached_workload, emit
 from repro.analysis.reports import format_table
 from repro.core.decision import AlwaysMigrate, NeverMigrate
-from repro.core.evaluation import evaluate_scheme
+from repro.core.evaluation import evaluate_scheme, run_table
 from repro.placement import first_touch, profile_optimal, striped
 from repro.trace.runlength import fraction_single_access_runs
 
@@ -42,9 +42,7 @@ def test_placement_comparison(benchmark, bench_cost, wl):
     def compare():
         rows = []
         for label, pl in _placements(trace):
-            r = evaluate_scheme(
-                trace, pl, AlwaysMigrate(), bench_cost, collect_run_lengths=True
-            )
+            r = evaluate_scheme(trace, pl, AlwaysMigrate(), bench_cost)
             # placement quality proper: fraction of accesses homed away
             # from the thread's native core (NeverMigrate counts exactly
             # those as remote accesses)
@@ -55,7 +53,7 @@ def test_placement_comparison(benchmark, bench_cost, wl):
                     "nonlocal_frac": q.remote_accesses / q.total_accesses,
                     "migration_rate": r.migrations / r.total_accesses,
                     "network_cost": r.total_cost,
-                    "frac_runlen_1": fraction_single_access_runs(r.run_length_hist),
+                    "frac_runlen_1": fraction_single_access_runs(run_table(trace, pl).histogram()),
                 }
             )
         return rows

@@ -196,22 +196,38 @@ class FarmUnavailable(FarmError):
     """No farm worker was reachable; callers evaluate locally instead."""
 
 
+def _header(kind: int, length: int) -> bytes:
+    if length > MAX_FRAME:
+        raise FrameError(
+            f"{KIND_NAMES.get(kind, kind)} body is {length} bytes, "
+            f"over the {MAX_FRAME}-byte frame ceiling"
+        )
+    return HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, length)
+
+
 def encode_frame(kind: int, payload) -> bytes:
     """One wire frame: header plus JSON body."""
     # insertion order is preserved deliberately: RESULT rows keep the
     # exact key order a local evaluation produces, so farm and local
     # sweeps render byte-identical tables
     body = json.dumps(payload).encode("utf-8")
-    if len(body) > MAX_FRAME:
-        raise FrameError(
-            f"{KIND_NAMES.get(kind, kind)} body is {len(body)} bytes, "
-            f"over the {MAX_FRAME}-byte frame ceiling"
-        )
-    return HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, len(body)) + body
+    return _header(kind, len(body)) + body
 
 
 def send_frame(sock: socket.socket, kind: int, payload) -> None:
     sock.sendall(encode_frame(kind, payload))
+
+
+def trace_put_frame(key: str, workload: dict, container: bytes) -> list[bytes]:
+    """The TRACE_PUT frame ``{"key", "workload", "trace": base64 of
+    container}`` as pieces to send in order: the bytes
+    :func:`encode_frame` gives, without its ``str`` copies of the
+    base64 text. Base64 needs no JSON escaping, so its bytes are spliced
+    into the body as they are; the frame's largest allocation is the
+    base64 text itself, 4/3 of the container."""
+    head = json.dumps({"key": key, "workload": workload, "trace": ""})[:-2].encode("utf-8")
+    text = base64.b64encode(container)
+    return [_header(TRACE_PUT, len(head) + len(text) + 2) + head, text, b'"}']
 
 
 def set_nodelay(sock: socket.socket) -> socket.socket:
@@ -723,15 +739,8 @@ class FarmCoordinator:
         for key in keys:
             if key in have:
                 continue
-            send_frame(
-                link.sock,
-                TRACE_PUT,
-                {
-                    "key": key,
-                    "workload": self._workload_by_key[key],
-                    "trace": base64.b64encode(self._trace_for(key)).decode("ascii"),
-                },
-            )
+            for piece in trace_put_frame(key, self._workload_by_key[key], self._trace_for(key)):
+                link.sock.sendall(piece)
             kind, msg = recv_frame(link.sock)
             if kind != TRACE_OK or msg.get("key") != key:
                 raise FarmError(

@@ -34,14 +34,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from repro import __version__
 from repro.analysis.cache import ResultCache
 from repro.analysis.reports import format_table, runlength_table
 from repro.analysis.sweep import sweep_specs
-from repro.core.decision.optimal import optimal_cost, optimal_decisions
-from repro.core.evaluation import home_run_tables
+from repro.core.decision.optimal import optimal_decisions, optimal_runs
+from repro.core.evaluation import run_table
 from repro.registry import (
     ALL_REGISTRIES,
     MACHINES,
@@ -59,11 +57,7 @@ from repro.spec import (
     WorkloadSpec,
 )
 from repro.trace.io import save_multitrace
-from repro.trace.runlength import (
-    fraction_single_access_runs,
-    merge_histograms,
-    runs_histogram,
-)
+from repro.trace.runlength import fraction_single_access_runs
 from repro.util.errors import ConfigError, ReproError
 
 
@@ -198,12 +192,7 @@ def cmd_fig2(args) -> int:
         placement=PlacementSpec(name="first-touch"),
     )
     built = build(spec)
-    trace = built.trace
-    hists = [
-        runs_histogram(runs.homes, runs.lengths, trace.thread_native_core[t])
-        for t, runs in enumerate(home_run_tables(trace, built.placement))
-    ]
-    hist = merge_histograms(hists)
+    hist = run_table(built.trace, built.placement).histogram(built.trace.thread_native_core)
     print(runlength_table(hist, max_rows=args.rows))
     print(f"\nfraction at run length 1: {fraction_single_access_runs(hist):.3f}")
     return 0
@@ -282,18 +271,20 @@ def cmd_optimal(args) -> int:
 def cmd_shootout(args) -> int:
     base = _base_spec(args)
     built = build(base)
-    trace = built.trace
     # the evaluator's home runs, which the serial scheme sweep reuses
-    tables = home_run_tables(trace, built.placement)
+    table = run_table(built.trace, built.placement)
     opt = sum(
-        optimal_cost(
-            np.repeat(runs.homes, runs.lengths),
-            tr["write"],
-            trace.thread_native_core[t] % args.cores,
+        optimal_runs(
+            table.homes[a:b],
+            table.lengths[a:b],
+            table.writes[a:b],
+            native % args.cores,
             built.cost,
+        )[2]
+        for native, a, b in zip(
+            built.trace.thread_native_core, table.bounds[:-1], table.bounds[1:]
         )
-        for t, (tr, runs) in enumerate(zip(trace.threads, tables))
-        if tr.size
+        if a < b
     )
     cache = _cache_for(args)
     scheme_rows = sweep_specs(

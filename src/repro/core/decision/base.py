@@ -9,9 +9,12 @@ own internal state (updated via :meth:`DecisionScheme.observe`).
 Schemes are sequential objects: the detailed machines drive them
 access by access, mirroring the O(N) "cost of a specific decision"
 procedure in §3. The analytical evaluator
-(:mod:`repro.core.evaluation`) walks a trace one *home run* at a time
-instead, and consults a scheme as rarely as the properties it declares
-here allow: :attr:`~DecisionScheme.stateless`,
+(:mod:`repro.core.evaluation`) takes a trace one *home run* at a time
+instead. A scheme whose choices depend on the run sequence alone gives
+a :meth:`~DecisionScheme.plan`, and the evaluator scores every thread
+from it at once. Any other scheme is walked thread by thread and
+consulted as rarely as the properties it declares here allow:
+:attr:`~DecisionScheme.stateless`,
 :attr:`~DecisionScheme.decides_per_access` and a per-run form of
 ``observe`` (:meth:`~DecisionScheme.observe_run`).
 """
@@ -20,6 +23,12 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.core.evaluation import RunTable
 
 
 class Decision(enum.IntEnum):
@@ -76,10 +85,29 @@ class DecisionScheme(ABC):
     def observes_per_access(self) -> bool:
         """True when ``observe`` is overridden with no per-run form."""
         cls = type(self)
-        return (
-            cls.observe is not DecisionScheme.observe
-            and cls.observe_run is DecisionScheme.observe_run
-        )
+        return cls.observe is not DecisionScheme.observe and not self.learns_runs
+
+    @property
+    def learns_runs(self) -> bool:
+        """True when ``observe_run`` is overridden: the walk skips the
+        call for a scheme that learns nothing from runs."""
+        return type(self).observe_run is not DecisionScheme.observe_run
+
+    def plan(self, table: "RunTable") -> "np.ndarray | None":
+        """This scheme's choices over every run of ``table`` at once, or
+        None when they depend on more than the run sequence.
+
+        Entry ``r`` is the offset, from run ``r``'s first access, of the
+        first access the scheme executes at the run's home when the
+        thread sits elsewhere as the run begins; the run's length if it
+        never migrates there. That is well defined only for a scheme
+        whose ``decide`` reads neither the current core nor a random
+        draw, and whose state learns from every run, whatever was
+        decided. Each thread starts on a fresh clone at
+        ``table.start``. A subclass that overrides ``decide``, or what
+        the scheme learns, must override ``plan`` too. Default: None,
+        so the evaluator walks the scheme."""
+        return None
 
     def reset(self) -> None:
         """Clear per-thread state (called between threads)."""

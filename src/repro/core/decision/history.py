@@ -12,9 +12,20 @@ paper's conclusion says the model is built to evaluate.
 home core: it records the length of the last completed remote run at
 that home and migrates when the prediction meets the break-even
 threshold (2 x migration / remote-access, from the cost model).
+
+Both schemes here learn from every run, whatever was decided, and
+decide from the predictor alone, so their choices over a whole trace
+follow from the run sequence: each gives a
+:meth:`~repro.core.decision.base.DecisionScheme.plan`. A prediction is
+the length of the thread's latest earlier run with the same key, or the
+initial prediction if there is none; for a run's first access the
+earlier runs end two runs back (the previous run's length lands after
+that access is decided), for the rest of the run one run back.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.decision.base import Decision, DecisionScheme
 from repro.registry import SCHEMES
@@ -44,6 +55,31 @@ class PerHomePredictor:
 
     def reset(self) -> None:
         self._table = [self.initial] * self.table_size
+
+
+def _predictor(table, run_keys: np.ndarray, initial: float):
+    """Every thread's last-run-length table over ``table`` at once, with
+    run ``r`` keyed by ``run_keys[r]``.
+
+    Returns ``predict(keys, runs, lag)``: per query, the length of the
+    latest run at or before ``runs - lag`` of ``runs``' thread whose key
+    is ``keys``, or ``initial``. One ``searchsorted`` answers all
+    queries, over the runs sorted by the composite ``key * R + run``,
+    which fits in int64: a key is below the table size, and the scheme
+    holds a table of that many entries in memory. A hit in an earlier
+    thread means the thread has no such run."""
+    R = run_keys.size
+    known = np.sort(run_keys * R + np.arange(R))
+
+    def predict(keys: np.ndarray, runs: np.ndarray, lag: int) -> np.ndarray:
+        pos = np.searchsorted(known, keys * R + runs - lag + 1) - 1
+        j = known[np.maximum(pos, 0)]
+        found = (pos >= 0) & (j // R == keys)
+        j %= R
+        found &= table.thread[j] == table.thread[runs]
+        return np.where(found, table.lengths[j], initial)
+
+    return predict
 
 
 class RunLengthScheme(DecisionScheme):
@@ -119,6 +155,17 @@ class HistoryRunLength(RunLengthScheme):
             return Decision.MIGRATE
         return Decision.REMOTE
 
+    def plan(self, table) -> np.ndarray:
+        """A run migrates at its first access, at its second, or not at
+        all, as its home's entry predicts before and after the previous
+        run is learned."""
+        keys = table.homes.astype(np.int64) % self.table_size
+        runs = np.arange(keys.size)
+        predict = _predictor(table, keys, self.initial_prediction)
+        first = predict(keys, runs, 2) >= self.threshold
+        rest = predict(keys, runs, 1) >= self.threshold
+        return np.where(first, 0, np.where(rest, 1, table.lengths))
+
     def clone(self) -> "HistoryRunLength":
         return HistoryRunLength(self.threshold, self.table_size, self.initial_prediction)
 
@@ -161,6 +208,33 @@ class AddressIndexedHistory(RunLengthScheme):
         if self.predictor.predict(self._key(home, addr)) >= self.threshold:
             return Decision.MIGRATE
         return Decision.REMOTE
+
+    def plan(self, table) -> np.ndarray:
+        """A run's first access is decided by its own block's entry, the
+        rest of the run access by access by each one's block's entry once
+        the previous run is learned. Within the rest an entry is fixed,
+        so only an access whose block differs from the one before can be
+        the first to migrate; only those are looked up, in blocks of
+        whole runs."""
+        n = table.lengths
+        runs = np.arange(n.size)
+        run_keys = table.first_addrs() // self.block_words % self.table_size
+        predict = _predictor(table, run_keys, self.initial_prediction)
+        k = np.where(predict(run_keys, runs, 2) >= self.threshold, 0, n)
+        for r0, r1, addrs in table.addr_blocks():
+            m = n[r0:r1]
+            run_of = np.repeat(runs[r0:r1], m)
+            keys = addrs.astype(np.int64) // self.block_words % self.table_size
+            starts = np.cumsum(m) - m
+            ask = np.diff(keys, prepend=-1) != 0
+            ask[starts[m > 1] + 1] = True  # where the rest of a run begins
+            ask[starts] = False  # a first access is decided above
+            ask &= k[run_of] > 0
+            at = np.flatnonzero(ask)
+            hit = at[predict(keys[at], run_of[at], 1) >= self.threshold]
+            first = hit[np.flatnonzero(np.diff(run_of[hit], prepend=-1))]
+            k[run_of[first]] = first - starts[run_of[first] - r0]
+        return k
 
     def clone(self) -> "AddressIndexedHistory":
         return AddressIndexedHistory(

@@ -116,8 +116,7 @@ def optimal_cost(
     cost_model: CostModel,
 ) -> float:
     """Forward DP only (no path reconstruction)."""
-    res = _run_dp(homes, writes, start_core, cost_model, reconstruct=False)
-    return res[0]
+    return optimal_runs(*home_runs(*_checked(homes, writes)), start_core, cost_model)[2]
 
 
 def optimal_decisions(
@@ -127,11 +126,28 @@ def optimal_decisions(
     cost_model: CostModel,
 ) -> OptimalResult:
     """Full DP with per-access decision/core reconstruction."""
-    total, decisions, cores, end_core = _run_dp(
-        homes, writes, start_core, cost_model, reconstruct=True
-    )
+    homes, writes = _checked(homes, writes)
+    run_homes, lengths, n_w = home_runs(homes, writes)
+    pred, end_core, total = optimal_runs(run_homes, lengths, n_w, start_core, cost_model)
+
+    # walk the runs backward: a run homed where the thread sits after it
+    # was served at home (its first access migrated in unless the thread
+    # was already there); any other run was served by RA from that core
+    R = run_homes.size
+    run_core = [0] * R
+    moved_in = [False] * R
+    cur = end_core
+    for r, h in zip(range(R - 1, -1, -1), reversed(run_homes.tolist())):
+        run_core[r] = cur
+        if h == cur:
+            cur = pred[r]
+            moved_in[r] = cur != h
+    cores = np.repeat(np.array(run_core, dtype=np.int64), lengths)
+    decisions = np.where(cores == homes, Decision.LOCAL, Decision.REMOTE)
+    starts = np.cumsum(lengths) - lengths
+    decisions[starts[np.array(moved_in, dtype=bool)]] = Decision.MIGRATE
     return OptimalResult(
-        total_cost=total, decisions=decisions, cores=cores, end_core=end_core
+        total_cost=total, decisions=decisions.astype(np.int8), cores=cores, end_core=end_core
     )
 
 
@@ -152,57 +168,43 @@ _BLOCK_CELLS = 1 << 16
 _FEW_CORES = 12
 
 
-def _run_dp(
-    homes: np.ndarray,
-    writes: np.ndarray,
-    start_core: int,
-    cost_model: CostModel,
-    reconstruct: bool,
-):
+def _checked(homes: np.ndarray, writes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     homes = np.asarray(homes, dtype=np.int64)
     writes = np.asarray(writes).astype(bool)
     if homes.shape != writes.shape or homes.ndim != 1:
         raise ConfigError("homes and writes must be 1-D arrays of equal length")
+    return homes, writes
+
+
+def optimal_runs(
+    run_homes: np.ndarray,
+    lengths: np.ndarray,
+    n_w: np.ndarray,
+    start_core: int,
+    cost_model: CostModel,
+) -> tuple[list[int], int, float]:
+    """The forward DP over one thread already cut into home runs: run
+    ``r`` is ``lengths[r]`` accesses homed at ``run_homes[r]``,
+    ``n_w[r]`` of them writes (:func:`~repro.trace.runlength.home_runs`
+    of its homes and write flags).
+
+    Returns ``(pred, end_core, total)``: ``pred[r]`` is the predecessor
+    core of the home entry at run ``r``'s first access, ``total`` the
+    optimal cost, reached with the thread ending on ``end_core``."""
     mig, ra_r, ra_w = _cost_matrices(cost_model)
     P = mig.shape[0]
-    if homes.size and not (0 <= homes.min() and homes.max() < P):
+    if run_homes.size and not (0 <= run_homes.min() and run_homes.max() < P):
         raise ConfigError(f"home core out of range [0, {P})")
     if not (0 <= start_core < P):
         raise ConfigError(f"start_core {start_core} out of range [0, {P})")
-
-    run_homes, lengths, n_w = home_runs(homes, writes)
     n_r = lengths - n_w
     # the thread only ever sits on its start core or a run's home
     at = np.bincount(run_homes, minlength=P) > 0
     at[start_core] = True
     occupied = np.flatnonzero(at)
     if occupied.size <= _FEW_CORES:
-        pred, end_core, total = _step_occupied(
-            occupied, run_homes, n_r, n_w, start_core, mig, ra_r, ra_w
-        )
-    else:
-        pred, end_core, total = _step_all(run_homes, n_r, n_w, start_core, mig, ra_r, ra_w)
-
-    if not reconstruct:
-        return total, None, None, end_core
-
-    # walk the runs backward: a run homed where the thread sits after it
-    # was served at home (its first access migrated in unless the thread
-    # was already there); any other run was served by RA from that core
-    R = run_homes.size
-    run_core = [0] * R
-    moved_in = [False] * R
-    cur = end_core
-    for r, h in zip(range(R - 1, -1, -1), reversed(run_homes.tolist())):
-        run_core[r] = cur
-        if h == cur:
-            cur = pred[r]
-            moved_in[r] = cur != h
-    cores = np.repeat(np.array(run_core, dtype=np.int64), lengths)
-    decisions = np.where(cores == homes, Decision.LOCAL, Decision.REMOTE)
-    starts = np.cumsum(lengths) - lengths
-    decisions[starts[np.array(moved_in, dtype=bool)]] = Decision.MIGRATE
-    return total, decisions.astype(np.int8), cores, end_core
+        return _step_occupied(occupied, run_homes, n_r, n_w, start_core, mig, ra_r, ra_w)
+    return _step_all(run_homes, n_r, n_w, start_core, mig, ra_r, ra_w)
 
 
 def _step_all(run_homes, n_r, n_w, start_core, mig, ra_r, ra_w):

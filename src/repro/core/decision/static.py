@@ -26,6 +26,9 @@ class AlwaysMigrate(DecisionScheme):
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         return Decision.MIGRATE
 
+    def plan(self, table) -> np.ndarray:
+        return np.zeros_like(table.lengths)
+
 
 class NeverMigrate(DecisionScheme):
     """Remote-access-only (Fensch & Cintra-style [15]): never migrate.
@@ -39,6 +42,9 @@ class NeverMigrate(DecisionScheme):
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         return Decision.REMOTE
+
+    def plan(self, table) -> np.ndarray:
+        return table.lengths
 
 
 class NativeFirst(DecisionScheme):
@@ -73,6 +79,7 @@ class NativeFirst(DecisionScheme):
     stateless = property(lambda self: self.away.stateless)
     decides_per_access = property(lambda self: self.away.decides_per_access)
     observes_per_access = property(lambda self: self.away.observes_per_access)
+    learns_runs = property(lambda self: self.away.learns_runs)
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         if self.native_core is None:
@@ -80,6 +87,14 @@ class NativeFirst(DecisionScheme):
         if home == self.native_core:
             return Decision.MIGRATE
         return self.away.decide(current, home, addr, write)
+
+    def plan(self, table) -> np.ndarray | None:
+        """The away policy's plan, with every run homed at the thread's
+        start core migrating at its first access."""
+        away = self.away.plan(table)
+        if away is None:
+            return None
+        return np.where(table.homes == table.start[table.thread], 0, away)
 
     def observe(self, current: int, home: int, addr: int, write: bool, decision: Decision) -> None:
         self.away.observe(current, home, addr, write, decision)
@@ -128,9 +143,10 @@ class RandomScheme(DecisionScheme):
     scheme must beat.
 
     ``seed`` must be an int: ``reset`` and ``clone`` replay one stream
-    per thread, so a spec's row is the same in every run. The uniforms
-    are drawn in blocks; ``Generator.random(n)`` yields the same stream
-    as ``n`` scalar draws, so the k-th consult sees the k-th uniform.
+    per thread, so a spec's row is the same in every run. The generator
+    is made at the first draw, and the uniforms are drawn in blocks;
+    ``Generator.random(n)`` yields the same stream as ``n`` scalar
+    draws, so the k-th consult sees the k-th uniform.
     """
 
     name = "random"
@@ -152,11 +168,13 @@ class RandomScheme(DecisionScheme):
 
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         if not self._draws:
+            if self._rng is None:
+                self._rng = as_generator(self.seed)
             self._draws = self._rng.random(self._BLOCK).tolist()[::-1]
         return Decision.MIGRATE if self._draws.pop() < self.p else Decision.REMOTE
 
     def reset(self) -> None:
-        self._rng = as_generator(self.seed)
+        self._rng = None
         self._draws = []
 
     def clone(self) -> "RandomScheme":

@@ -5,37 +5,48 @@ decision" procedure of §3, wrapped for multi-threaded traces. A thread's
 accesses are taken one *home run* at a time: a maximal stretch of
 consecutive accesses homed at one core.
 
-Homes depend only on the trace and the placement, so each thread's run
-table (:class:`HomeRuns`) is built once per (trace, placement) pair and
-kept while the placement lives (:func:`home_run_tables`). Every scheme,
-and the Figure 2 histogram, reads it: ``placement.home_of`` runs once
-per trace, not once per scheme.
+Homes depend only on the trace and the placement, so the trace's
+:class:`RunTable` (every thread's runs back to back, as per-run numpy
+columns) is built once per (trace, placement) pair and kept while the
+placement lives (:func:`run_table`). Every scheme, and the Figure 2
+histogram (:meth:`RunTable.histogram`), reads it: ``placement.home_of``
+runs once per trace, not once per scheme.
 
-:func:`_walk` scores a scheme in one pass over a thread's runs. A run
-homed where the thread sits is local. In a run homed elsewhere the
+A run homed where the thread sits is local. In a run homed elsewhere the
 thread goes remote up to the first access it migrates on, and the rest
 of the run is local at the home. So each run is charged in a few
-operations from the cost-matrix rows of the thread's core, and the walk
-consults the scheme as rarely as its declared properties
-(:class:`~repro.core.decision.base.DecisionScheme`) allow:
+operations from the cost matrices, by one of two routes:
 
-* ``stateless`` (``decide`` reads only the current core, the home and
-  the write flag): once per (current, home) pair of a thread, for both
-  write flags;
-* ``decides_per_access`` (``decide`` reads the address or draws a
-  random number): access by access, only inside runs homed away from
-  the thread, until it migrates;
-* any other scheme (the history schemes, whose ``decide`` reads state
-  that changes only where a run begins): at a run's first access, then
-  once more for the rest of the run (once per write flag the rest
-  holds).
+* a scheme whose choices depend on the run sequence alone gives a
+  *plan* (:meth:`~repro.core.decision.base.DecisionScheme.plan`): for
+  every run, the first access it would execute at the run's home if the
+  thread were elsewhere when the run begins. :func:`_score_plan` then
+  scores all threads at once in numpy: the thread's core before a run
+  is the home of its latest earlier run whose plan index lies inside
+  that run, and a run homed away from that core is charged its remote
+  accesses before the plan index and one migration at it;
+* any other scheme is walked thread by thread (:func:`_walk`), and
+  consulted as rarely as its declared properties allow:
 
-A scheme that is not stateless learns each run once, through
-``observe_run``, after its first access is decided: that is where its
-per-access ``observe`` would have learned it. Every cost is a whole
-number (the configs reject non-integral latencies), so these per-run
-sums equal the access-by-access ones exactly, whatever the order of
-addition.
+  * ``stateless`` (``decide`` reads only the current core, the home
+    and the write flag): once per (current, home) pair of a thread, for
+    both write flags;
+  * ``decides_per_access`` (``decide`` reads the address or draws a
+    random number): access by access, only inside runs homed away from
+    the thread, until it migrates;
+  * any other scheme (``costaware``, whose ``decide`` reads state that
+    changes only where a run begins): at a run's first access, then
+    once more for the rest of the run (once per write flag the rest
+    holds).
+
+  A scheme that overrides ``observe_run`` learns each run once through
+  it, after its first access is decided: that is where its per-access
+  ``observe`` would have learned it.
+
+Every cost is a whole number (the configs reject non-integral
+latencies) and every total stays below 2**53, so these per-run sums, and
+the per-thread ``np.bincount`` of the plan route, equal the
+access-by-access ones exactly, whatever the order of addition.
 
 :func:`evaluate_thread` is that access-by-access walk. It is the test
 oracle, and the route for a scheme that overrides ``observe`` with no
@@ -47,7 +58,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,7 +68,7 @@ from repro.placement.base import Placement
 from repro.registry import MACHINES
 from repro.sim.stats import Histogram
 from repro.trace.events import MultiTrace
-from repro.trace.runlength import home_runs, merge_histograms, runs_histogram
+from repro.trace.runlength import home_runs, runs_histogram
 
 MIGRATE = Decision.MIGRATE
 
@@ -73,7 +84,6 @@ class EvalResult:
     local_accesses: int = 0
     traffic_bits: int = 0
     per_thread_cost: list[float] = field(default_factory=list)
-    run_length_hist: Histogram | None = None
 
     @property
     def total_accesses(self) -> int:
@@ -168,8 +178,8 @@ def evaluate_thread(
 
 # ------------------------------------------------------------ home runs
 class HomeRuns(NamedTuple):
-    """One thread's home runs, in trace order: run ``i`` is the
-    ``lengths[i]`` accesses from ``starts[i]`` on, all homed at
+    """One thread's home runs, in trace order, as the walk reads them:
+    run ``i`` is the ``lengths[i]`` accesses from ``starts[i]`` on, all homed at
     ``homes[i]``, ``writes[i]`` of them writes, the first a write when
     ``first_write[i]``."""
 
@@ -180,36 +190,176 @@ class HomeRuns(NamedTuple):
     first_write: list[bool]
 
 
-#: placement -> (trace, the trace's HomeRuns under it); an entry is
-#: dropped with its placement
-_runs_memo: "weakref.WeakKeyDictionary[Placement, tuple[MultiTrace, list[HomeRuns]]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: Blocks of whole runs that :meth:`RunTable.addr_blocks` yields hold
+#: at most this many accesses (or one run), so per-access scratch
+#: memory stays bounded.
+_BLOCK_ACCESSES = 1 << 14
 
 
-def _thread_runs(homes: np.ndarray, writes: np.ndarray) -> HomeRuns:
-    run_homes, lengths, n_w = home_runs(homes, writes)
-    starts = np.cumsum(lengths) - lengths
-    return HomeRuns(
-        run_homes.tolist(), starts, lengths.tolist(), n_w.tolist(), writes[starts].tolist()
-    )
+class RunTable(NamedTuple):
+    """Every thread's home runs under one placement, back to back in
+    thread order: thread ``t`` owns runs ``bounds[t]:bounds[t + 1]``.
+    Run ``r`` is ``lengths[r]`` accesses of thread ``thread[r]`` homed
+    at ``homes[r]``, ``writes[r]`` of them writes, the first a write
+    when ``first_write[r]``. ``start[t]`` is the core thread ``t``
+    starts on. Per-run columns only: per-access data stays in
+    ``trace``."""
+
+    trace: MultiTrace
+    bounds: np.ndarray
+    thread: np.ndarray
+    homes: np.ndarray
+    lengths: np.ndarray
+    writes: np.ndarray
+    first_write: np.ndarray
+    start: np.ndarray
+
+    def offsets(self) -> np.ndarray:
+        """Each run's first access, as an index into its thread."""
+        ends = np.cumsum(self.lengths)
+        pos = ends - self.lengths
+        return pos - pos[self.bounds[self.thread]]
+
+    def runs(self, t: int) -> HomeRuns:
+        """Thread ``t``'s runs as lists, for a per-thread walk."""
+        a, b = self.bounds[t], self.bounds[t + 1]
+        lengths = self.lengths[a:b]
+        return HomeRuns(
+            self.homes[a:b].tolist(),
+            np.cumsum(lengths) - lengths,
+            lengths.tolist(),
+            self.writes[a:b].tolist(),
+            self.first_write[a:b].tolist(),
+        )
+
+    def first_addrs(self) -> np.ndarray:
+        """The address of every run's first access (as int64)."""
+        off = self.offsets()
+        firsts = [np.zeros(0, dtype=np.uint64)]
+        for tr, a, b in zip(self.trace.threads, self.bounds[:-1], self.bounds[1:]):
+            firsts.append(tr["addr"][off[a:b]])
+        return np.concatenate(firsts).astype(np.int64)
+
+    def addr_blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The runs in blocks of whole runs, each with the address of
+        every access in it: ``(r0, r1, addrs)`` for runs ``r0:r1``. A
+        block holds at most ``_BLOCK_ACCESSES`` accesses, or one run."""
+        n = self.lengths
+        ends = np.cumsum(n)
+        off = self.offsets()
+        r0 = 0
+        while r0 < n.size:
+            limit = ends[r0] - n[r0] + _BLOCK_ACCESSES
+            r1 = max(r0 + 1, int(np.searchsorted(ends, limit, side="right")))
+            pieces = []
+            for t in range(self.thread[r0], self.thread[r1 - 1] + 1):
+                a, b = max(r0, self.bounds[t]), min(r1, self.bounds[t + 1])
+                if a < b:
+                    pieces.append(self.trace.threads[t]["addr"][off[a] : off[b - 1] + n[b - 1]])
+            yield r0, r1, np.concatenate(pieces)
+            r0 = r1
+
+    def histogram(self, cores=None, max_bin: int = 4096) -> Histogram:
+        """Figure 2: the runs homed away from their thread's core in
+        ``cores`` (one per thread; default ``start``), binned by length,
+        each run weighted by its accesses."""
+        cores = self.start if cores is None else np.asarray(cores)
+        return runs_histogram(self.homes, self.lengths, cores[self.thread], max_bin)
 
 
-def home_run_tables(trace: MultiTrace, placement: Placement) -> list[HomeRuns]:
-    """Every thread's :class:`HomeRuns` under ``placement``.
+def _start_cores(trace: MultiTrace, num_cores: int) -> np.ndarray:
+    return (np.asarray(trace.thread_native_core, dtype=np.int64) % num_cores).astype(np.int32)
+
+
+#: placement -> its trace's RunTable; an entry is dropped with its
+#: placement
+_runs_memo: "weakref.WeakKeyDictionary[Placement, RunTable]" = weakref.WeakKeyDictionary()
+
+
+def run_table(trace: MultiTrace, placement: Placement) -> RunTable:
+    """The :class:`RunTable` of ``trace`` under ``placement``.
 
     Built once per (trace, placement) pair, both checked by identity,
     and kept as long as the placement lives; traces and placements are
-    immutable."""
+    immutable. ``start`` reduces each native core modulo the
+    placement's core count."""
     hit = _runs_memo.get(placement)
-    if hit is not None and hit[0] is trace:
-        return hit[1]
-    tables = [
-        _thread_runs(placement.home_of(tr["addr"]), tr["write"].astype(bool))
-        for tr in trace.threads
-    ]
-    _runs_memo[placement] = (trace, tables)
-    return tables
+    if hit is not None and hit.trace is trace:
+        return hit
+    homes, lengths, writes, first_write = [], [], [], []
+    for tr in trace.threads:
+        w = tr["write"].astype(bool)
+        h, n, n_w = home_runs(placement.home_of(tr["addr"]), w)
+        homes.append(h)
+        lengths.append(n)
+        writes.append(n_w)
+        first_write.append(w[np.cumsum(n) - n])
+    counts = [n.size for n in lengths]
+    table = RunTable(
+        trace,
+        np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
+        np.repeat(np.arange(len(counts), dtype=np.int32), counts),
+        *(
+            np.concatenate([np.zeros(0, dtype)] + cols).astype(dtype)
+            for cols, dtype in (
+                (homes, np.int32),
+                (lengths, np.int32),
+                (writes, np.int32),
+                (first_write, bool),
+            )
+        ),
+        _start_cores(trace, placement.num_cores),
+    )
+    _runs_memo[placement] = table
+    return table
+
+
+# ----------------------------------------------------------- plan route
+def _writes_before(table: RunTable, runs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The writes among the first ``k[i]`` accesses of run ``runs[i]``."""
+    off = table.offsets()
+    threads = table.trace.threads
+    return np.array(
+        [
+            np.count_nonzero(threads[t]["write"][s : s + kk])
+            for t, s, kk in zip(table.thread[runs].tolist(), off[runs].tolist(), k.tolist())
+        ],
+        dtype=np.int64,
+    )
+
+
+def _score_plan(table: RunTable, k: np.ndarray, cost_model: CostModel):
+    """Every thread's cost, and the total migrations, remote accesses
+    and remote writes, of the scheme whose plan is ``k`` (one offset
+    into each run of ``table``)."""
+    T = len(table.trace.threads)
+    h, n, thread = table.homes, table.lengths, table.thread
+    # the thread's core before run r: the home of its latest earlier run
+    # whose plan index lies inside it (a local one is harmless: the
+    # thread already sits at its home), else its start core; int32, as
+    # the table's columns, to keep the scratch small
+    runs = np.arange(n.size, dtype=np.int32)
+    prev = np.roll(np.maximum.accumulate(np.where(k < n, runs, -1)), 1)
+    prev[:1] = -1
+    cur = np.where(prev >= table.bounds[thread], h[prev], table.start[thread])
+    away = np.flatnonzero(cur != h)
+    ka, na = k[away], n[away]
+    migrates = ka < na
+    # writes among the remote accesses: the first one's flag, all the
+    # run's writes, or a count over the trace where the plan index
+    # falls deeper inside the run
+    kw = np.where(migrates, np.where(ka > 0, table.first_write[away], 0), table.writes[away])
+    deep = np.flatnonzero(migrates & (ka > 1))
+    if deep.size:
+        kw[deep] = _writes_before(table, away[deep], ka[deep])
+    at = cur[away], h[away]
+    cost = (
+        (ka - kw) * cost_model.remote_read[at]
+        + kw * cost_model.remote_write[at]
+        + np.where(migrates, cost_model.migration[at], 0.0)
+    )
+    per_thread = np.bincount(thread[away], weights=cost, minlength=T).tolist()
+    return per_thread, int(np.count_nonzero(migrates)), int(ka.sum()), int(kw.sum())
 
 
 # ----------------------------------------------------------------- walk
@@ -232,6 +382,7 @@ def _walk(runs: HomeRuns, start: int, scheme: DecisionScheme, rows: MatrixRows, 
     local accesses) under ``scheme``, from the thread's start core."""
     decide, learn = scheme.decide, scheme.observe_run
     stateless, per_access = scheme.stateless, scheme.decides_per_access
+    learns = not stateless and scheme.learns_runs
     writes = tr["write"]
     if stateless:
         first_addrs = itertools.repeat(0)
@@ -256,7 +407,7 @@ def _walk(runs: HomeRuns, start: int, scheme: DecisionScheme, rows: MatrixRows, 
         e += n
         if h == cur:
             n_loc += n
-            if not stateless:
+            if learns:
                 learn(h, n, a0)
             continue
         # k: the first access of the run executed at the home
@@ -270,7 +421,8 @@ def _walk(runs: HomeRuns, start: int, scheme: DecisionScheme, rows: MatrixRows, 
         else:
             # the first access is decided before the scheme learns the run
             first = decide(cur, h, a0, w0) == MIGRATE
-            learn(h, n, a0)
+            if learns:
+                learn(h, n, a0)
             if first:
                 k = s
             elif per_access:
@@ -310,17 +462,29 @@ def evaluate_scheme(
     placement: Placement,
     scheme: DecisionScheme,
     cost_model: CostModel,
-    collect_run_lengths: bool = False,
 ) -> EvalResult:
-    """Evaluate ``scheme`` over every thread of ``trace``, each thread
-    on a fresh clone."""
+    """Evaluate ``scheme`` over every thread of ``trace``: all threads at
+    once from the scheme's plan when it has one, else each thread on a
+    fresh clone."""
     result = EvalResult(scheme=scheme.name)
+    message_bits = _message_bits(cost_model)
+    table = run_table(trace, placement)._replace(
+        start=_start_cores(trace, cost_model.config.num_cores)
+    )
+    plan = scheme.plan(table)
+    if plan is not None:
+        per_thread, n_mig, n_ra, n_ra_w = _score_plan(table, plan, cost_model)
+        result.per_thread_cost = per_thread
+        result.total_cost = sum(per_thread, 0.0)
+        result.migrations = n_mig
+        result.remote_accesses = n_ra
+        result.local_accesses = int(table.lengths.sum()) - n_mig - n_ra
+        result.traffic_bits = _traffic_bits(message_bits, n_mig, n_ra, n_ra_w)
+        return result
     # each core's cost rows as lists, taken when a walk first visits it
     rows = MatrixRows(cost_model.migration, cost_model.remote_read, cost_model.remote_write)
-    message_bits = _message_bits(cost_model)
-    hists = []
-    for t, (tr, runs) in enumerate(zip(trace.threads, home_run_tables(trace, placement))):
-        start = trace.thread_native_core[t] % cost_model.config.num_cores
+    for t, (tr, start) in enumerate(zip(trace.threads, table.start.tolist())):
+        runs = table.runs(t)
         per_thread = scheme.clone()
         per_thread.reset()
         if per_thread.observes_per_access:
@@ -337,10 +501,6 @@ def evaluate_scheme(
         result.local_accesses += n_loc
         result.traffic_bits += bits
         result.per_thread_cost.append(cost)
-        if collect_run_lengths:
-            hists.append(runs_histogram(runs.homes, runs.lengths, start))
-    if collect_run_lengths:
-        result.run_length_hist = merge_histograms(hists)
     return result
 
 

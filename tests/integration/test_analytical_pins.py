@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cache import canonical_rows
+from repro.core.evaluation import run_table
 from repro.registry import SCHEMES
 from repro.runner import build, clear_build_memo, run
 from repro.spec import ExperimentSpec, MachineSpec, PlacementSpec, SchemeSpec, WorkloadSpec
@@ -87,6 +88,24 @@ def test_rows_pinned_with_one_cost_model_per_point(point, pins):
     assert len(models) == 1
     assert [scenario_row(sid) for sid in sids] == [pins[sid] for sid in sids]
     clear_build_memo()
+
+
+@pytest.mark.parametrize("workload", STAND_INS)
+def test_planned_rows_equal_walked_rows(workload):
+    """Every scheme with a plan gives the row the walk gives with the
+    plan hidden, on each stand-in at 16 cores."""
+    planned = 0
+    for name in SCHEMES.names():
+        spec = scenario_spec(f"{workload}-16-{name}")
+        built = build(spec)
+        if built.scheme.plan(run_table(built.trace, built.placement)) is None:
+            continue
+        planned += 1
+        row = run(spec)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(type(built.scheme), "plan", lambda self, table: None)
+            assert run(spec) == row, name
+    assert planned == 5
 
 
 def test_every_scenario_is_pinned(pins):

@@ -13,7 +13,7 @@ from repro.core.decision import AlwaysMigrate, NeverMigrate
 from repro.core.decision.optimal import optimal_cost
 from repro.core.em2 import EM2Machine
 from repro.core.em2ra import EM2RAMachine
-from repro.core.evaluation import evaluate_scheme
+from repro.core.evaluation import evaluate_scheme, run_table
 from repro.core.remote_access import RemoteAccessMachine
 from repro.placement import first_touch
 from repro.registry import SCHEMES, TOPOLOGIES
@@ -96,9 +96,7 @@ class TestCountsAgree:
             machine = EM2Machine(trace, pl, cfg, fast_path=fast_path)
             machine.run()
             online = machine.stats.histogram("run_length")
-            offline = evaluate_scheme(
-                trace, pl, AlwaysMigrate(), CostModel(cfg), collect_run_lengths=True
-            ).run_length_hist
+            offline = run_table(trace, pl).histogram()
             assert online.count > 0, name
             assert online.bins() == offline.bins(), name
 

@@ -25,6 +25,7 @@ from repro import (
     fixed_depth_cost,
 )
 from repro.analysis.reports import runlength_table
+from repro.core.evaluation import run_table
 from repro.trace.runlength import fraction_single_access_runs
 
 
@@ -32,18 +33,15 @@ class TestFigure2Pipeline:
     """The Figure 2 experiment end-to-end at reduced scale."""
 
     def test_ocean_run_length_distribution(self):
-        cfg = small_test_config(num_cores=16)
         trace = make_workload("ocean", num_threads=16, grid_n=98, iterations=2)
         pl = first_touch(trace, 16)
-        res = evaluate_scheme(
-            trace, pl, AlwaysMigrate(), CostModel(cfg), collect_run_lengths=True
-        )
-        frac1 = fraction_single_access_runs(res.run_length_hist)
+        hist = run_table(trace, pl).histogram()
+        frac1 = fraction_single_access_runs(hist)
         # the paper: "about half of the accesses migrate after one
         # memory reference, while the other half keep accessing memory
         # at the core where they have migrated"
         assert 0.3 <= frac1 <= 0.7
-        table = runlength_table(res.run_length_hist)
+        table = runlength_table(hist)
         assert "run_length" in table
 
     def test_behavioral_machine_agrees_on_fig2(self):

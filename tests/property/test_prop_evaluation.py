@@ -1,12 +1,16 @@
-"""Property test: the walk over home runs equals the per-access walk.
+"""Property tests: both routes of the scheme evaluator equal the
+per-access walk.
 
-:func:`repro.core.evaluation.evaluate_scheme` consults a scheme a few
-times per home run and charges whole runs; the oracle,
+:func:`repro.core.evaluation.evaluate_scheme` scores a scheme with a
+plan for all threads at once, and walks any other scheme a home run at
+a time, consulting it a few times per run; the oracle,
 :func:`~repro.core.evaluation.evaluate_thread`, decides and observes
 every access. On random multi-thread traces they must agree exactly on
-every statistic and on each thread's cost, for every registered scheme
-and for the test schemes whose decisions turn on the write flag or on a
-predictor table small enough for homes to alias.
+every statistic and on each thread's cost: the walk for every
+registered scheme and for the test schemes whose decisions turn on the
+write flag or on a predictor table small enough for homes to alias; the
+plan for every scheme that has one, against the walk with the plan
+hidden as well.
 """
 
 import numpy as np
@@ -16,8 +20,8 @@ from hypothesis import strategies as st
 
 from repro.arch.config import NocConfig, small_test_config
 from repro.core.costs import CostModel
-from repro.core.decision import HistoryRunLength
-from repro.core.evaluation import evaluate_scheme, evaluate_thread
+from repro.core.decision import AddressIndexedHistory, HistoryRunLength, NativeFirst
+from repro.core.evaluation import evaluate_scheme, evaluate_thread, run_table
 from repro.placement import first_touch, striped
 from repro.registry import SCHEMES
 from repro.trace.events import MultiTrace, make_trace
@@ -86,3 +90,69 @@ def test_walk_equals_per_access_walk(name, trace, cores, first, block):
         assert getattr(r, stat) == sum(o[i + 1] for o in oracle), stat
     assert r.total_accesses == sum(tr.size for tr in trace.threads)
     assert np.isfinite(r.total_cost)
+
+
+#: every scheme with a plan: the registered ones, and history variants
+#: whose tables alias, never or always migrate, or start out migrating
+PLANNED = {
+    **{
+        name: SCHEMES.get(name)
+        for name in ("always-migrate", "never-migrate", "native-first", "history", "addr-history")
+    },
+    "history-aliased": lambda cm: HistoryRunLength(2.0, table_size=2),
+    "history-threshold-0": lambda cm: HistoryRunLength(0.0),
+    "history-threshold-1e9": lambda cm: HistoryRunLength(1e9),
+    "history-eager": lambda cm: HistoryRunLength(2.0, initial_prediction=3.0),
+    "addr-history-words": lambda cm: AddressIndexedHistory(2.0, table_size=2, block_words=1),
+    "native-first-history": lambda cm: NativeFirst(away=HistoryRunLength(2.0)),
+}
+
+
+@st.composite
+def planned_traces(draw):
+    """1-4 threads, each empty, one run (one word, repeated), or runs of
+    consecutive words; native cores up to 40, at least P for some."""
+    threads = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["empty", "one-run", "runs"]))
+        if kind == "empty":
+            addrs = []
+        elif kind == "one-run":
+            addrs = [draw(st.integers(0, 95))] * draw(st.integers(1, 9))
+        else:
+            runs = draw(
+                st.lists(st.tuples(st.integers(0, 95), st.integers(1, 9)), min_size=1, max_size=24)
+            )
+            addrs = [a + i for a, n in runs for i in range(n)]
+        writes = draw(st.lists(st.booleans(), min_size=len(addrs), max_size=len(addrs)))
+        threads.append(make_trace(addrs, writes=writes))
+    natives = draw(st.lists(st.integers(0, 40), min_size=len(threads), max_size=len(threads)))
+    return MultiTrace(threads=threads, thread_native_core=natives)
+
+
+@pytest.mark.parametrize("name", PLANNED)
+@settings(max_examples=40, deadline=None)
+@given(
+    trace=planned_traces(),
+    cores=st.sampled_from([4, 16]),
+    first=st.booleans(),
+    block=st.sampled_from([1, 4]),
+)
+def test_plan_equals_walk(name, trace, cores, first, block):
+    """A scheme scored from its plan gives the walk's result, with the
+    plan hidden, and the per-access oracle's, on every statistic and on
+    every thread's cost. The first run of the first thread that has
+    accesses is local under first-touch."""
+    cm = CM[cores]
+    placement = first_touch(trace, cores, block) if first else striped(cores, block)
+    scheme = PLANNED[name](cm)
+    assert scheme.plan(run_table(trace, placement)) is not None
+    planned = evaluate_scheme(trace, placement, scheme, cm)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(type(scheme), "plan", lambda self, table: None)
+        walked = evaluate_scheme(trace, placement, scheme, cm)
+    assert planned == walked
+    oracle = _per_access(trace, placement, scheme, cm)
+    assert planned.per_thread_cost == [o[0] for o in oracle]
+    for i, stat in enumerate(("migrations", "remote_accesses", "local_accesses", "traffic_bits")):
+        assert getattr(planned, stat) == sum(o[i + 1] for o in oracle), stat

@@ -19,13 +19,15 @@ from repro.core.decision import (
 )
 from repro.core import evaluation
 from repro.core.decision import NativeFirst
+from repro.core.decision import static
 from repro.core.decision.base import Decision, DecisionScheme
 from repro.core.decision.history import RunLengthScheme
-from repro.core.evaluation import evaluate_scheme, evaluate_thread
+from repro.core.evaluation import evaluate_scheme, evaluate_thread, run_table
 from repro.placement import first_touch, striped
 from repro.placement.dynamic import evaluate_dynamic_placement
 from repro.registry import SCHEMES
 from repro.trace.events import MultiTrace, make_trace
+from repro.trace.runlength import merge_histograms, run_length_histogram
 from repro.trace.synthetic import make_workload
 
 
@@ -290,6 +292,12 @@ class TestWalkMatchesSequential:
         assert NativeFirst(away=_EveryThirdMigrates()).observes_per_access
         for name in SCHEMES.names():  # every registered scheme has a per-run form
             assert not SCHEMES.get(name)(cm).observes_per_access, name
+        # the walk hands runs only to a scheme that learns from them
+        assert HistoryRunLength(threshold=2.0).learns_runs
+        assert CostAwareHistory(cm).learns_runs
+        assert not RandomScheme().learns_runs
+        assert not NativeFirst(away=RandomScheme()).learns_runs
+        assert NativeFirst(away=HistoryRunLength(threshold=2.0)).learns_runs
 
     def test_evaluate_scheme_dispatch_matches_sequential(self, cm):
         """Whole-trace totals through the stateless fast path equal a
@@ -386,15 +394,23 @@ class TestEvaluateScheme:
         assert len(r.per_thread_cost) == 4
         assert r.total_cost == pytest.approx(sum(r.per_thread_cost))
 
-    def test_run_length_histogram_optional(self, cm, pingpong_small):
+    def test_run_table_histogram(self, pingpong_small):
+        """The run table's Figure 2 histogram bins every thread's runs
+        away from its core, as ``run_length_histogram`` does thread by
+        thread."""
         pl = first_touch(pingpong_small, 4)
-        r = evaluate_scheme(pingpong_small, pl, NeverMigrate(), cm)
-        assert r.run_length_hist is None
-        r2 = evaluate_scheme(
-            pingpong_small, pl, NeverMigrate(), cm, collect_run_lengths=True
+        table = run_table(pingpong_small, pl)
+        natives = pingpong_small.thread_native_core
+        want = merge_histograms(
+            [run_length_histogram(pl.home_of(tr["addr"]), natives[t])
+             for t, tr in enumerate(pingpong_small.threads)]
         )
-        assert r2.run_length_hist is not None
-        assert r2.run_length_hist.count > 0
+        got = table.histogram(natives)
+        assert got.count > 0
+        assert (got.bins(), got.count, got.overflow) == (want.bins(), want.count, want.overflow)
+        assert table.histogram().bins() == want.bins()  # each thread starts at its native core
+        # cores no run is homed at: every access counts
+        assert table.histogram([c + 4 for c in natives]).count == pingpong_small.total_accesses
 
     def test_stateful_scheme_isolated_per_thread(self, cm):
         """History learned by thread 0 must not leak into thread 1."""
@@ -491,7 +507,8 @@ class TestHomeRunMemo:
         home_of = pl.home_of
         pl.home_of = lambda addrs: calls.append(1) or home_of(addrs)
         for name in SCHEMES.names():
-            evaluate_scheme(trace, pl, SCHEMES.get(name)(cm16), cm16, collect_run_lengths=True)
+            evaluate_scheme(trace, pl, SCHEMES.get(name)(cm16), cm16)
+        run_table(trace, pl).histogram()
         assert len(calls) == trace.num_threads
 
     def test_memo_entry_dropped_with_its_placement(self, cm16, trace):
@@ -502,3 +519,103 @@ class TestHomeRunMemo:
         del pl
         gc.collect()
         assert ref() is None and len(evaluation._runs_memo) < n
+
+
+class TestPlans:
+    """Which schemes are scored from a plan, and what a plan is."""
+
+    #: registered schemes that read the current core or draw per consult
+    WALKED = {"costaware", "distance-1", "distance-2", "random"}
+
+    @pytest.fixture
+    def table(self):
+        trace = make_workload("hotspot", num_threads=4, accesses_per_thread=64, burst=2)
+        return run_table(trace, first_touch(trace, 4))
+
+    def test_registered_schemes(self, cm, table):
+        for name in SCHEMES.names():
+            plan = SCHEMES.get(name)(cm).plan(table)
+            if name in self.WALKED:
+                assert plan is None, name
+            else:
+                assert plan.shape == table.lengths.shape, name
+                assert ((0 <= plan) & (plan <= table.lengths)).all(), name
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda cm: _WriteMigrates(),
+            lambda cm: _ReadMigrates(),
+            lambda cm: _RWGatedHistory(1.5, 3.0),
+            lambda cm: _EveryThirdMigrates(),
+            lambda cm: NativeFirst(away=DistanceThreshold(cm.topology.distance_matrix, 1)),
+            lambda cm: NativeFirst(away=RandomScheme()),
+        ],
+        ids=["write-migrates", "read-migrates", "rw-gated", "every-third",
+             "native-first-distance", "native-first-random"],
+    )
+    def test_schemes_without_a_plan(self, cm, table, make):
+        assert make(cm).plan(table) is None
+
+    def test_trace_without_runs(self, cm):
+        mt = MultiTrace(threads=[make_trace([]), make_trace([])], thread_native_core=[0, 9])
+        pl = striped(4)
+        for name in SCHEMES.names():
+            r = evaluate_scheme(mt, pl, SCHEMES.get(name)(cm), cm)
+            assert (r.total_cost, r.total_accesses, r.per_thread_cost) == (0.0, 0, [0.0, 0.0])
+
+    def test_static_plans(self, table):
+        assert (AlwaysMigrate().plan(table) == 0).all()
+        assert (NeverMigrate().plan(table) == table.lengths).all()
+        plan = NativeFirst(away=AlwaysMigrate()).plan(table)
+        assert (plan == 0).all()
+        plan = NativeFirst().plan(table)
+        at_start = table.homes == table.start[table.thread]
+        assert (plan[at_start] == 0).all()
+        assert (plan[~at_start] == table.lengths[~at_start]).all()
+
+    def test_history_plan_learns_a_run_once_the_next_begins(self):
+        """Runs at homes 1, 2, 3 of lengths 1, 3, 2 over a one-entry
+        table: the second run's length is learned after the third run's
+        first access is decided, so that access goes remote on the first
+        run's length and the rest of the run migrates. With a table
+        entry per home, the third run is never predicted."""
+        mt = MultiTrace(threads=[make_trace([1, 2, 2, 2, 3, 3])], thread_native_core=[0])
+        table = run_table(mt, striped(4, block_words=1))
+        assert HistoryRunLength(2.0, table_size=1).plan(table).tolist() == [1, 3, 1]
+        assert HistoryRunLength(2.0).plan(table).tolist() == [1, 3, 2]
+
+    def test_addr_history_migrates_deep_inside_a_run(self):
+        """Thread 1's second run goes remote for a read and a write, then
+        migrates at its third access, whose block the first run taught:
+        the plan index lies deep in the run, and the write before it is
+        counted from the trace at the thread's own offset."""
+        cm = CostModel(small_test_config(num_cores=16, noc=NocConfig(flit_bits=32)))
+        threads = [([16, 40, 40, 3], [1, 0, 1, 1]), ([82, 83, 16, 17, 18, 19], [0, 0, 0, 1, 1, 0])]
+        mt = MultiTrace(
+            threads=[make_trace(a, writes=w) for a, w in threads], thread_native_core=[0, 0]
+        )
+        pl = striped(16, block_words=16)  # address a is homed at a // 16
+        scheme = AddressIndexedHistory(2.0, table_size=64, block_words=1)  # 82 aliases 18
+        assert scheme.plan(run_table(mt, pl)).tolist()[-2:] == [2, 2]
+        r = evaluate_scheme(mt, pl, scheme, cm)
+        assert (r.migrations, r.remote_accesses) == (1, 7)
+        oracle = [
+            evaluate_thread(pl.home_of(a), w, 0, scheme.clone(), cm, addrs=a)
+            for a, w in threads
+        ]
+        assert r.per_thread_cost == [o[0] for o in oracle]
+        assert r.traffic_bits == sum(o[4] for o in oracle)
+
+    def test_random_generator_made_at_first_draw(self, cm, monkeypatch):
+        """A thread that never consults the scheme never builds its
+        generator; one that does builds it once."""
+        calls = []
+        made = static.as_generator
+        monkeypatch.setattr(static, "as_generator", lambda seed: calls.append(seed) or made(seed))
+        local = make_trace([0, 4, 8])  # all homed at core 0 under a 4-core stripe
+        away = make_trace([1, 2, 3, 5])
+        mt = MultiTrace(threads=[local, away], thread_native_core=[0, 0])
+        r = evaluate_scheme(mt, striped(4, block_words=1), RandomScheme(seed=7), cm)
+        assert calls == [7]
+        assert r.total_accesses == 7

@@ -22,7 +22,12 @@ from repro.core.decision import (
     RandomScheme,
 )
 from repro.core.decision.base import Decision
-from repro.core.decision.optimal import decision_cost, optimal_cost, optimal_decisions
+from repro.core.decision.optimal import (
+    decision_cost,
+    optimal_cost,
+    optimal_decisions,
+    optimal_runs,
+)
 from repro.core.evaluation import evaluate_thread
 from repro.trace.runlength import home_runs
 from repro.util.errors import ConfigError
@@ -150,13 +155,17 @@ class TestAgainstBruteForce:
 class TestRunSteppedMatchesPerAccess:
     """The DP steps once per home run; the per-access DP is the
     reference. Totals compare with ``==``: the costs are whole numbers,
-    so regrouping a run's RA costs into one product is exact."""
+    so regrouping a run's RA costs into one product is exact. The entry
+    that takes a thread's runs gets them as the evaluator's run table
+    holds them (int32 columns)."""
 
     @staticmethod
     def _check(homes, writes, start, cm):
         total, decisions, cores, end_core = per_access_dp(homes, writes, start, cm)
         res = optimal_decisions(homes, writes, start, cm)
         assert optimal_cost(homes, writes, start, cm) == total
+        runs = [c.astype(np.int32) for c in home_runs(homes, writes)]
+        assert optimal_runs(*runs, start, cm)[1:] == (end_core, total)
         assert res.total_cost == total
         np.testing.assert_array_equal(res.decisions, decisions)
         np.testing.assert_array_equal(res.cores, cores)

@@ -10,6 +10,7 @@ interpreted.
 import base64
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
@@ -30,9 +31,11 @@ from repro.analysis.farm import (
     parse_hostport,
     recv_frame,
     send_frame,
+    trace_put_frame,
 )
 from repro.trace.events import MultiTrace, make_trace
 from repro.trace.io import decode_multitrace, encode_multitrace
+from repro.trace.synthetic import make_workload
 
 
 def _pair():
@@ -95,6 +98,48 @@ def test_trace_put_round_trips_the_container_bytes():
     received = base64.b64decode(got["trace"])
     assert received == data
     assert decode_multitrace(received).digest() == mt.digest()
+
+
+def test_trace_put_frame_is_the_json_frame():
+    """The spliced TRACE_PUT pieces are, joined, the bytes the JSON
+    encoder gives for the same body, and the worker reads them back."""
+    data = encode_multitrace(_trace())
+    workload = {"name": "wire", "params": {"seed": 3, "label": "é \"q\""}}
+    pieces = trace_put_frame("k", workload, data)
+    body = {"key": "k", "workload": workload, "trace": base64.b64encode(data).decode("ascii")}
+    assert b"".join(pieces) == encode_frame(TRACE_PUT, body)
+    a, b = _pair()
+    try:
+        for piece in pieces:
+            a.sendall(piece)
+        assert recv_frame(b) == (TRACE_PUT, body)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_trace_put_frame_peaks_under_three_containers():
+    """Framing the benchmark's OCEAN container allocates at most 3x its
+    size: the base64 text and nothing as large besides (the JSON
+    encoder's str copies took 4x)."""
+    data = encode_multitrace(make_workload("ocean", num_threads=64, grid_n=128, iterations=1))
+    assert len(data) > 1_000_000
+    tracemalloc.start()
+    try:
+        pieces = trace_put_frame("k", {"name": "ocean", "params": {}}, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, pieces)) > len(data)
+    assert peak <= 3 * len(data)
+
+
+def test_oversized_trace_put_rejected_on_framing(monkeypatch):
+    import repro.analysis.farm as farm
+
+    monkeypatch.setattr(farm, "MAX_FRAME", 64)
+    with pytest.raises(FrameError, match="TRACE_PUT body is .* ceiling"):
+        farm.trace_put_frame("k", {}, b"x" * 128)
 
 
 def test_multiple_frames_on_one_stream_stay_delimited():

@@ -104,10 +104,18 @@ class DecisionScheme(ABC):
         whose ``decide`` reads neither the current core nor a random
         draw, and whose state learns from every run, whatever was
         decided. Each thread starts on a fresh clone at
-        ``table.start``. A subclass that overrides ``decide``, or what
-        the scheme learns, must override ``plan`` too. Default: None,
-        so the evaluator walks the scheme."""
+        ``table.start``. A plan holds for the class that defines it:
+        it returns None for a subclass that overrides ``decide`` or what
+        the scheme learns (:meth:`_inherits`), which is then walked
+        unless it defines a plan of its own. Default: None, so the
+        evaluator walks the scheme."""
         return None
+
+    def _inherits(self, cls: type, *names: str) -> bool:
+        """True when this scheme's class takes each method in ``names``
+        from ``cls`` unchanged: the class test a plan defined on ``cls``
+        makes before it describes ``self``."""
+        return all(getattr(type(self), n) is getattr(cls, n) for n in names)
 
     def reset(self) -> None:
         """Clear per-thread state (called between threads)."""

@@ -82,6 +82,11 @@ def _predictor(table, run_keys: np.ndarray, initial: float):
     return predict
 
 
+#: how a run-length scheme learns a run and under which key: a plan
+#: holds for a subclass only if it keeps these (and ``decide``)
+_LEARNS = ("observe_run", "_key")
+
+
 class RunLengthScheme(DecisionScheme):
     """A last-run-length predictor that learns at run boundaries.
 
@@ -155,10 +160,12 @@ class HistoryRunLength(RunLengthScheme):
             return Decision.MIGRATE
         return Decision.REMOTE
 
-    def plan(self, table) -> np.ndarray:
+    def plan(self, table) -> np.ndarray | None:
         """A run migrates at its first access, at its second, or not at
         all, as its home's entry predicts before and after the previous
         run is learned."""
+        if not self._inherits(HistoryRunLength, "decide", *_LEARNS):
+            return None
         keys = table.homes.astype(np.int64) % self.table_size
         runs = np.arange(keys.size)
         predict = _predictor(table, keys, self.initial_prediction)
@@ -167,7 +174,7 @@ class HistoryRunLength(RunLengthScheme):
         return np.where(first, 0, np.where(rest, 1, table.lengths))
 
     def clone(self) -> "HistoryRunLength":
-        return HistoryRunLength(self.threshold, self.table_size, self.initial_prediction)
+        return type(self)(self.threshold, self.table_size, self.initial_prediction)
 
 
 class AddressIndexedHistory(RunLengthScheme):
@@ -209,13 +216,15 @@ class AddressIndexedHistory(RunLengthScheme):
             return Decision.MIGRATE
         return Decision.REMOTE
 
-    def plan(self, table) -> np.ndarray:
+    def plan(self, table) -> np.ndarray | None:
         """A run's first access is decided by its own block's entry, the
         rest of the run access by access by each one's block's entry once
         the previous run is learned. Within the rest an entry is fixed,
         so only an access whose block differs from the one before can be
         the first to migrate; only those are looked up, in blocks of
         whole runs."""
+        if not self._inherits(AddressIndexedHistory, "decide", *_LEARNS):
+            return None
         n = table.lengths
         runs = np.arange(n.size)
         run_keys = table.first_addrs() // self.block_words % self.table_size
@@ -237,7 +246,7 @@ class AddressIndexedHistory(RunLengthScheme):
         return k
 
     def clone(self) -> "AddressIndexedHistory":
-        return AddressIndexedHistory(
+        return type(self)(
             self.threshold, self.table_size, self.block_words, self.initial_prediction
         )
 

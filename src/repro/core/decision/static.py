@@ -26,7 +26,9 @@ class AlwaysMigrate(DecisionScheme):
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         return Decision.MIGRATE
 
-    def plan(self, table) -> np.ndarray:
+    def plan(self, table) -> np.ndarray | None:
+        if not self._inherits(AlwaysMigrate, "decide"):
+            return None
         return np.zeros_like(table.lengths)
 
 
@@ -43,7 +45,9 @@ class NeverMigrate(DecisionScheme):
     def decide(self, current: int, home: int, addr: int, write: bool) -> Decision:
         return Decision.REMOTE
 
-    def plan(self, table) -> np.ndarray:
+    def plan(self, table) -> np.ndarray | None:
+        if not self._inherits(NeverMigrate, "decide"):
+            return None
         return table.lengths
 
 
@@ -91,6 +95,8 @@ class NativeFirst(DecisionScheme):
     def plan(self, table) -> np.ndarray | None:
         """The away policy's plan, with every run homed at the thread's
         start core migrating at its first access."""
+        if not self._inherits(NativeFirst, "decide", "observe_run"):
+            return None
         away = self.away.plan(table)
         if away is None:
             return None
@@ -107,7 +113,7 @@ class NativeFirst(DecisionScheme):
         self.away.reset()
 
     def clone(self) -> "NativeFirst":
-        return NativeFirst(away=self.away.clone())  # fresh latch per thread
+        return type(self)(away=self.away.clone())  # fresh latch per thread
 
 
 class DistanceThreshold(DecisionScheme):

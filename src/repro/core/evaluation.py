@@ -202,8 +202,8 @@ class RunTable(NamedTuple):
     Run ``r`` is ``lengths[r]`` accesses of thread ``thread[r]`` homed
     at ``homes[r]``, ``writes[r]`` of them writes, the first a write
     when ``first_write[r]``. ``start[t]`` is the core thread ``t``
-    starts on. Per-run columns only: per-access data stays in
-    ``trace``."""
+    starts on: its native core modulo the placement's core count.
+    Per-run columns only: per-access data stays in ``trace``."""
 
     trace: MultiTrace
     bounds: np.ndarray
@@ -259,16 +259,12 @@ class RunTable(NamedTuple):
             yield r0, r1, np.concatenate(pieces)
             r0 = r1
 
-    def histogram(self, cores=None, max_bin: int = 4096) -> Histogram:
+    def histogram(self, cores=None) -> Histogram:
         """Figure 2: the runs homed away from their thread's core in
         ``cores`` (one per thread; default ``start``), binned by length,
         each run weighted by its accesses."""
         cores = self.start if cores is None else np.asarray(cores)
-        return runs_histogram(self.homes, self.lengths, cores[self.thread], max_bin)
-
-
-def _start_cores(trace: MultiTrace, num_cores: int) -> np.ndarray:
-    return (np.asarray(trace.thread_native_core, dtype=np.int64) % num_cores).astype(np.int32)
+        return runs_histogram(self.homes, self.lengths, cores[self.thread])
 
 
 #: placement -> its trace's RunTable; an entry is dropped with its
@@ -281,8 +277,7 @@ def run_table(trace: MultiTrace, placement: Placement) -> RunTable:
 
     Built once per (trace, placement) pair, both checked by identity,
     and kept as long as the placement lives; traces and placements are
-    immutable. ``start`` reduces each native core modulo the
-    placement's core count."""
+    immutable."""
     hit = _runs_memo.get(placement)
     if hit is not None and hit.trace is trace:
         return hit
@@ -295,6 +290,7 @@ def run_table(trace: MultiTrace, placement: Placement) -> RunTable:
         writes.append(n_w)
         first_write.append(w[np.cumsum(n) - n])
     counts = [n.size for n in lengths]
+    start = np.asarray(trace.thread_native_core, dtype=np.int64) % placement.num_cores
     table = RunTable(
         trace,
         np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
@@ -308,7 +304,7 @@ def run_table(trace: MultiTrace, placement: Placement) -> RunTable:
                 (first_write, bool),
             )
         ),
-        _start_cores(trace, placement.num_cores),
+        start.astype(np.int32),
     )
     _runs_memo[placement] = table
     return table
@@ -463,14 +459,12 @@ def evaluate_scheme(
     scheme: DecisionScheme,
     cost_model: CostModel,
 ) -> EvalResult:
-    """Evaluate ``scheme`` over every thread of ``trace``: all threads at
-    once from the scheme's plan when it has one, else each thread on a
-    fresh clone."""
+    """Evaluate ``scheme`` over every thread of ``trace``, each from its
+    :attr:`RunTable.start` core: all threads at once from the scheme's
+    plan when it has one, else each thread on a fresh clone."""
     result = EvalResult(scheme=scheme.name)
     message_bits = _message_bits(cost_model)
-    table = run_table(trace, placement)._replace(
-        start=_start_cores(trace, cost_model.config.num_cores)
-    )
+    table = run_table(trace, placement)
     plan = scheme.plan(table)
     if plan is not None:
         per_thread, n_mig, n_ra, n_ra_w = _score_plan(table, plan, cost_model)

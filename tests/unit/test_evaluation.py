@@ -173,6 +173,29 @@ class _RWGatedHistory(RunLengthScheme):
         return _RWGatedHistory(self.write_at, self.read_at, self.table_size)
 
 
+def _writes_flipped(cls):
+    """A subclass of ``cls`` that overrides only ``decide``: a write is
+    decided the other way round from ``cls``, a read as ``cls`` decides
+    it."""
+
+    class WritesFlipped(cls):
+        def decide(self, current, home, addr, write):
+            d = super().decide(current, home, addr, write)
+            if write:
+                return Decision.REMOTE if d == Decision.MIGRATE else Decision.MIGRATE
+            return d
+
+    return WritesFlipped
+
+
+class _HistoryForgets(HistoryRunLength):
+    """Overrides only what ``history`` learns: nothing, so every
+    prediction stays the initial one."""
+
+    def observe_run(self, home, length, addr):
+        pass
+
+
 def _walked(scheme, homes, writes, start, cm):
     """evaluate_scheme on one thread whose address k is homed at k % P."""
     mt = MultiTrace(threads=[make_trace(homes, writes=writes)], thread_native_core=[start])
@@ -556,6 +579,41 @@ class TestPlans:
     )
     def test_schemes_without_a_plan(self, cm, table, make):
         assert make(cm).plan(table) is None
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _writes_flipped(AlwaysMigrate)(),
+            lambda: _writes_flipped(NeverMigrate)(),
+            lambda: _writes_flipped(NativeFirst)(),
+            lambda: _writes_flipped(HistoryRunLength)(2.0),
+            lambda: _writes_flipped(AddressIndexedHistory)(2.0, block_words=1),
+            lambda: _HistoryForgets(2.0, initial_prediction=9.0),
+        ],
+        ids=["always-migrate", "never-migrate", "native-first", "history", "addr-history",
+             "history-forgets"],
+    )
+    def test_subclass_that_decides_or_learns_otherwise_is_walked(self, cm, make, monkeypatch):
+        """A subclass that overrides ``decide`` or what the scheme
+        learns, and no plan, inherits none: it is walked, and its rows
+        are its own, not those of its parent's plan."""
+        scheme = make()
+        trace = make_workload("uniform", num_threads=4, accesses_per_thread=64, seed=3)
+        pl = first_touch(trace, 4)
+        assert scheme.plan(run_table(trace, pl)) is None
+        r = evaluate_scheme(trace, pl, scheme, cm)
+        with monkeypatch.context() as m:
+            m.setattr(DecisionScheme, "_inherits", lambda self, cls, *names: True)
+            assert evaluate_scheme(trace, pl, scheme, cm).per_thread_cost != r.per_thread_cost
+        oracle = [
+            evaluate_thread(pl.home_of(tr["addr"]), tr["write"], native % 4, scheme.clone(), cm,
+                            addrs=tr["addr"])
+            for tr, native in zip(trace.threads, trace.thread_native_core)
+        ]
+        assert r.per_thread_cost == [o[0] for o in oracle]
+        assert (r.migrations, r.remote_accesses, r.local_accesses, r.traffic_bits) == tuple(
+            sum(o[i] for o in oracle) for i in (1, 2, 3, 4)
+        )
 
     def test_trace_without_runs(self, cm):
         mt = MultiTrace(threads=[make_trace([]), make_trace([])], thread_native_core=[0, 9])
